@@ -32,14 +32,14 @@ class Regularizer:
     weight: float = 1.0           # lambda multiplying the penalty term
     epsilon: float = 0.0          # perturbation radius (perturbation methods)
     keep_prob: float = 1.0        # input keep probability (dropout)
-    adv_mode: str = "augment"     # "augment" keeps the clean NLL, "replace" drops it
     vat: VatConfig | None = None
 
     def __post_init__(self):
         if self.kind not in REGULARIZER_KINDS:
             raise ConfigError(f"unknown regularizer kind {self.kind!r}")
-        if self.adv_mode not in ("augment", "replace"):
-            raise ConfigError(f"adv_mode must be augment or replace, got {self.adv_mode!r}")
+        for name in ("weight", "epsilon", "keep_prob"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kind == "vat" and self.vat is None:
             raise ConfigError("vat regularizer needs a VatConfig")
         if self.kind in ("random_perturbation", "adversarial_linf", "adversarial_l2") \
@@ -55,27 +55,29 @@ class Regularizer:
 
 
 def adv_perturbation(net, x: Tensor, labels: np.ndarray, epsilon: float,
-                     norm: str = "l2") -> Tensor:
+                     norm: str = "l2", grad: Tensor | None = None) -> Tensor:
     """One-step adversarial perturbation of the NLL at (x, labels).
 
     linf: epsilon * sign(grad); l2: epsilon * grad / ||grad|| per row.
-    Rows with a vanishing gradient get a zero perturbation.
+    Rows with a vanishing gradient get a zero perturbation. grad is the NLL's
+    input gradient at (x, labels) when the caller has already computed it;
+    otherwise one forward/backward pair computes it here.
     """
     if norm not in ("linf", "l2"):
         raise ConfigError(f"norm must be linf or l2, got {norm!r}")
-    logits, cache = nn.forward(net, x)
-    _, d_logits = nn.nll_loss(logits, labels)
-    g = nn.backward(net, cache, d_logits).d_input
+    if grad is None:
+        logits, cache = nn.forward(net, x)
+        _, d_logits = nn.nll_loss(logits, labels)
+        grad = nn.backward(net, cache, d_logits).d_input
     if norm == "linf":
-        return epsilon * np.sign(g)
-    return epsilon * normalize_rows(g, tol=_ZERO_TOL)
+        return epsilon * np.sign(grad)
+    return epsilon * normalize_rows(grad, tol=_ZERO_TOL)
 
 
 def random_perturbation(x: Tensor, epsilon: float, rng: np.random.Generator) -> Tensor:
     """Per-row epsilon-sized directions sampled uniformly from the unit sphere."""
     x = as_tensor(x)
-    d = np.stack([sample_unit_vector(rng, x.shape[1]) for _ in range(x.shape[0])])
-    return epsilon * d
+    return epsilon * sample_unit_vector(rng, x.shape[1], x.shape[0])
 
 
 def l2_penalty(net, lam: float) -> tuple[float, list[Tensor]]:

@@ -98,27 +98,6 @@ class GradientBundle:
             grads.append(db)
         return grads
 
-    def add_scaled(self, other: "GradientBundle", scale: float) -> None:
-        for a, b in zip(self.d_weights, other.d_weights):
-            a += scale * b
-        for a, b in zip(self.d_biases, other.d_biases):
-            a += scale * b
-        if (self.d_input is not None and other.d_input is not None
-                and self.d_input.shape == other.d_input.shape):
-            self.d_input += scale * other.d_input
-        else:
-            # gradients came from different input batches; the combined
-            # input gradient has no single well-defined shape
-            self.d_input = None
-
-
-def zero_gradients(net: MlpNetwork, batch: int) -> GradientBundle:
-    return GradientBundle(
-        d_weights=[np.zeros_like(l.weights) for l in net.layers],
-        d_biases=[np.zeros_like(l.biases) for l in net.layers],
-        d_input=np.zeros((batch, net.input_dim)),
-    )
-
 
 def init_mlp(layer_sizes: list[int], rng: np.random.Generator) -> MlpNetwork:
     """He-scaled Gaussian weights (std sqrt(2/fan_in)), zero biases.
@@ -228,6 +207,6 @@ def load_checkpoint(path) -> MlpNetwork:
                 Layer(data[f"w{i}"].astype(np.float64), data[f"b{i}"].astype(np.float64), act)
                 for i, act in enumerate(acts)
             ]
-    except (KeyError, OSError, ValueError) as exc:
+    except (EOFError, KeyError, OSError, ValueError) as exc:
         raise FormatError(f"bad checkpoint file {path}: {exc}") from exc
     return MlpNetwork(layers)

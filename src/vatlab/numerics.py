@@ -62,15 +62,30 @@ def softmax(logits: Tensor) -> Tensor:
     return np.exp(log_softmax(logits))
 
 
-def sample_unit_vector(rng: np.random.Generator, dim: int) -> Tensor:
-    """Uniform direction on the unit sphere: Gaussian draw, then normalize."""
+def _row_norms(v: Tensor) -> Tensor:
+    # one (1, dim) @ (dim, 1) product per row rounds exactly like the norm of
+    # a single 1-D draw; np.linalg.norm(v, axis=1) differs in the last bit
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, :, 0]
+
+
+def sample_unit_vector(rng: np.random.Generator, dim: int,
+                       batch: int | None = None) -> Tensor:
+    """Uniform directions on the unit sphere: Gaussian draws, then normalize.
+
+    Returns one (dim,) vector, or with batch a (batch, dim) tensor drawn in a
+    single call whose rows equal `batch` successive single draws bit for bit.
+    Rows of norm <= 1e-30 are drawn again.
+    """
     if dim < 1:
         raise DimensionError("sample_unit_vector needs dim >= 1")
-    while True:
-        v = rng.standard_normal(dim)
-        norm = np.linalg.norm(v)
-        if norm > 1e-30:
-            return v / norm
+    v = rng.standard_normal((1 if batch is None else batch, dim))
+    norms = _row_norms(v)
+    while np.any(norms <= 1e-30):
+        redraw = norms[:, 0] <= 1e-30
+        v[redraw] = rng.standard_normal((int(redraw.sum()), dim))
+        norms = _row_norms(v)
+    out = v / norms
+    return out[0] if batch is None else out
 
 
 def normalize_rows(t: Tensor, fallback: Tensor | None = None, tol: float = 1e-12) -> Tensor:

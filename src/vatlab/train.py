@@ -18,7 +18,7 @@ from . import baselines, divergence, nn, vat
 from .baselines import Regularizer
 from .data import Dataset
 from .errors import ConfigError, DataError
-from .numerics import Tensor, make_rng
+from .numerics import Tensor, make_rng, softmax
 from .optim import Adam, DecaySchedule, MomentumSgd
 from .vat import VatConfig
 
@@ -86,70 +86,80 @@ def make_optimizer(cfg: TrainConfig):
     return Adam(cfg.schedule)
 
 
+def _base(net, x: Tensor, clean):
+    """Output distribution at x, taken from the clean logits when given."""
+    if clean is None:
+        return divergence.base_distribution(net, x)
+    return softmax(clean[0])
+
+
+def _vat_penalty(net, reg, x, y, rng, clean) -> tuple:
+    base = _base(net, x, clean)
+    r = vat.gen_vap(net, x, reg.vat, rng, base=base)
+    value, grads = vat.vat_backward(net, x, r, base=base)
+    return value, grads.parameter_grads(), reg.weight
+
+
+def _random_penalty(net, reg, x, y, rng, clean) -> tuple:
+    base = _base(net, x, clean)
+    r = baselines.random_perturbation(x, reg.epsilon, rng)
+    value, grads = vat.vat_backward(net, x, r, base=base)
+    return value, grads.parameter_grads(), reg.weight
+
+
+def _adversarial_penalty(norm: str):
+    def penalty(net, reg, x, y, rng, clean) -> tuple:
+        # label-requiring kinds never see a separate batch, so clean is set
+        r = baselines.adv_perturbation(net, x, y, reg.epsilon, norm, grad=clean[1])
+        value, grads = baselines.adv_loss_term(net, x, y, r)
+        return value, grads.parameter_grads(), reg.weight
+    return penalty
+
+
+def _l2_penalty(net, reg, x, y, rng, clean) -> tuple:
+    value, grads = baselines.l2_penalty(net, reg.weight)  # already weighted
+    return value, grads, 1.0
+
+
+# kind -> penalty(net, reg, x_reg, y, rng, clean) returning the penalty value,
+# its parameter gradients and the scale they enter the update with; clean is
+# (logits, input gradient) of the step's likelihood pass when that pass ran
+# on x_reg, else None. Kinds without an entry add no penalty term.
+_PENALTIES = {
+    "vat": _vat_penalty,
+    "random_perturbation": _random_penalty,
+    "adversarial_linf": _adversarial_penalty("linf"),
+    "adversarial_l2": _adversarial_penalty("l2"),
+    "l2_decay": _l2_penalty,
+}
+
+
 def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
-                    optimizer, rng: np.random.Generator) -> dict:
-    """One update on a fully labeled batch; returns the loss components."""
-    kind = reg.kind
-    x_lik = x
-    if kind == "dropout":
-        x_lik = nn.apply_dropout(x, reg.keep_prob, rng)
-    replace_clean = kind in ("adversarial_linf", "adversarial_l2") and reg.adv_mode == "replace"
+                    optimizer, rng: np.random.Generator,
+                    x_reg: Tensor | None = None) -> dict:
+    """One update; returns the loss components.
 
-    if replace_clean:
-        nll_value, grads = 0.0, nn.zero_gradients(net, x.shape[0])
-    else:
-        logits, cache = nn.forward(net, x_lik)
-        nll_value, d_logits = nn.nll_loss(logits, y)
-        grads = nn.backward(net, cache, d_logits)
-
-    reg_value = 0.0
-    if reg.weight > 0:
-        if kind == "vat":
-            base = divergence.base_distribution(net, x)
-            r = vat.gen_vap(net, x, reg.vat, rng, base=base)
-            reg_value, reg_grads = vat.vat_backward(net, x, r, base=base)
-            grads.add_scaled(reg_grads, reg.weight)
-        elif kind == "random_perturbation":
-            base = divergence.base_distribution(net, x)
-            r = baselines.random_perturbation(x, reg.epsilon, rng)
-            reg_value, reg_grads = vat.vat_backward(net, x, r, base=base)
-            grads.add_scaled(reg_grads, reg.weight)
-        elif kind in ("adversarial_linf", "adversarial_l2"):
-            norm = "linf" if kind == "adversarial_linf" else "l2"
-            r = baselines.adv_perturbation(net, x, y, reg.epsilon, norm)
-            reg_value, reg_grads = baselines.adv_loss_term(net, x, y, r)
-            grads.add_scaled(reg_grads, reg.weight)
-        elif kind == "l2_decay":
-            reg_value, penalty_grads = baselines.l2_penalty(net, reg.weight)
-            for g, pg in zip(grads.parameter_grads(), penalty_grads):
-                g += pg
-
-    optimizer.step(net.parameters(), grads.parameter_grads())
-    return {"nll": nll_value, "reg": reg_value}
-
-
-def semisup_step(net, x_labeled: Tensor, y_labeled: np.ndarray, x_reg: Tensor,
-                 reg: Regularizer, optimizer, rng: np.random.Generator) -> dict:
-    """One update with separate likelihood and regularizer minibatches.
-
-    The regularizer batch may contain unlabeled rows, so label-requiring
-    methods are rejected here.
+    The likelihood runs on (x, y) and the penalty on x_reg, or on x when
+    x_reg is None. In that case the penalty reuses the likelihood pass: its
+    logits give the base distribution and its input gradient the adversarial
+    direction. x_reg may hold unlabeled rows, so label-requiring methods
+    reject it.
     """
-    if reg.needs_labels:
+    if x_reg is not None and reg.needs_labels:
         raise ConfigError(f"{reg.kind} needs labels and cannot regularize unlabeled data")
-    logits, cache = nn.forward(net, x_labeled)
-    nll_value, d_logits = nn.nll_loss(logits, y_labeled)
+    x_lik = nn.apply_dropout(x, reg.keep_prob, rng) if reg.kind == "dropout" else x
+    logits, cache = nn.forward(net, x_lik)
+    nll_value, d_logits = nn.nll_loss(logits, y)
     grads = nn.backward(net, cache, d_logits)
 
     reg_value = 0.0
-    if reg.weight > 0 and reg.kind in ("vat", "random_perturbation"):
-        base = divergence.base_distribution(net, x_reg)
-        if reg.kind == "vat":
-            r = vat.gen_vap(net, x_reg, reg.vat, rng, base=base)
-        else:
-            r = baselines.random_perturbation(x_reg, reg.epsilon, rng)
-        reg_value, reg_grads = vat.vat_backward(net, x_reg, r, base=base)
-        grads.add_scaled(reg_grads, reg.weight)
+    penalty = _PENALTIES.get(reg.kind)
+    if penalty is not None and reg.weight > 0:
+        clean = (logits, grads.d_input) if x_reg is None else None
+        reg_value, reg_grads, scale = penalty(net, reg, x if x_reg is None else x_reg,
+                                              y, rng, clean)
+        for g, rg in zip(grads.parameter_grads(), reg_grads):
+            g += scale * rg
 
     optimizer.step(net.parameters(), grads.parameter_grads())
     return {"nll": nll_value, "reg": reg_value}
@@ -185,7 +195,7 @@ def train_supervised(cfg: TrainConfig, train_x: Tensor, train_y: np.ndarray,
                      test_x: Tensor | None = None, test_y: np.ndarray | None = None,
                      net=None, record_lds: bool = False) -> tuple:
     """Train on labeled data only; returns (net, TrainRecord)."""
-    rng = make_rng(cfg.seed)
+    rng, eval_rng = make_rng(cfg.seed), _eval_rng(cfg.seed)
     if net is None:
         net = nn.init_mlp(cfg.layer_sizes(), rng)
     optimizer = make_optimizer(cfg)
@@ -198,7 +208,7 @@ def train_supervised(cfg: TrainConfig, train_x: Tensor, train_y: np.ndarray,
         if (cfg.eval_every and update % cfg.eval_every == 0) or update == cfg.total_updates:
             record.append(update=update,
                           **_eval_row(net, train_x, train_y, test_x, test_y,
-                                      record_lds, rng), **losses)
+                                      record_lds, eval_rng), **losses)
     return net, record
 
 
@@ -209,7 +219,7 @@ def train_semisup(cfg: TrainConfig, dataset: Dataset,
     The likelihood batch comes from labeled rows; the regularizer batch is
     drawn uniformly from the union of labeled and unlabeled rows.
     """
-    rng = make_rng(cfg.seed)
+    rng, eval_rng = make_rng(cfg.seed), _eval_rng(cfg.seed)
     lab_x, lab_y = dataset.subset("labeled")
     pool_mask = np.isin(dataset.split, ("labeled", "unlabeled"))
     pool_x = dataset.inputs[pool_mask]
@@ -225,13 +235,19 @@ def train_semisup(cfg: TrainConfig, dataset: Dataset,
     for update in range(1, cfg.total_updates + 1):
         li = next(lab_batches)
         ri = next(reg_batches)
-        losses = semisup_step(net, lab_x[li], lab_y[li], pool_x[ri],
-                              cfg.regularizer, optimizer, rng)
+        losses = supervised_step(net, lab_x[li], lab_y[li], cfg.regularizer,
+                                 optimizer, rng, x_reg=pool_x[ri])
         if (cfg.eval_every and update % cfg.eval_every == 0) or update == cfg.total_updates:
             record.append(update=update,
                           **_eval_row(net, lab_x, lab_y, test_x, test_y,
-                                      record_lds, rng), **losses)
+                                      record_lds, eval_rng), **losses)
     return net, record
+
+
+def _eval_rng(seed: int) -> np.random.Generator:
+    """Generator for evaluation probes, independent of the training stream, so
+    evaluating never moves the weights."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
 
 def _eval_row(net, train_x, train_y, test_x, test_y, record_lds, rng) -> dict:

@@ -20,7 +20,7 @@ import numpy as np
 from . import divergence, nn
 from .errors import ConfigError
 from .numerics import (Tensor, as_tensor, log_softmax, normalize_rows,
-                       sample_unit_vector, softmax)
+                       sample_unit_vector)
 
 log = logging.getLogger(__name__)
 
@@ -35,6 +35,9 @@ class VatConfig:
     weight: float = 1.0     # penalty weight in the training objective
 
     def __post_init__(self):
+        for name in ("epsilon", "xi", "weight"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.epsilon <= 0:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
         if self.xi <= 0:
@@ -65,7 +68,7 @@ def gen_vap(model, x: Tensor, cfg: VatConfig, rng: np.random.Generator,
     batch, dim = x.shape
     if base is None:
         base = divergence.base_distribution(model, x)
-    d = np.stack([sample_unit_vector(rng, dim) for _ in range(batch)])
+    d = sample_unit_vector(rng, dim, batch)
     for _ in range(cfg.power_iterations):
         grad = divergence.grad_r_delta_kl(model, x, cfg.xi * d, base)
         norms = np.linalg.norm(grad, axis=1)
@@ -103,8 +106,9 @@ def vat_backward(net, x: Tensor, r_vadv: Tensor, base=None) -> tuple[float, nn.G
     if base is None:
         base = divergence.base_distribution(net, x)
     logits, cache = nn.forward(net, x + r_vadv)
-    penalty = float(divergence.kl_categorical(base, log_softmax(logits)).mean())
-    d_logits = (softmax(logits) - base) / x.shape[0]
+    log_q = log_softmax(logits)
+    penalty = float(divergence.kl_categorical(base, log_q).mean())
+    d_logits = (np.exp(log_q) - base) / x.shape[0]
     return penalty, nn.backward(net, cache, d_logits)
 
 

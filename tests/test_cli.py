@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from vatlab.cli import main
 
 
@@ -138,3 +140,25 @@ class TestConfigFile:
         cfg.write_text("bogus = 1\n")
         assert run_cli("train", "--config", str(cfg), "--task", "moons",
                        "--out-prefix", str(tmp_path / "x")) == 2
+
+
+TRAIN = ["train", "--task", "moons", "--updates", "2", "--out-prefix", "{tmp}/x"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (TRAIN + ["--reg", "vat", "--epsilon", "nan"], 2),
+    (TRAIN + ["--reg", "vat", "--epsilon", "inf"], 2),
+    (TRAIN + ["--reg", "vat", "--xi", "nan"], 2),
+    (TRAIN + ["--reg", "vat", "--weight", "nan"], 2),
+    (TRAIN + ["--reg", "random", "--epsilon", "inf"], 2),
+    (TRAIN + ["--reg", "adv-l2", "--weight=-inf"], 2),
+    (TRAIN + ["--reg", "l2", "--weight", "nan"], 2),
+    (["eval", "--task", "moons", "--checkpoint", "{tmp}/empty.npz"], 4),
+    (["boundary", "--checkpoint", "{tmp}/empty.npz", "--embedding", "{tmp}/empty.npz",
+      "--train-csv", "{tmp}/empty.npz", "--out", "{tmp}/plot"], 4),
+])
+def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
+    # every malformed invocation exits with its documented code, never a traceback
+    (tmp_path / "empty.npz").write_bytes(b"")
+    assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == code
+    assert "Traceback" not in capsys.readouterr().err

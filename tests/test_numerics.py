@@ -76,6 +76,19 @@ class TestSampleUnitVector:
         mean = np.mean([sample_unit_vector(rng2, 3) for _ in range(20_000)], axis=0)
         assert np.max(np.abs(mean)) < 0.02
 
+    @pytest.mark.parametrize("batch, dim", [(1, 1), (16, 100), (250, 784)])
+    def test_batched_draw_matches_single_draws(self, batch, dim):
+        # reference: one Gaussian draw and 1-D norm per row, as a loop
+        loop_rng = make_rng(31)
+        rows = []
+        for _ in range(batch):
+            v = loop_rng.standard_normal(dim)
+            rows.append(v / np.linalg.norm(v))
+        batch_rng = make_rng(31)
+        assert np.array_equal(sample_unit_vector(batch_rng, dim, batch), np.stack(rows))
+        # both generators are left at the same position
+        assert loop_rng.standard_normal() == batch_rng.standard_normal()
+
     def test_zero_dim_rejected(self, rng):
         with pytest.raises(DimensionError):
             sample_unit_vector(rng, 0)

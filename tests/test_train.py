@@ -7,10 +7,27 @@ from vatlab.baselines import Regularizer
 from vatlab.errors import ConfigError
 from vatlab.numerics import make_rng, softmax
 from vatlab.optim import DecaySchedule
-from vatlab.train import TrainConfig, evaluate, grid_search, semisup_step, supervised_step
+from vatlab.train import TrainConfig, evaluate, grid_search, supervised_step
 from vatlab.vat import VatConfig
 
 MLE = Regularizer(kind="none", weight=0.0)
+PENALIZED = {
+    "none": MLE,
+    "l2_decay": Regularizer(kind="l2_decay", weight=0.1),
+    "dropout": Regularizer(kind="dropout", keep_prob=0.5, weight=0.0),
+    "random_perturbation": Regularizer(kind="random_perturbation", weight=0.7, epsilon=0.5),
+    "adversarial_linf": Regularizer(kind="adversarial_linf", weight=0.7, epsilon=0.1),
+    "adversarial_l2": Regularizer(kind="adversarial_l2", weight=0.7, epsilon=0.5),
+    "vat": Regularizer(kind="vat", weight=0.7, vat=VatConfig(epsilon=0.5)),
+}
+
+
+class Probe:
+    """Optimizer stand-in that records the gradients of the last step."""
+    grads = None
+
+    def step(self, params, grads):
+        self.grads = [g.copy() for g in grads]
 
 
 def small_config(reg=MLE, **kwargs):
@@ -33,31 +50,54 @@ class TestSupervisedStep:
         for a, b in zip(net_a.parameters(), net_b.parameters()):
             assert np.array_equal(a, b)
 
-    def test_gradient_additivity(self, rng):
-        # the applied step must equal the sum of the separately computed
-        # likelihood and penalty gradients
+    @pytest.mark.parametrize("kind", ["vat", "random_perturbation",
+                                      "adversarial_linf", "adversarial_l2"])
+    def test_gradient_additivity(self, kind, rng):
+        # the applied step, which shares the likelihood pass with the penalty,
+        # must equal the sum of the separately computed likelihood and
+        # penalty gradients bit for bit
         x, y = toy_batch(rng)
         net = random_small_net(rng, [4, 8, 3])
-        reg = Regularizer(kind="vat", weight=1.0, vat=VatConfig(epsilon=0.5))
+        reg = PENALIZED[kind]
 
-        from vatlab import divergence, vat as vatmod
+        from vatlab import baselines, divergence, vat as vatmod
         step_rng = make_rng(99)
         logits, cache = nn.forward(net, x)
         _, d_logits = nn.nll_loss(logits, y)
-        expected = nn.backward(net, cache, d_logits)
-        base = divergence.base_distribution(net, x)
-        r = vatmod.gen_vap(net, x, reg.vat, step_rng, base=base)
-        _, reg_grads = vatmod.vat_backward(net, x, r, base=base)
-        expected.add_scaled(reg_grads, reg.weight)
+        nll_grads = nn.backward(net, cache, d_logits)
+        if kind in ("vat", "random_perturbation"):
+            base = divergence.base_distribution(net, x)
+            if kind == "vat":
+                r = vatmod.gen_vap(net, x, reg.vat, step_rng, base=base)
+            else:
+                r = baselines.random_perturbation(x, reg.epsilon, step_rng)
+            _, reg_grads = vatmod.vat_backward(net, x, r, base=base)
+        else:
+            norm = "linf" if kind == "adversarial_linf" else "l2"
+            r = baselines.adv_perturbation(net, x, y, reg.epsilon, norm)
+            _, reg_grads = baselines.adv_loss_term(net, x, y, r)
+        expected = [g + reg.weight * rg for g, rg in zip(nll_grads.parameter_grads(),
+                                                         reg_grads.parameter_grads())]
 
-        class Probe:
-            grads = None
-            def step(self, params, grads):
-                Probe.grads = [g.copy() for g in grads]
+        probe = Probe()
+        supervised_step(net, x, y, reg, probe, make_rng(99))
+        for got, want in zip(probe.grads, expected):
+            assert np.array_equal(got, want)
 
-        supervised_step(net, x, y, reg, Probe(), make_rng(99))
-        for got, want in zip(Probe.grads, expected.parameter_grads()):
-            assert np.max(np.abs(got - want)) < 1e-12
+    @pytest.mark.parametrize("kind, counts", [
+        ("none", (1, 1)), ("l2_decay", (1, 1)), ("dropout", (1, 1)),
+        ("random_perturbation", (2, 2)), ("adversarial_linf", (2, 2)),
+        ("adversarial_l2", (2, 2)), ("vat", (3, 3)), ("vat-semisup", (4, 3)),
+    ])
+    def test_propagations_per_update(self, kind, counts, rng):
+        # the penalty reuses the likelihood pass unless it runs on its own batch
+        x, y = toy_batch(rng)
+        net = random_small_net(rng, [4, 8, 3])
+        x_reg = rng.standard_normal((6, 4)) if kind == "vat-semisup" else None
+        reg = PENALIZED["vat" if kind == "vat-semisup" else kind]
+        nn.reset_propagation_counts()
+        supervised_step(net, x, y, reg, Probe(), make_rng(0), x_reg=x_reg)
+        assert nn.propagation_counts() == counts
 
     def test_one_step_scalar_reference(self):
         # 2-2 linear net, one momentum-free SGD step, checked end to end
@@ -75,7 +115,11 @@ class TestSupervisedStep:
 
 
 class TestSemisupStep:
+    """supervised_step with a separate regularizer batch x_reg."""
+
     def test_reduces_to_supervised_on_same_batch(self, rng):
+        # a penalty on a copy of x, with its own passes, gives the same update
+        # as the penalty that shares the likelihood pass
         x, y = toy_batch(rng)
         reg = Regularizer(kind="vat", weight=1.0, vat=VatConfig(epsilon=0.5))
         net_a = random_small_net(make_rng(1), [4, 8, 3])
@@ -84,7 +128,7 @@ class TestSemisupStep:
         opt_a = MomentumSgd(0.9, DecaySchedule(0.1))
         opt_b = MomentumSgd(0.9, DecaySchedule(0.1))
         supervised_step(net_a, x, y, reg, opt_a, make_rng(7))
-        semisup_step(net_b, x, y, x, reg, opt_b, make_rng(7))
+        supervised_step(net_b, x, y, reg, opt_b, make_rng(7), x_reg=x.copy())
         for a, b in zip(net_a.parameters(), net_b.parameters()):
             assert np.array_equal(a, b)
 
@@ -93,8 +137,8 @@ class TestSemisupStep:
         reg = Regularizer(kind="adversarial_l2", epsilon=0.5)
         from vatlab.optim import MomentumSgd
         with pytest.raises(ConfigError):
-            semisup_step(random_small_net(rng, [4, 8, 3]), x, y, x, reg,
-                         MomentumSgd(0.9, DecaySchedule(0.1)), rng)
+            supervised_step(random_small_net(rng, [4, 8, 3]), x, y, reg,
+                            MomentumSgd(0.9, DecaySchedule(0.1)), rng, x_reg=x)
 
     def test_unlabeled_rows_skip_likelihood(self, rng):
         # the NLL component must be computed from the labeled batch alone
@@ -103,17 +147,24 @@ class TestSemisupStep:
         net = random_small_net(rng, [4, 8, 3])
         reg = Regularizer(kind="vat", weight=0.0, vat=VatConfig(epsilon=0.5))
 
-        class Probe:
-            grads = None
-            def step(self, params, grads):
-                Probe.grads = [g.copy() for g in grads]
-
-        semisup_step(net, x, y, x_reg, reg, Probe(), make_rng(0))
+        probe = Probe()
+        supervised_step(net, x, y, reg, probe, make_rng(0), x_reg=x_reg)
         logits, cache = nn.forward(net, x)
         _, d_logits = nn.nll_loss(logits, y)
         expected = nn.backward(net, cache, d_logits)
-        for got, want in zip(Probe.grads, expected.parameter_grads()):
+        for got, want in zip(probe.grads, expected.parameter_grads()):
             assert np.array_equal(got, want)
+
+    def test_l2_decay_applies(self, rng):
+        # weight decay needs no labels, so the semi-supervised loop keeps it
+        ds, _ = dm.make_synthetic_dataset("moons", make_rng(0), n_unlabeled=40)
+        base = dict(input_dim=100, hidden_sizes=[10], n_classes=2,
+                    total_updates=20, reg_batch_size=8, seed=1)
+        net_mle, _ = tm.train_semisup(TrainConfig(regularizer=MLE, **base), ds)
+        l2 = Regularizer(kind="l2_decay", weight=0.1)
+        net_l2, _ = tm.train_semisup(TrainConfig(regularizer=l2, **base), ds)
+        assert not all(np.array_equal(a, b) for a, b in
+                       zip(net_mle.parameters(), net_l2.parameters()))
 
 
 class TestEvaluate:
@@ -152,6 +203,25 @@ class TestTrainingLoops:
         for a, b in zip(net_a.parameters(), net_b.parameters()):
             assert np.array_equal(a, b)
         assert rec_a.rows == rec_b.rows
+
+    @pytest.mark.parametrize("semisup", [False, True])
+    def test_record_lds_leaves_weights_unchanged(self, semisup):
+        ds, _ = dm.make_synthetic_dataset("moons", make_rng(2), n_unlabeled=20)
+        cfg = TrainConfig(input_dim=100, hidden_sizes=[10], n_classes=2,
+                          regularizer=Regularizer(kind="vat", vat=VatConfig(epsilon=0.5)),
+                          total_updates=20, eval_every=5, reg_batch_size=8, seed=4)
+        tx, ty = ds.subset("labeled")
+        sx, sy = ds.subset("test")
+
+        def fit(record_lds):
+            if semisup:
+                return tm.train_semisup(cfg, ds, record_lds=record_lds)
+            return tm.train_supervised(cfg, tx, ty, sx, sy, record_lds=record_lds)
+
+        (net_off, _), (net_on, record) = fit(False), fit(True)
+        assert record.final["train_lds"] is not None
+        for a, b in zip(net_off.parameters(), net_on.parameters()):
+            assert np.array_equal(a, b)
 
     def test_record_csv(self, tmp_path, rng):
         x, y = toy_batch(rng)

@@ -139,10 +139,11 @@ class TestVatBackward:
 
         logits, cache = nn.forward(net, x)
         loss, d_logits = nn.nll_loss(logits, y)
-        total = nn.backward(net, cache, d_logits)
+        nll_grads = nn.backward(net, cache, d_logits)
         base = divergence.base_distribution(net, x)
         _, reg_grads = vat.vat_backward(net, x, r, base=base)
-        total.add_scaled(reg_grads, weight)
+        total = [g + weight * rg for g, rg in zip(nll_grads.parameter_grads(),
+                                                  reg_grads.parameter_grads())]
 
         def objective():
             out, _ = nn.forward(net, x)
@@ -152,7 +153,7 @@ class TestVatBackward:
                 nn.forward(net, x + r)[0])).mean())
             return nll + weight * pen
 
-        for analytic, arr in zip(total.parameter_grads(), net.parameters()):
+        for analytic, arr in zip(total, net.parameters()):
             assert max_rel_err(analytic, numeric_grad(objective, arr), floor=1e-6) < 1e-5
 
 
