@@ -40,6 +40,8 @@ class Regularizer:
         for name in ("weight", "epsilon", "keep_prob"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.weight < 0:
+            raise ConfigError(f"weight must be >= 0, got {self.weight}")
         if self.kind == "vat" and self.vat is None:
             raise ConfigError("vat regularizer needs a VatConfig")
         if self.kind in ("random_perturbation", "adversarial_linf", "adversarial_l2") \
@@ -99,7 +101,8 @@ def l2_penalty(net, lam: float) -> tuple[float, list[Tensor]]:
 
 def adv_loss_term(net, x: Tensor, labels: np.ndarray,
                   r_adv: Tensor) -> tuple[float, nn.GradientBundle]:
-    """NLL at x + r_adv with the perturbation held constant."""
+    """NLL at x + r_adv with the perturbation held constant; the bundle
+    carries no input gradient (d_input None)."""
     logits, cache = nn.forward(net, x + r_adv)
     loss, d_logits = nn.nll_loss(logits, labels)
-    return loss, nn.backward(net, cache, d_logits)
+    return loss, nn.backward(net, cache, d_logits, input_grad=False)

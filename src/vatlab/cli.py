@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -109,16 +109,19 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     for key, raw in file_values.items():
         if key not in defaults:
             raise ConfigError(f"unknown config key {key!r}")
-        if getattr(args, key) == defaults[key]:  # flag not given: file wins
-            default = defaults[key]
+        default = defaults[key]
+        try:  # a malformed value is an error even where a flag overrides it
             if isinstance(default, bool):
                 value = raw.lower() in ("1", "true", "yes")
-            elif isinstance(default, int) and not isinstance(default, bool):
+            elif isinstance(default, int):
                 value = int(raw)
             elif isinstance(default, float):
                 value = float(raw)
             else:
                 value = raw
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from exc
+        if getattr(args, key) == default:  # flag not given: file wins
             setattr(args, key, value)
     return args
 
@@ -140,9 +143,9 @@ def _make_regularizer(args) -> Regularizer:
     return Regularizer(kind=kind, epsilon=args.epsilon, weight=args.weight)
 
 
-def _synthetic_train_config(args, reg: Regularizer) -> TrainConfig:
+def _synthetic_train_config(args, reg: Regularizer, hidden_sizes: list[int]) -> TrainConfig:
     return TrainConfig(
-        input_dim=datamod.EMBED_DIM, hidden_sizes=[100], n_classes=2,
+        input_dim=datamod.EMBED_DIM, hidden_sizes=hidden_sizes, n_classes=2,
         regularizer=reg, optimizer="sgd",
         schedule=DecaySchedule(1.0, 0.995, 1), momentum=0.9,
         batch_size=0, total_updates=args.updates,
@@ -161,7 +164,13 @@ def _mnist_train_config(args, reg: Regularizer, semisup: bool) -> TrainConfig:
 
 
 def args_hidden(args) -> list[int]:
-    return [int(h) for h in str(args.hidden).split(",") if h]
+    try:
+        sizes = [int(h) for h in str(args.hidden).split(",") if h]
+    except ValueError as exc:
+        raise ConfigError(f"--hidden must be comma-separated integers: {exc}") from exc
+    if any(size < 1 for size in sizes):
+        raise ConfigError(f"--hidden sizes must be >= 1, got {args.hidden!r}")
+    return sizes
 
 
 def _save_embedding(path: str, emb: EmbeddingMap) -> None:
@@ -218,7 +227,7 @@ def cmd_train(args) -> int:
         dataset, emb = datamod.make_synthetic_dataset(
             args.task, rng, n_train_per_class=args.n_train // 2,
             n_test=args.n_test, n_unlabeled=args.n_unlabeled)
-        cfg = _synthetic_train_config(args, reg)
+        cfg = _synthetic_train_config(args, reg, args_hidden(args))
         if args.n_unlabeled > 0:
             net, record = train_semisup(cfg, dataset, record_lds=args.record_lds)
         else:
@@ -248,9 +257,7 @@ def cmd_train(args) -> int:
     else:
         raise ConfigError(f"unknown task {args.task!r}")
 
-    final = record.final
-    if final.get("nll") is not None and not np.isfinite(final["nll"]):
-        raise NumericError("training loss became non-finite")
+    final = record.final  # every update checked its losses (NumericError, exit 3)
     _atomic_call(prefix + ".ckpt.npz", lambda tmp: nn.save_checkpoint(net, tmp))
     _atomic_call(prefix + ".record.csv", lambda tmp: record.to_csv(tmp))
     summary = {"task": args.task, "method": args.reg, "seed": args.seed, "final": final}
@@ -309,7 +316,6 @@ def cmd_grid(args) -> int:
     unknown = set(methods) - set(SYNTH_GRIDS)
     if unknown:
         raise ConfigError(f"unknown grid methods: {sorted(unknown)}")
-    workers = max(1, int(os.environ.get("VATLAB_THREADS", "1")))
 
     def run_method(method):
         configs = []
@@ -319,7 +325,7 @@ def cmd_grid(args) -> int:
                                     keep_prob=params.get("keep_prob", 0.5),
                                     xi=1e-6, ip=args.ip)
             reg = _make_regularizer(ns)
-            configs.append(_synthetic_train_config(args, reg))
+            configs.append(_synthetic_train_config(args, reg, [100]))
 
         def make_data(seed):
             rng = make_rng(seed)
@@ -333,7 +339,6 @@ def cmd_grid(args) -> int:
                              base_seed=args.seed)
         # final protocol: retrain the winner on fresh data, report test error
         errors = []
-        from dataclasses import replace
         for rep in range(args.reps):
             rng = make_rng(args.seed + 10_000 + rep)
             dataset, _ = datamod.make_synthetic_dataset(
@@ -345,11 +350,7 @@ def cmd_grid(args) -> int:
             errors.append(trainmod.evaluate(net, sx, sy, with_lds=False)["error"])
         return method, result, float(np.mean(errors)), float(np.std(errors))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_method, methods))
-    else:
-        rows = [run_method(m) for m in methods]
+    rows = [run_method(m) for m in methods]
 
     lines = ["method,mean_test_error,sd_test_error,best_hyperparameters"]
     for method, result, mean, sd in rows:

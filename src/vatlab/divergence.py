@@ -15,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
-from .numerics import PROB_FLOOR, Tensor, as_tensor, log_softmax, softmax
+from .numerics import (PROB_FLOOR, Tensor, as_tensor, log_softmax,
+                       log_softmax_unchecked, softmax)
 from . import nn
 
 
@@ -29,6 +30,12 @@ def kl_categorical(p: Tensor, log_q: Tensor) -> Tensor:
     row_sums = p.sum(axis=1)
     if np.any(np.abs(row_sums - 1.0) > 1e-6):
         raise DataError("first KL argument rows must sum to 1")
+    return kl_categorical_unchecked(p, log_q)
+
+
+def kl_categorical_unchecked(p: Tensor, log_q: Tensor) -> Tensor:
+    """kl_categorical without the row-sum check, for float64 probability rows
+    the caller has just built as a softmax."""
     log_p = np.log(np.maximum(p, PROB_FLOOR))
     return (p * (log_p - log_q)).sum(axis=1)
 
@@ -62,5 +69,5 @@ def grad_r_delta_kl(model, x: Tensor, r: Tensor, base) -> Tensor:
     if hasattr(model, "grad_r_delta_kl"):
         return model.grad_r_delta_kl(x, r, base)
     logits, cache = nn.forward(model, x + r)
-    d_logits = softmax(logits) - base
+    d_logits = np.exp(log_softmax_unchecked(logits)) - base
     return nn.backward(model, cache, d_logits).d_input

@@ -2,8 +2,8 @@
 
 The network is a stack of affine layers with ReLU hidden activations and an
 identity output layer; softmax is applied by the loss / divergence code, not
-here. Backward produces exact gradients with respect to both the parameters
-and the input, which the perturbation search needs.
+here. Backward produces exact gradients with respect to the parameters and,
+unless told to skip it, the input, which the perturbation search needs.
 
 Module-level counters track forward/backward calls so the regularizer's
 propagation cost can be audited.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, FormatError, UsageError
-from .numerics import Tensor, as_tensor, check_finite, log_softmax, softmax
+from .numerics import Tensor, as_tensor, log_softmax, softmax
 
 _CHECKPOINT_VERSION = 1
 
@@ -89,7 +89,7 @@ class ForwardCache:
 class GradientBundle:
     d_weights: list[Tensor]
     d_biases: list[Tensor]
-    d_input: Tensor
+    d_input: Tensor | None  # None when backward ran with input_grad=False
 
     def parameter_grads(self) -> list[Tensor]:
         grads = []
@@ -116,7 +116,10 @@ def init_mlp(layer_sizes: list[int], rng: np.random.Generator) -> MlpNetwork:
 
 
 def forward(net: MlpNetwork, x: Tensor) -> tuple[Tensor, ForwardCache]:
-    """Logits for a (batch, input_dim) tensor plus the cache backward needs."""
+    """Logits for a (batch, input_dim) tensor plus the cache backward needs.
+
+    The logits are not checked for finiteness: the losses that read them do.
+    """
     x = as_tensor(x)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise DimensionError(f"input shape {x.shape} does not match input_dim {net.input_dim}")
@@ -128,12 +131,16 @@ def forward(net: MlpNetwork, x: Tensor) -> tuple[Tensor, ForwardCache]:
         pre.append(z)
         h = np.maximum(z, 0.0) if layer.activation == "relu" else z
         post.append(h)
-    check_finite(h, "logits")
     return h, ForwardCache(net_id=id(net), x=x, pre_activations=pre, activations=post)
 
 
-def backward(net: MlpNetwork, cache: ForwardCache, d_logits: Tensor) -> GradientBundle:
-    """Exact gradients of the scalar whose logit-gradient is d_logits."""
+def backward(net: MlpNetwork, cache: ForwardCache, d_logits: Tensor,
+             input_grad: bool = True) -> GradientBundle:
+    """Exact gradients of the scalar whose logit-gradient is d_logits.
+
+    With input_grad=False the input gradient (the product with the first
+    layer's weights) is skipped and d_input is None.
+    """
     if cache.net_id != id(net) or len(cache.pre_activations) != len(net.layers):
         raise UsageError("cache does not belong to this network")
     d_logits = as_tensor(d_logits)
@@ -150,8 +157,10 @@ def backward(net: MlpNetwork, cache: ForwardCache, d_logits: Tensor) -> Gradient
         below = cache.x if i == 0 else cache.activations[i - 1]
         d_weights[i] = below.T @ delta
         d_biases[i] = delta.sum(axis=0)
-        delta = delta @ layer.weights.T
-    return GradientBundle(d_weights=d_weights, d_biases=d_biases, d_input=delta)
+        if i > 0 or input_grad:
+            delta = delta @ layer.weights.T
+    return GradientBundle(d_weights=d_weights, d_biases=d_biases,
+                          d_input=delta if input_grad else None)
 
 
 def nll_loss(logits: Tensor, labels: np.ndarray) -> tuple[float, Tensor]:

@@ -54,6 +54,12 @@ def log_softmax(logits: Tensor) -> Tensor:
     if z.ndim != 2 or z.shape[1] < 2:
         raise DimensionError(f"log_softmax expects (batch, C>=2), got {z.shape}")
     check_finite(z, "logits")
+    return log_softmax_unchecked(z)
+
+
+def log_softmax_unchecked(z: Tensor) -> Tensor:
+    """log_softmax without its checks, for float64 (batch, C) logits the
+    caller has already validated or whose result it checks itself."""
     shifted = z - z.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 

@@ -59,9 +59,10 @@ class MomentumSgd:
         for p, g, prev in zip(params, grads, self.prev_update):
             if g.shape != p.shape:
                 raise DimensionError("gradient shape does not match parameter")
-            delta = self.mu * prev + (1.0 - self.mu) * gamma * g
-            p -= delta
-            prev[...] = delta
+            # Delta_i = mu * Delta_{i-1} + ((1 - mu) * gamma) * g, in place
+            prev *= self.mu
+            prev += ((1.0 - self.mu) * gamma) * g
+            p -= prev
         self.step_count += 1
 
 
@@ -77,21 +78,32 @@ class Adam:
         self.step_count = 0
         self.m: list[Tensor] | None = None
         self.v: list[Tensor] | None = None
+        self._scratch: list[Tensor] | None = None
 
     def step(self, params: list[Tensor], grads: list[Tensor]) -> None:
         if self.m is None:
             self.m = [np.zeros_like(p) for p in params]
             self.v = [np.zeros_like(p) for p in params]
+            self._scratch = [np.empty_like(p) for p in params]
         if len(grads) != len(params):
             raise DimensionError("parameter/gradient count mismatch")
         rate = schedule_rate(self.schedule, self.step_count)
         self.step_count += 1
         t = self.step_count
-        for p, g, m, v in zip(params, grads, self.m, self.v):
+        for p, g, m, v, s in zip(params, grads, self.m, self.v, self._scratch):
             if g.shape != p.shape:
                 raise DimensionError("gradient shape does not match parameter")
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * g
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            p -= rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            # m <- beta1 m + (1 - beta1) g;  v <- beta2 v + ((1 - beta2) g) g
+            m *= self.beta1
+            m += np.multiply(g, 1.0 - self.beta1, out=s)
+            v *= self.beta2
+            np.multiply(g, 1.0 - self.beta2, out=s)
+            v += np.multiply(s, g, out=s)
+            # p <- p - (rate * m_hat) / (sqrt(v_hat) + eps)
+            denom = v / (1.0 - self.beta2 ** t)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            np.divide(m, 1.0 - self.beta1 ** t, out=s)
+            s *= rate
+            s /= denom
+            p -= s

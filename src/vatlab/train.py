@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -17,8 +18,8 @@ import numpy as np
 from . import baselines, divergence, nn, vat
 from .baselines import Regularizer
 from .data import Dataset
-from .errors import ConfigError, DataError
-from .numerics import Tensor, make_rng, softmax
+from .errors import ConfigError, DataError, NumericError
+from .numerics import Tensor, log_softmax_unchecked, make_rng
 from .optim import Adam, DecaySchedule, MomentumSgd
 from .vat import VatConfig
 
@@ -90,7 +91,7 @@ def _base(net, x: Tensor, clean):
     """Output distribution at x, taken from the clean logits when given."""
     if clean is None:
         return divergence.base_distribution(net, x)
-    return softmax(clean[0])
+    return np.exp(log_softmax_unchecked(clean[0]))  # nll_loss checked these logits
 
 
 def _vat_penalty(net, reg, x, y, rng, clean) -> tuple:
@@ -132,6 +133,8 @@ _PENALTIES = {
     "adversarial_l2": _adversarial_penalty("l2"),
     "l2_decay": _l2_penalty,
 }
+# kinds whose penalty reads the likelihood pass's input gradient
+_READS_INPUT_GRAD = ("adversarial_linf", "adversarial_l2")
 
 
 def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
@@ -144,13 +147,17 @@ def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
     logits give the base distribution and its input gradient the adversarial
     direction. x_reg may hold unlabeled rows, so label-requiring methods
     reject it.
+
+    Raises NumericError, before the parameters or the optimizer state change,
+    when the NLL or the penalty value is not finite: a non-finite value in any
+    pass of the update reaches one of the two.
     """
     if x_reg is not None and reg.needs_labels:
         raise ConfigError(f"{reg.kind} needs labels and cannot regularize unlabeled data")
     x_lik = nn.apply_dropout(x, reg.keep_prob, rng) if reg.kind == "dropout" else x
     logits, cache = nn.forward(net, x_lik)
     nll_value, d_logits = nn.nll_loss(logits, y)
-    grads = nn.backward(net, cache, d_logits)
+    grads = nn.backward(net, cache, d_logits, input_grad=reg.kind in _READS_INPUT_GRAD)
 
     reg_value = 0.0
     penalty = _PENALTIES.get(reg.kind)
@@ -161,6 +168,9 @@ def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
         for g, rg in zip(grads.parameter_grads(), reg_grads):
             g += scale * rg
 
+    if not (math.isfinite(nll_value) and math.isfinite(reg_value)):
+        raise NumericError(f"non-finite loss in training update (nll {nll_value}, "
+                           f"penalty {reg_value})")
     optimizer.step(net.parameters(), grads.parameter_grads())
     return {"nll": nll_value, "reg": reg_value}
 

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import divergence, nn
 from .errors import ConfigError
-from .numerics import (Tensor, as_tensor, log_softmax, normalize_rows,
-                       sample_unit_vector)
+from .numerics import Tensor, as_tensor, log_softmax_unchecked, sample_unit_vector
 
 log = logging.getLogger(__name__)
 
@@ -71,11 +70,14 @@ def gen_vap(model, x: Tensor, cfg: VatConfig, rng: np.random.Generator,
     d = sample_unit_vector(rng, dim, batch)
     for _ in range(cfg.power_iterations):
         grad = divergence.grad_r_delta_kl(model, x, cfg.xi * d, base)
-        norms = np.linalg.norm(grad, axis=1)
-        if np.any(norms < _DEGENERATE_TOL):
+        norms = np.linalg.norm(grad, axis=1, keepdims=True)
+        degenerate = norms < _DEGENERATE_TOL
+        if degenerate.any():
             log.debug("gen_vap: %d degenerate rows keep their previous direction",
-                      int((norms < _DEGENERATE_TOL).sum()))
-        d = normalize_rows(grad, fallback=d, tol=_DEGENERATE_TOL)
+                      int(degenerate.sum()))
+            d = np.where(degenerate, d, grad / np.where(degenerate, 1.0, norms))
+        else:
+            d = grad / norms
     return cfg.epsilon * d
 
 
@@ -101,15 +103,18 @@ def vat_backward(net, x: Tensor, r_vadv: Tensor, base=None) -> tuple[float, nn.G
 
     Gradient of mean_rows KL[base || p(. | x + r_vadv, theta)] with respect to
     theta, with r_vadv and base held constant: one forward/backward pair
-    through the perturbed input only.
+    through the perturbed input only. A supplied base must be softmax rows;
+    it is not checked. The bundle carries no input gradient (d_input None),
+    and a non-finite penalty is returned, not raised: the training step
+    checks it.
     """
     if base is None:
         base = divergence.base_distribution(net, x)
     logits, cache = nn.forward(net, x + r_vadv)
-    log_q = log_softmax(logits)
-    penalty = float(divergence.kl_categorical(base, log_q).mean())
+    log_q = log_softmax_unchecked(logits)
+    penalty = float(divergence.kl_categorical_unchecked(base, log_q).mean())
     d_logits = (np.exp(log_q) - base) / x.shape[0]
-    return penalty, nn.backward(net, cache, d_logits)
+    return penalty, nn.backward(net, cache, d_logits, input_grad=False)
 
 
 def vat_step_cost_audit(net, x_reg: Tensor, cfg: VatConfig,

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from vatlab import nn
 from vatlab.cli import main
 
 
@@ -50,6 +51,13 @@ class TestTrainCommand:
         code = run_cli("train", "--task", "moons", "--reg", "vat",
                        "--epsilon", "-1", "--out-prefix", str(tmp_path / "x"))
         assert code == 2
+
+    def test_hidden_sizes_apply_to_synthetic_tasks(self, tmp_path):
+        prefix = str(tmp_path / "deep")
+        assert run_cli("train", "--task", "moons", "--hidden", "7,7", "--updates", "2",
+                       "--out-prefix", prefix) == 0
+        net = nn.load_checkpoint(prefix + ".ckpt.npz")
+        assert [l.weights.shape for l in net.layers] == [(100, 7), (7, 7), (7, 2)]
 
     def test_missing_mnist_exits_4(self, tmp_path):
         code = run_cli("train", "--task", "mnist", "--reg", "mle",
@@ -156,9 +164,15 @@ TRAIN = ["train", "--task", "moons", "--updates", "2", "--out-prefix", "{tmp}/x"
     (["eval", "--task", "moons", "--checkpoint", "{tmp}/empty.npz"], 4),
     (["boundary", "--checkpoint", "{tmp}/empty.npz", "--embedding", "{tmp}/empty.npz",
       "--train-csv", "{tmp}/empty.npz", "--out", "{tmp}/plot"], 4),
+    (TRAIN + ["--reg", "vat", "--weight=-1"], 2),
+    (TRAIN + ["--reg", "l2", "--weight=-1"], 2),
+    (TRAIN + ["--config", "{tmp}/bad.cfg"], 2),
+    (TRAIN + ["--hidden", "7,x"], 2),
+    (TRAIN + ["--hidden", "0"], 2),
 ])
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
     # every malformed invocation exits with its documented code, never a traceback
     (tmp_path / "empty.npz").write_bytes(b"")
+    (tmp_path / "bad.cfg").write_text("updates = ten\n")
     assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == code
     assert "Traceback" not in capsys.readouterr().err

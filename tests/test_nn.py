@@ -73,6 +73,17 @@ class TestBackward:
             assert max_rel_err(analytic, numeric_grad(loss, arr)) < 1e-6
         assert max_rel_err(g.d_input, numeric_grad(loss, x)) < 1e-6
 
+    def test_skipping_input_grad_keeps_parameter_grads(self, rng):
+        net = random_small_net(rng, [5, 7, 4, 3])
+        x = rng.standard_normal((4, 5))
+        logits, cache = nn.forward(net, x)
+        _, d_logits = nn.nll_loss(logits, rng.integers(0, 3, 4))
+        full = nn.backward(net, cache, d_logits)
+        lean = nn.backward(net, cache, d_logits, input_grad=False)
+        assert lean.d_input is None
+        for a, b in zip(full.parameter_grads(), lean.parameter_grads()):
+            assert np.array_equal(a, b)
+
     def test_stale_cache_rejected(self, rng):
         net = random_small_net(rng)
         other = random_small_net(rng)

@@ -93,3 +93,37 @@ class TestAdam:
         opt = Adam(DecaySchedule(0.002, 0.9, 500))
         assert schedule_rate(opt.schedule, 0) == 0.002
         assert abs(schedule_rate(opt.schedule, 500) - 0.0018) < 1e-15
+
+
+def test_in_place_updates_match_textbook_expressions(rng):
+    # the optimizers update their state in place; each must round exactly
+    # like the update written out as plain expressions
+    shapes = [(3, 2), (2,)]
+    params = {name: [rng.standard_normal(s) for s in shapes] for name in ("sgd", "adam")}
+    ref = {name: [p.copy() for p in ps] for name, ps in params.items()}
+    sgd = MomentumSgd(0.9, DecaySchedule(0.5, 0.99, 2))
+    adam = Adam(DecaySchedule(0.01, 0.9, 3))
+    delta = [np.zeros(s) for s in shapes]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    for t in range(1, 6):
+        grads = [rng.standard_normal(s) for s in shapes]
+        sgd.step(params["sgd"], grads)
+        adam.step(params["adam"], grads)
+        gamma = 0.5 * 0.99 ** ((t - 1) // 2)
+        rate = 0.01 * 0.9 ** ((t - 1) // 3)
+        for i, g in enumerate(grads):
+            delta[i] = 0.9 * delta[i] + (1.0 - 0.9) * gamma * g
+            ref["sgd"][i] = ref["sgd"][i] - delta[i]
+            m[i] = 0.9 * m[i] + (1.0 - 0.9) * g
+            v[i] = 0.999 * v[i] + (1.0 - 0.999) * g * g
+            m_hat = m[i] / (1.0 - 0.9 ** t)
+            v_hat = v[i] / (1.0 - 0.999 ** t)
+            ref["adam"][i] = ref["adam"][i] - rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+        for name in ("sgd", "adam"):
+            for got, want in zip(params[name], ref[name]):
+                assert np.array_equal(got, want), (name, t)
+        for got, want in zip(sgd.prev_update, delta):
+            assert np.array_equal(got, want)
+        for got_m, got_v, want_m, want_v in zip(adam.m, adam.v, m, v):
+            assert np.array_equal(got_m, want_m) and np.array_equal(got_v, want_v)

@@ -4,9 +4,9 @@ from conftest import random_small_net
 
 from vatlab import data as dm, nn, train as tm
 from vatlab.baselines import Regularizer
-from vatlab.errors import ConfigError
+from vatlab.errors import ConfigError, NumericError
 from vatlab.numerics import make_rng, softmax
-from vatlab.optim import DecaySchedule
+from vatlab.optim import Adam, DecaySchedule, MomentumSgd
 from vatlab.train import TrainConfig, evaluate, grid_search, supervised_step
 from vatlab.vat import VatConfig
 
@@ -112,6 +112,51 @@ class TestSupervisedStep:
         p = softmax(np.array([[1.0, 2.0]]))[0]
         expected_w = w - 0.5 * np.outer([1.0, 2.0], p - np.array([1.0, 0.0]))
         assert np.allclose(net.layers[0].weights, expected_w, atol=1e-12)
+
+
+def _state(net, opt) -> list:
+    """Copies of the parameters and the optimizer's state arrays, and its step count."""
+    arrays = opt.prev_update if isinstance(opt, MomentumSgd) else opt.m + opt.v
+    return [a.copy() for a in net.parameters() + arrays] + [opt.step_count]
+
+
+def _same_state(a, b) -> bool:
+    return a[-1] == b[-1] and all(np.array_equal(p, q) for p, q in zip(a[:-1], b[:-1]))
+
+
+class TestNonFiniteUpdate:
+    """A non-finite loss stops the update before any parameter or state moves."""
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    @pytest.mark.parametrize("kind", sorted(PENALIZED))
+    def test_nan_input_row(self, kind, optimizer, rng):
+        x, y = toy_batch(rng)
+        net = random_small_net(rng, [4, 8, 3])
+        opt = (MomentumSgd(0.9, DecaySchedule(0.1)) if optimizer == "sgd"
+               else Adam(DecaySchedule(0.01)))
+        supervised_step(net, x, y, PENALIZED[kind], opt, make_rng(0))
+        before = _state(net, opt)
+        x[3, 1] = np.nan
+        with pytest.raises(NumericError):
+            supervised_step(net, x, y, PENALIZED[kind], opt, make_rng(1))
+        assert _same_state(before, _state(net, opt))
+
+    @pytest.mark.parametrize("reg", [
+        Regularizer(kind="vat", vat=VatConfig(epsilon=1e308)),
+        Regularizer(kind="random_perturbation", epsilon=1e308),
+        Regularizer(kind="adversarial_l2", epsilon=1e308),
+    ], ids=lambda reg: reg.kind)
+    def test_overflowing_penalty_pass(self, reg, rng):
+        # finite inputs, but the perturbed logits overflow: only the penalty
+        # value shows it
+        x, y = toy_batch(rng)
+        net = random_small_net(rng, [4, 8, 3])
+        opt = MomentumSgd(0.9, DecaySchedule(0.1))
+        supervised_step(net, x, y, MLE, opt, make_rng(0))
+        before = _state(net, opt)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+            supervised_step(net, x, y, reg, opt, make_rng(1))
+        assert _same_state(before, _state(net, opt))
 
 
 class TestSemisupStep:
