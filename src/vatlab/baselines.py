@@ -70,7 +70,7 @@ def adv_perturbation(net, x: Tensor, labels: np.ndarray, epsilon: float,
     if grad is None:
         logits, cache = nn.forward(net, x)
         _, d_logits = nn.nll_loss(logits, labels)
-        grad = nn.backward(net, cache, d_logits).d_input
+        grad = nn.backward(net, cache, d_logits, param_grads=False).d_input
     if norm == "linf":
         return epsilon * np.sign(grad)
     return epsilon * normalize_rows(grad, tol=_ZERO_TOL)
@@ -99,10 +99,10 @@ def l2_penalty(net, lam: float) -> tuple[float, list[Tensor]]:
     return penalty, grads
 
 
-def adv_loss_term(net, x: Tensor, labels: np.ndarray,
-                  r_adv: Tensor) -> tuple[float, nn.GradientBundle]:
+def adv_loss_term(net, x: Tensor, labels: np.ndarray, r_adv: Tensor, *,
+                  out: nn.GradientBundle | None = None) -> tuple[float, nn.GradientBundle]:
     """NLL at x + r_adv with the perturbation held constant; the bundle
-    carries no input gradient (d_input None)."""
+    (out, when given) carries no input gradient (d_input None)."""
     logits, cache = nn.forward(net, x + r_adv)
     loss, d_logits = nn.nll_loss(logits, labels)
-    return loss, nn.backward(net, cache, d_logits, input_grad=False)
+    return loss, nn.backward(net, cache, d_logits, input_grad=False, out=out)

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -53,17 +54,11 @@ SYNTH_GRIDS = {
 }
 
 
-def _atomic_write(path: str, payload, binary: bool = False) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".vatlab-")
-    try:
-        with os.fdopen(fd, "wb" if binary else "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _atomic_write(path: str, text: str) -> None:
+    def writer(tmp):
+        with open(tmp, "w") as fh:
+            fh.write(text)
+    _atomic_call(path, writer)
 
 
 def _atomic_call(path: str, writer) -> None:
@@ -302,13 +297,24 @@ def cmd_boundary(args) -> int:
 
 
 def _read_points_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """(points, labels) of a 2-D training CSV: a header line, then at least two
+    rows of finite x0,x1 and a 0/1 label, spanning both axes."""
     try:
-        raw = np.genfromtxt(path, delimiter=",", skip_header=1)
-    except OSError as exc:
+        with warnings.catch_warnings():  # a header-only file warns, then fails below
+            warnings.simplefilter("ignore", UserWarning)
+            raw = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if raw.ndim == 1:
-        raw = raw[None, :]
-    return raw[:, :-1], raw[:, -1].astype(np.int64)
+    if raw.shape[0] < 2 or raw.shape[1] != 3:
+        raise DataError(f"{path}: need at least 2 rows of x0,x1,label, got shape {raw.shape}")
+    if not np.all(np.isfinite(raw)):
+        raise DataError(f"{path}: non-numeric or non-finite value")
+    points, labels = raw[:, :2], raw[:, 2]
+    if not np.all((labels == 0) | (labels == 1)):
+        raise DataError(f"{path}: labels must be 0 or 1")
+    if np.any(points.max(axis=0) <= points.min(axis=0)):
+        raise DataError(f"{path}: the points must span a positive range on both axes")
+    return points, labels.astype(np.int64)
 
 
 def cmd_grid(args) -> int:

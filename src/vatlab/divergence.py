@@ -64,10 +64,11 @@ def grad_r_delta_kl(model, x: Tensor, r: Tensor, base) -> Tensor:
     """Exact per-row gradient of delta_kl with respect to r.
 
     The base distribution is a constant, so the logit gradient of each row's
-    KL is softmax(logits) - base and one backward pass yields d/dr.
+    KL is softmax(logits) - base and one backward pass yields d/dr; that pass
+    propagates to the input only and computes no parameter gradients.
     """
     if hasattr(model, "grad_r_delta_kl"):
         return model.grad_r_delta_kl(x, r, base)
     logits, cache = nn.forward(model, x + r)
     d_logits = np.exp(log_softmax_unchecked(logits)) - base
-    return nn.backward(model, cache, d_logits).d_input
+    return nn.backward(model, cache, d_logits, param_grads=False).d_input

@@ -3,7 +3,10 @@
 The network is a stack of affine layers with ReLU hidden activations and an
 identity output layer; softmax is applied by the loss / divergence code, not
 here. Backward produces exact gradients with respect to the parameters and,
-unless told to skip it, the input, which the perturbation search needs.
+unless told to skip it, the input, which the perturbation search needs; the
+search itself skips the parameter gradients and propagates to the input only.
+Backward can write the parameter gradients into a caller's GradientBundle, so
+a steady-state training update allocates no parameter-sized array.
 
 Module-level counters track forward/backward calls so the regularizer's
 propagation cost can be audited.
@@ -11,7 +14,7 @@ propagation cost can be audited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,6 +50,11 @@ class Layer:
 @dataclass
 class MlpNetwork:
     layers: list[Layer]
+    # (likelihood, penalty) bundles the training step writes its gradients
+    # into: made by the first update, reused after, dropped when a training
+    # loop ends, never copied or saved
+    _grad_buffers: tuple | None = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         for prev, nxt in zip(self.layers, self.layers[1:]):
@@ -71,6 +79,19 @@ class MlpNetwork:
             params.append(layer.biases)
         return params
 
+    def gradient_buffers(self) -> tuple["GradientBundle", "GradientBundle"]:
+        """Two reusable bundles for backward(..., out=); the first backward
+        into each allocates its arrays."""
+        if self._grad_buffers is None:
+            n = len(self.layers)
+            self._grad_buffers = (GradientBundle([None] * n, [None] * n, None),
+                                  GradientBundle([None] * n, [None] * n, None))
+        return self._grad_buffers
+
+    def release_gradient_buffers(self) -> None:
+        """Drop the gradient buffers, which hold as much memory as the parameters."""
+        self._grad_buffers = None
+
     def copy(self) -> "MlpNetwork":
         return MlpNetwork([
             Layer(l.weights.copy(), l.biases.copy(), l.activation) for l in self.layers
@@ -90,6 +111,7 @@ class GradientBundle:
     d_weights: list[Tensor]
     d_biases: list[Tensor]
     d_input: Tensor | None  # None when backward ran with input_grad=False
+    # d_weights and d_biases hold None where backward ran with param_grads=False
 
     def parameter_grads(self) -> list[Tensor]:
         grads = []
@@ -135,11 +157,15 @@ def forward(net: MlpNetwork, x: Tensor) -> tuple[Tensor, ForwardCache]:
 
 
 def backward(net: MlpNetwork, cache: ForwardCache, d_logits: Tensor,
-             input_grad: bool = True) -> GradientBundle:
+             input_grad: bool = True, *, param_grads: bool = True,
+             out: GradientBundle | None = None) -> GradientBundle:
     """Exact gradients of the scalar whose logit-gradient is d_logits.
 
     With input_grad=False the input gradient (the product with the first
-    layer's weights) is skipped and d_input is None.
+    layer's weights) is skipped and d_input is None. With param_grads=False
+    the weight and bias gradients are skipped and only d_input is computed.
+    With out, the parameter gradients are written into out's arrays (entries
+    still None are allocated and kept there) and out is returned.
     """
     if cache.net_id != id(net) or len(cache.pre_activations) != len(net.layers):
         raise UsageError("cache does not belong to this network")
@@ -147,20 +173,24 @@ def backward(net: MlpNetwork, cache: ForwardCache, d_logits: Tensor,
     if d_logits.shape != cache.pre_activations[-1].shape:
         raise DimensionError("d_logits shape does not match the forward logits")
     _counts["backward"] += 1
-    d_weights = [None] * len(net.layers)
-    d_biases = [None] * len(net.layers)
+    n = len(net.layers)
+    if out is None:
+        out = GradientBundle([None] * n, [None] * n, None)
+    d_weights, d_biases = out.d_weights, out.d_biases
     delta = d_logits
-    for i in range(len(net.layers) - 1, -1, -1):
+    for i in range(n - 1, -1, -1):
         layer = net.layers[i]
         if layer.activation == "relu":
-            delta = delta * (cache.pre_activations[i] > 0)
-        below = cache.x if i == 0 else cache.activations[i - 1]
-        d_weights[i] = below.T @ delta
-        d_biases[i] = delta.sum(axis=0)
+            # the output layer is identity, so delta is this pass's own product
+            delta *= cache.pre_activations[i] > 0
+        if param_grads:
+            below = cache.x if i == 0 else cache.activations[i - 1]
+            d_weights[i] = np.matmul(below.T, delta, out=d_weights[i])
+            d_biases[i] = delta.sum(axis=0, out=d_biases[i])
         if i > 0 or input_grad:
             delta = delta @ layer.weights.T
-    return GradientBundle(d_weights=d_weights, d_biases=d_biases,
-                          d_input=delta if input_grad else None)
+    out.d_input = delta if input_grad else None
+    return out
 
 
 def nll_loss(logits: Tensor, labels: np.ndarray) -> tuple[float, Tensor]:

@@ -34,17 +34,6 @@ def check_finite(t: Tensor, what: str = "tensor") -> Tensor:
     return t
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-D tensors with an explicit shape check."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def log_softmax(logits: Tensor) -> Tensor:
     """Row-wise log-softmax with max subtraction for stability.
 

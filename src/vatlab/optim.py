@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, UsageError
 from .numerics import Tensor
 
 
@@ -66,6 +66,14 @@ class MomentumSgd:
         self.step_count += 1
 
 
+# Adam updates each parameter in consecutive blocks of this many elements of
+# its flat view: 128 KiB of float64 per array, so the six arrays a block pass
+# touches (parameter, gradient, both moments, two scratch blocks) take 768 KiB
+# and stay in a 2 MB L2 cache across the update's 14 passes, where whole
+# MNIST-size weight arrays (up to 7.5 MB each) go out to memory on every pass.
+_ADAM_BLOCK = 16_384
+
+
 class Adam:
     """ADAM with bias correction; default moment constants from the standard setting."""
 
@@ -78,32 +86,45 @@ class Adam:
         self.step_count = 0
         self.m: list[Tensor] | None = None
         self.v: list[Tensor] | None = None
-        self._scratch: list[Tensor] | None = None
+        self._scratch = (np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK))
 
     def step(self, params: list[Tensor], grads: list[Tensor]) -> None:
+        """Apply one in-place update to C-contiguous parameters."""
         if self.m is None:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
-            self._scratch = [np.empty_like(p) for p in params]
+            self.m = [np.zeros(p.shape) for p in params]
+            self.v = [np.zeros(p.shape) for p in params]
         if len(grads) != len(params):
             raise DimensionError("parameter/gradient count mismatch")
         rate = schedule_rate(self.schedule, self.step_count)
         self.step_count += 1
         t = self.step_count
-        for p, g, m, v, s in zip(params, grads, self.m, self.v, self._scratch):
+        bias1, bias2 = 1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
             if g.shape != p.shape:
                 raise DimensionError("gradient shape does not match parameter")
-            # m <- beta1 m + (1 - beta1) g;  v <- beta2 v + ((1 - beta2) g) g
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=s)
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=s)
-            v += np.multiply(s, g, out=s)
-            # p <- p - (rate * m_hat) / (sqrt(v_hat) + eps)
-            denom = v / (1.0 - self.beta2 ** t)
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            np.divide(m, 1.0 - self.beta1 ** t, out=s)
-            s *= rate
-            s /= denom
-            p -= s
+            if not p.flags.c_contiguous:
+                raise UsageError("Adam updates C-contiguous parameters in place")
+            p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+            for start in range(0, p.size, _ADAM_BLOCK):
+                block = slice(start, start + _ADAM_BLOCK)
+                self._update(p[block], g[block], m[block], v[block], rate, bias1, bias2)
+
+    def _update(self, p, g, m, v, rate, bias1, bias2) -> None:
+        """The 14 passes of one update over one block."""
+        s, denom = self._scratch
+        if p.size < _ADAM_BLOCK:
+            s, denom = s[:p.size], denom[:p.size]
+        # m <- beta1 m + (1 - beta1) g;  v <- beta2 v + ((1 - beta2) g) g
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=s)
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=s)
+        v += np.multiply(s, g, out=s)
+        # p <- p - (rate * m_hat) / (sqrt(v_hat) + eps)
+        np.divide(v, bias2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        np.divide(m, bias1, out=s)
+        s *= rate
+        s /= denom
+        p -= s

@@ -9,7 +9,6 @@ regularizer batch. Both terms average over their own minibatch.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -94,38 +93,39 @@ def _base(net, x: Tensor, clean):
     return np.exp(log_softmax_unchecked(clean[0]))  # nll_loss checked these logits
 
 
-def _vat_penalty(net, reg, x, y, rng, clean) -> tuple:
+def _vat_penalty(net, reg, x, y, rng, clean, out) -> tuple:
     base = _base(net, x, clean)
     r = vat.gen_vap(net, x, reg.vat, rng, base=base)
-    value, grads = vat.vat_backward(net, x, r, base=base)
+    value, grads = vat.vat_backward(net, x, r, base=base, out=out)
     return value, grads.parameter_grads(), reg.weight
 
 
-def _random_penalty(net, reg, x, y, rng, clean) -> tuple:
+def _random_penalty(net, reg, x, y, rng, clean, out) -> tuple:
     base = _base(net, x, clean)
     r = baselines.random_perturbation(x, reg.epsilon, rng)
-    value, grads = vat.vat_backward(net, x, r, base=base)
+    value, grads = vat.vat_backward(net, x, r, base=base, out=out)
     return value, grads.parameter_grads(), reg.weight
 
 
 def _adversarial_penalty(norm: str):
-    def penalty(net, reg, x, y, rng, clean) -> tuple:
+    def penalty(net, reg, x, y, rng, clean, out) -> tuple:
         # label-requiring kinds never see a separate batch, so clean is set
         r = baselines.adv_perturbation(net, x, y, reg.epsilon, norm, grad=clean[1])
-        value, grads = baselines.adv_loss_term(net, x, y, r)
+        value, grads = baselines.adv_loss_term(net, x, y, r, out=out)
         return value, grads.parameter_grads(), reg.weight
     return penalty
 
 
-def _l2_penalty(net, reg, x, y, rng, clean) -> tuple:
+def _l2_penalty(net, reg, x, y, rng, clean, out) -> tuple:
     value, grads = baselines.l2_penalty(net, reg.weight)  # already weighted
     return value, grads, 1.0
 
 
-# kind -> penalty(net, reg, x_reg, y, rng, clean) returning the penalty value,
-# its parameter gradients and the scale they enter the update with; clean is
-# (logits, input gradient) of the step's likelihood pass when that pass ran
-# on x_reg, else None. Kinds without an entry add no penalty term.
+# kind -> penalty(net, reg, x_reg, y, rng, clean, out) returning the penalty
+# value, its parameter gradients and the scale they enter the update with;
+# clean is (logits, input gradient) of the step's likelihood pass when that
+# pass ran on x_reg, else None, and out is the bundle a penalty pass writes
+# its gradients into. Kinds without an entry add no penalty term.
 _PENALTIES = {
     "vat": _vat_penalty,
     "random_perturbation": _random_penalty,
@@ -148,25 +148,31 @@ def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
     direction. x_reg may hold unlabeled rows, so label-requiring methods
     reject it.
 
+    The gradients go into the two bundles of net.gradient_buffers(), which
+    the first update allocates and later updates overwrite.
+
     Raises NumericError, before the parameters or the optimizer state change,
     when the NLL or the penalty value is not finite: a non-finite value in any
     pass of the update reaches one of the two.
     """
     if x_reg is not None and reg.needs_labels:
         raise ConfigError(f"{reg.kind} needs labels and cannot regularize unlabeled data")
+    lik_out, penalty_out = net.gradient_buffers()
     x_lik = nn.apply_dropout(x, reg.keep_prob, rng) if reg.kind == "dropout" else x
     logits, cache = nn.forward(net, x_lik)
     nll_value, d_logits = nn.nll_loss(logits, y)
-    grads = nn.backward(net, cache, d_logits, input_grad=reg.kind in _READS_INPUT_GRAD)
+    grads = nn.backward(net, cache, d_logits, input_grad=reg.kind in _READS_INPUT_GRAD,
+                        out=lik_out)
 
     reg_value = 0.0
     penalty = _PENALTIES.get(reg.kind)
     if penalty is not None and reg.weight > 0:
         clean = (logits, grads.d_input) if x_reg is None else None
         reg_value, reg_grads, scale = penalty(net, reg, x if x_reg is None else x_reg,
-                                              y, rng, clean)
+                                              y, rng, clean, penalty_out)
         for g, rg in zip(grads.parameter_grads(), reg_grads):
-            g += scale * rg
+            rg *= scale  # rounds like g += scale * rg, without the temporary
+            g += rg
 
     if not (math.isfinite(nll_value) and math.isfinite(reg_value)):
         raise NumericError(f"non-finite loss in training update (nll {nll_value}, "
@@ -219,6 +225,7 @@ def train_supervised(cfg: TrainConfig, train_x: Tensor, train_y: np.ndarray,
             record.append(update=update,
                           **_eval_row(net, train_x, train_y, test_x, test_y,
                                       record_lds, eval_rng), **losses)
+    net.release_gradient_buffers()
     return net, record
 
 
@@ -251,6 +258,7 @@ def train_semisup(cfg: TrainConfig, dataset: Dataset,
             record.append(update=update,
                           **_eval_row(net, lab_x, lab_y, test_x, test_y,
                                       record_lds, eval_rng), **losses)
+    net.release_gradient_buffers()
     return net, record
 
 
@@ -277,15 +285,6 @@ class GridResult:
     best_config: TrainConfig
     best_validation_error: float
     table: list[dict]            # one row per config: mean/sd validation error
-
-    def to_json(self, path) -> None:
-        payload = {
-            "best": _config_summary(self.best_config),
-            "best_validation_error": self.best_validation_error,
-            "table": self.table,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
 
 
 def _config_summary(cfg: TrainConfig) -> dict:

@@ -51,7 +51,6 @@ class VatConfig:
 class VapResult:
     r_vadv: Tensor          # (batch, I), each row of norm epsilon
     lds_estimate: Tensor    # (batch,), always <= 0
-    iterations_used: int
 
 
 def gen_vap(model, x: Tensor, cfg: VatConfig, rng: np.random.Generator,
@@ -94,19 +93,19 @@ def generate(model, x: Tensor, cfg: VatConfig, rng: np.random.Generator,
     if base is None:
         base = divergence.base_distribution(model, x)
     r = gen_vap(model, x, cfg, rng, base=base)
-    return VapResult(r_vadv=r, lds_estimate=lds_estimate(model, x, r, base=base),
-                     iterations_used=cfg.power_iterations)
+    return VapResult(r_vadv=r, lds_estimate=lds_estimate(model, x, r, base=base))
 
 
-def vat_backward(net, x: Tensor, r_vadv: Tensor, base=None) -> tuple[float, nn.GradientBundle]:
+def vat_backward(net, x: Tensor, r_vadv: Tensor, base=None, *,
+                 out: nn.GradientBundle | None = None) -> tuple[float, nn.GradientBundle]:
     """Penalty value and parameter gradient of the mean KL sensitivity.
 
     Gradient of mean_rows KL[base || p(. | x + r_vadv, theta)] with respect to
     theta, with r_vadv and base held constant: one forward/backward pair
     through the perturbed input only. A supplied base must be softmax rows;
-    it is not checked. The bundle carries no input gradient (d_input None),
-    and a non-finite penalty is returned, not raised: the training step
-    checks it.
+    it is not checked. The bundle (out, when given) carries no input
+    gradient (d_input None), and a non-finite penalty is returned, not
+    raised: the training step checks it.
     """
     if base is None:
         base = divergence.base_distribution(net, x)
@@ -114,7 +113,7 @@ def vat_backward(net, x: Tensor, r_vadv: Tensor, base=None) -> tuple[float, nn.G
     log_q = log_softmax_unchecked(logits)
     penalty = float(divergence.kl_categorical_unchecked(base, log_q).mean())
     d_logits = (np.exp(log_q) - base) / x.shape[0]
-    return penalty, nn.backward(net, cache, d_logits, input_grad=False)
+    return penalty, nn.backward(net, cache, d_logits, input_grad=False, out=out)
 
 
 def vat_step_cost_audit(net, x_reg: Tensor, cfg: VatConfig,

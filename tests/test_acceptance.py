@@ -264,6 +264,7 @@ def _run_benchmark(task, repetitions=50):
     return {m: np.asarray(v) for m, v in errors.items()}
 
 
+@pytest.mark.slow
 class TestSyntheticBenchmarkOrdering:
     """50-repetition method comparison on both synthetic tasks."""
 

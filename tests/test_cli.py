@@ -1,10 +1,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from vatlab import nn
 from vatlab.cli import main
+from vatlab.numerics import make_rng
 
 
 def run_cli(*argv):
@@ -151,6 +153,12 @@ class TestConfigFile:
 
 
 TRAIN = ["train", "--task", "moons", "--updates", "2", "--out-prefix", "{tmp}/x"]
+BOUNDARY = ["boundary", "--checkpoint", "{tmp}/net.ckpt.npz", "--embedding", "{tmp}/emb.npz",
+            "--resolution", "5", "--out", "{tmp}/plot", "--train-csv"]
+# --train-csv files for BOUNDARY: header only, one row (zero span), a non-numeric cell
+POINTS_CSV = {"header.csv": "x0,x1,label\n",
+              "one-row.csv": "x0,x1,label\n0.5,0.25,1\n",
+              "text.csv": "x0,x1,label\n0.5,0.25,1\n-0.5,x,0\n"}
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -169,10 +177,17 @@ TRAIN = ["train", "--task", "moons", "--updates", "2", "--out-prefix", "{tmp}/x"
     (TRAIN + ["--config", "{tmp}/bad.cfg"], 2),
     (TRAIN + ["--hidden", "7,x"], 2),
     (TRAIN + ["--hidden", "0"], 2),
+    (BOUNDARY + ["{tmp}/header.csv"], 4),
+    (BOUNDARY + ["{tmp}/one-row.csv"], 4),
+    (BOUNDARY + ["{tmp}/text.csv"], 4),
 ])
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
     # every malformed invocation exits with its documented code, never a traceback
     (tmp_path / "empty.npz").write_bytes(b"")
     (tmp_path / "bad.cfg").write_text("updates = ten\n")
+    nn.save_checkpoint(nn.init_mlp([100, 3, 2], make_rng(0)), tmp_path / "net.ckpt.npz")
+    np.savez(tmp_path / "emb.npz", matrix=np.eye(2, 100), offset=np.zeros(100))
+    for name, text in POINTS_CSV.items():
+        (tmp_path / name).write_text(text)
     assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == code
     assert "Traceback" not in capsys.readouterr().err

@@ -84,6 +84,42 @@ class TestBackward:
         for a, b in zip(full.parameter_grads(), lean.parameter_grads()):
             assert np.array_equal(a, b)
 
+    def test_out_bundle_is_written_in_place(self, rng):
+        net = random_small_net(rng, [5, 7, 4, 3])
+        x = rng.standard_normal((4, 5))
+        logits, cache = nn.forward(net, x)
+        _, d_logits = nn.nll_loss(logits, rng.integers(0, 3, 4))
+        d_before = d_logits.copy()
+        want = nn.backward(net, cache, d_logits)
+        out = nn.backward(net, cache, np.ones_like(d_logits))  # arrays of the right shapes
+        arrays = out.parameter_grads()
+        got = nn.backward(net, cache, d_logits, out=out)
+        assert got is out
+        for a, g, w in zip(arrays, got.parameter_grads(), want.parameter_grads()):
+            assert np.shares_memory(a, g) and np.array_equal(g, w)
+        assert np.array_equal(got.d_input, want.d_input)
+        assert np.array_equal(d_logits, d_before)
+
+    def test_empty_out_bundle_is_filled(self, rng):
+        # the entries of a fresh bundle are allocated by the first backward into it
+        net = random_small_net(rng, [5, 7, 3])
+        logits, cache = nn.forward(net, rng.standard_normal((4, 5)))
+        out = nn.GradientBundle([None, None], [None, None], None)
+        nn.backward(net, cache, logits, input_grad=False, out=out)
+        want = nn.backward(net, cache, logits)
+        for got, w in zip(out.parameter_grads(), want.parameter_grads()):
+            assert np.array_equal(got, w)
+        assert out.d_input is None
+
+    def test_input_only_backward_matches_full_input_gradient(self, rng):
+        net = random_small_net(rng, [5, 7, 4, 3])
+        logits, cache = nn.forward(net, rng.standard_normal((4, 5)))
+        d_logits = rng.standard_normal(logits.shape)
+        full = nn.backward(net, cache, d_logits)
+        lean = nn.backward(net, cache, d_logits, param_grads=False)
+        assert np.array_equal(lean.d_input, full.d_input)
+        assert all(g is None for g in lean.parameter_grads())
+
     def test_stale_cache_rejected(self, rng):
         net = random_small_net(rng)
         other = random_small_net(rng)

@@ -2,33 +2,8 @@ import numpy as np
 import pytest
 
 from vatlab.errors import DimensionError, NumericError
-from vatlab.numerics import (log_softmax, make_rng, matmul, normalize_rows,
-                             sample_unit_vector, softmax)
-
-
-class TestMatmul:
-    def test_identity(self, rng):
-        a = rng.standard_normal((2, 2))
-        assert np.allclose(matmul(np.eye(2), a), a)
-
-    def test_hand_evaluation(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
-        assert np.allclose(out, [[3.0], [7.0]])
-
-    def test_zero_annihilates(self, rng):
-        a = rng.standard_normal((3, 3))
-        assert np.all(matmul(np.zeros((3, 3)), a) == 0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_associativity(self, rng):
-        for _ in range(20):
-            a, b, c = (rng.standard_normal((4, 4)) for _ in range(3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.max(np.abs(left - right)) <= 1e-9 * np.max(np.abs(left))
+from vatlab.numerics import (log_softmax, make_rng, normalize_rows, sample_unit_vector,
+                             softmax)
 
 
 class TestLogSoftmax:

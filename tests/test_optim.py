@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vatlab.errors import ConfigError
+from vatlab.errors import ConfigError, UsageError
 from vatlab.optim import Adam, DecaySchedule, MomentumSgd, schedule_rate
 
 
@@ -88,6 +88,14 @@ class TestAdam:
         Adam(DecaySchedule(0.01)).step(p_b, [-g[0]])
         assert np.allclose(p_a[0], -p_b[0], atol=1e-15)
 
+    def test_non_contiguous_parameter_rejected(self):
+        # the blocked update writes through a flat view, which a transposed
+        # array does not have
+        p = [np.zeros((3, 4)).T]
+        with pytest.raises(UsageError):
+            Adam(DecaySchedule(0.01)).step(p, [np.ones((4, 3))])
+        assert np.all(p[0] == 0.0)
+
     def test_validation_schedule_values(self):
         # base rate 0.002 decaying x0.9 every 500 updates
         opt = Adam(DecaySchedule(0.002, 0.9, 500))
@@ -98,7 +106,7 @@ class TestAdam:
 def test_in_place_updates_match_textbook_expressions(rng):
     # the optimizers update their state in place; each must round exactly
     # like the update written out as plain expressions
-    shapes = [(3, 2), (2,)]
+    shapes = [(3, 2), (2,), (131, 257)]  # the last spans three ADAM blocks
     params = {name: [rng.standard_normal(s) for s in shapes] for name in ("sgd", "adam")}
     ref = {name: [p.copy() for p in ps] for name, ps in params.items()}
     sgd = MomentumSgd(0.9, DecaySchedule(0.5, 0.99, 2))

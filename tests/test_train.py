@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import random_small_net
@@ -157,6 +159,75 @@ class TestNonFiniteUpdate:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
             supervised_step(net, x, y, reg, opt, make_rng(1))
         assert _same_state(before, _state(net, opt))
+
+
+def _optimizer(name):
+    return (MomentumSgd(0.9, DecaySchedule(0.1)) if name == "sgd"
+            else Adam(DecaySchedule(0.01)))
+
+
+class TestGradientBuffers:
+    """The step writes its gradients into buffers the network keeps."""
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    @pytest.mark.parametrize("kind", [*sorted(PENALIZED), "vat-semisup"])
+    def test_reused_buffers_match_fresh_ones(self, kind, optimizer, rng):
+        # three steps on one net equal, bit for bit, the same steps on a copy
+        # of the net made before each one, whose buffers are new
+        x, y = toy_batch(rng)
+        x_reg = rng.standard_normal((6, 4)) if kind == "vat-semisup" else None
+        reg = PENALIZED["vat" if kind == "vat-semisup" else kind]
+        start = random_small_net(rng, [4, 8, 3])
+
+        def run(fresh):
+            net, opt, step_rng = start.copy(), _optimizer(optimizer), make_rng(5)
+            for _ in range(3):
+                if fresh:
+                    net = net.copy()
+                supervised_step(net, x, y, reg, opt, step_rng, x_reg=x_reg)
+            return net
+
+        reused, fresh = run(False), run(True)
+        for a, b in zip(reused.parameters(), fresh.parameters()):
+            assert np.array_equal(a, b)
+
+    def test_buffers_persist_across_updates_but_not_copies(self, rng):
+        x, y = toy_batch(rng)
+        net = random_small_net(rng, [4, 8, 3])
+        opt = _optimizer("adam")
+        supervised_step(net, x, y, PENALIZED["vat"], opt, make_rng(0))
+        arrays = [g for bundle in net.gradient_buffers() for g in bundle.parameter_grads()]
+        supervised_step(net, x, y, PENALIZED["vat"], opt, make_rng(1))
+        again = [g for bundle in net.gradient_buffers() for g in bundle.parameter_grads()]
+        assert all(a is b for a, b in zip(arrays, again))
+        assert all(g is None for bundle in net.copy().gradient_buffers()
+                   for g in bundle.parameter_grads())
+        # a finished training loop hands back a network without them
+        trained, _ = tm.train_supervised(small_config(PENALIZED["vat"], total_updates=2), x, y)
+        assert all(g is None for bundle in trained.gradient_buffers()
+                   for g in bundle.parameter_grads())
+
+    @pytest.mark.parametrize("kind", ["none", "dropout", "random_perturbation",
+                                      "adversarial_linf", "adversarial_l2", "vat",
+                                      "vat-semisup"])
+    def test_steady_state_update_allocates_no_weight_sized_array(self, kind, rng):
+        # a 200-300-10 net on 4 rows: the 60,000-element first weight matrix
+        # dwarfs every batch-sized array, so a traced peak below half its
+        # size means no gradient or temporary of its size was made
+        x, y = toy_batch(rng, n=4, dim=200, classes=10)
+        x_reg = rng.standard_normal((4, 200)) if kind == "vat-semisup" else None
+        reg = PENALIZED["vat" if kind == "vat-semisup" else kind]
+        net = nn.init_mlp([200, 300, 10], rng)
+        opt, step_rng = _optimizer("adam"), make_rng(0)
+        for _ in range(2):
+            supervised_step(net, x, y, reg, opt, step_rng, x_reg=x_reg)
+        tracemalloc.start()
+        try:
+            supervised_step(net, x, y, reg, opt, step_rng, x_reg=x_reg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < net.layers[0].weights.nbytes / 2
 
 
 class TestSemisupStep:
