@@ -1,0 +1,131 @@
+"""Golden weights: fixed training runs must give bitwise the same parameters.
+
+Each run pins a SHA-256 prefix of its trained parameters' bytes and the
+final NLL and penalty values, all exact. Digests are not portable across
+numpy versions or BLAS kernels, so the table also records the numpy version
+and the OpenBLAS configuration it was made with; in any other environment
+the tests skip and name both. Runs whose weights depend on the OpenBLAS
+thread count (semi-supervised random perturbation and VAT, whose penalty
+batch has 216 rows, and every 784-1200-600-10 run) are left out; the runs
+below give the same weights at 1 and at 2 threads.
+
+A change that alters the weights on purpose prints the new table with
+
+    PYTHONPATH=src python tests/test_golden_weights.py
+
+and replaces GOLDEN below with it; the table is never rewritten by a test.
+"""
+
+import ctypes
+import functools
+import glob
+import hashlib
+import os
+
+import numpy as np
+import pytest
+from test_acceptance import BENCHMARK_SETTINGS, _benchmark_regularizer
+
+from vatlab import data as dm
+from vatlab.numerics import make_rng
+from vatlab.optim import DecaySchedule
+from vatlab.train import TrainConfig, train_semisup, train_supervised
+
+NUMPY = "2.4.6"
+OPENBLAS = "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64"
+
+# run -> (SHA-256 prefix of the parameter bytes, final nll, final reg)
+GOLDEN = {
+    "moons-none": ("9042e26d", 0.010421195693491422, 0.0),
+    "moons-l2_decay": ("a6f14014", 0.01583906511886839, 0.09224687019182673),
+    "moons-dropout": ("10613a88", 0.08173600458807942, 0.0),
+    "moons-random_perturbation": ("71362d48", 0.06630884014832628, 0.30120012939138535),
+    "moons-adversarial_linf": ("c1a8c72f", 0.053888246179902566, 0.37977931394543996),
+    "moons-adversarial_l2": ("e7c87153", 0.10503966994381858, 0.5074768750345815),
+    "moons-vat": ("e2df55a4", 0.05594307248603116, 0.25621555268775986),
+    "moons-semisup-none": ("1a89899a", 0.019058958297429405, 0.0),
+    "moons-semisup-l2_decay": ("1e20a988", 0.024237171532781866, 0.09713005175822034),
+    "moons-adam-vat": ("91103ea8", 0.150099027923688, 0.24286519793733613),
+    "circles-none": ("eee98b1e", 0.008719283684224519, 0.0),
+    "circles-l2_decay": ("ef3cc6a9", 0.009238539014469868, 0.013180212101842975),
+    "circles-dropout": ("a5f40379", 0.0244259834817553, 0.0),
+    "circles-random_perturbation": ("e29b0711", 0.02197829570026129, 0.2315364754157722),
+    "circles-adversarial_linf": ("5b3885d8", 0.0009794740576976792, 0.007940967551517528),
+    "circles-adversarial_l2": ("617a40c5", 0.0001199494631563429, 0.06786020193566761),
+    "circles-vat": ("f80b7a60", 0.005506563261223684, 0.11004275743216221),
+    "circles-semisup-none": ("8a95422b", 0.01627861298110266, 0.0),
+    "circles-semisup-l2_decay": ("8fb671c3", 0.016795112527010308, 0.012846922507799959),
+    "circles-adam-vat": ("7a3cf510", 0.03422588075198975, 0.14061972186033875),
+}
+
+
+def _openblas_config():
+    """Runtime configuration string of the OpenBLAS numpy loaded, or None."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                config = getattr(lib, f"{prefix}_get_config{suffix}", None)
+                if config is not None:
+                    config.restype = ctypes.c_char_p
+                    return config().decode()
+    return None
+
+
+@functools.cache
+def _dataset(task, seed, n_unlabeled=0):
+    return dm.make_synthetic_dataset(task, make_rng(seed), n_unlabeled=n_unlabeled)[0]
+
+
+def _config(task, kind, **kwargs):
+    reg = _benchmark_regularizer(kind, BENCHMARK_SETTINGS[task].get(kind, {}))
+    return TrainConfig(input_dim=100, hidden_sizes=[100], n_classes=2,
+                       regularizer=reg, **kwargs)
+
+
+def train_run(name):
+    """(net, record) of one pinned run.
+
+    task-kind: data seed 0, 1000 SGD updates, train seed 7, acceptance settings;
+    task-semisup-kind: data seed 1 with 200 unlabeled rows, 200 updates, seed 8;
+    task-adam-vat: VAT under ADAM DecaySchedule(0.002, 0.9, 500), 300 updates, seed 7.
+    """
+    task, _, rest = name.partition("-")
+    if rest.startswith("semisup-"):
+        cfg = _config(task, rest.removeprefix("semisup-"), total_updates=200, seed=8)
+        return train_semisup(cfg, _dataset(task, 1, n_unlabeled=200))
+    x, y = _dataset(task, 0).subset("labeled")
+    if rest == "adam-vat":
+        cfg = _config(task, "vat", optimizer="adam", total_updates=300, seed=7,
+                      schedule=DecaySchedule(0.002, 0.9, 500))
+    else:
+        cfg = _config(task, rest, total_updates=1000, seed=7)
+    return train_supervised(cfg, x, y)
+
+
+def fingerprint(name):
+    net, record = train_run(name)
+    digest = hashlib.sha256(b"".join(p.tobytes() for p in net.parameters())).hexdigest()
+    return digest[:8], record.final["nll"], record.final["reg"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_weights_match_golden(name):
+    env = (np.__version__, _openblas_config())
+    if env != (NUMPY, OPENBLAS):
+        pytest.skip(f"golden weights were made with numpy {NUMPY} and {OPENBLAS!r}; "
+                    f"this is numpy {env[0]} with {env[1]!r}")
+    assert fingerprint(name) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    print(f'NUMPY = "{np.__version__}"')
+    print(f'OPENBLAS = "{_openblas_config()}"')
+    print()
+    print("# run -> (SHA-256 prefix of the parameter bytes, final nll, final reg)")
+    print("GOLDEN = {")
+    for run in GOLDEN:
+        digest, nll, reg = fingerprint(run)
+        print(f'    "{run}": ("{digest}", {nll!r}, {reg!r}),')
+    print("}")
