@@ -194,24 +194,11 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _load_mnist(args) -> Dataset:
-    def find(prefix):
-        for suffix in ("-ubyte", "-ubyte.gz", "", ".gz"):
-            candidate = os.path.join(args.mnist_dir, prefix + suffix)
-            if os.path.exists(candidate):
-                return candidate
-        raise DataError(f"cannot find {prefix}* under {args.mnist_dir}")
-    return datamod.load_mnist_idx(find("train-images-idx3"), find("train-labels-idx1"))
-
-
-def _load_mnist_test(args) -> Dataset:
-    def find(prefix):
-        for suffix in ("-ubyte", "-ubyte.gz", "", ".gz"):
-            candidate = os.path.join(args.mnist_dir, prefix + suffix)
-            if os.path.exists(candidate):
-                return candidate
-        raise DataError(f"cannot find {prefix}* under {args.mnist_dir}")
-    return datamod.load_mnist_idx(find("t10k-images-idx3"), find("t10k-labels-idx1"))
+def _load_mnist(args, split: str = "train") -> Dataset:
+    """The train or t10k IDX pair under --mnist-dir."""
+    return datamod.load_mnist_idx(
+        datamod.find_mnist_file(args.mnist_dir, f"{split}-images-idx3"),
+        datamod.find_mnist_file(args.mnist_dir, f"{split}-labels-idx1"))
 
 
 def cmd_train(args) -> int:
@@ -236,14 +223,14 @@ def cmd_train(args) -> int:
         _atomic_call(prefix + ".train.csv", lambda tmp: datamod.export_csv(train_dataset, tmp))
     elif args.task == "mnist":
         full = _load_mnist(args)
-        test = _load_mnist_test(args)
+        test = _load_mnist(args, "t10k")
         cfg = _mnist_train_config(args, reg, semisup=False)
         net, record = train_supervised(cfg, full.inputs, full.labels,
                                        test.inputs, test.labels)
     elif args.task == "mnist-semisup":
         full = _load_mnist(args)
         tagged = datamod.make_semisup_split(full, args.n_labeled, args.n_validation, rng)
-        test = _load_mnist_test(args)
+        test = _load_mnist(args, "t10k")
         inputs = np.vstack([tagged.inputs, test.inputs])
         labels = np.concatenate([tagged.labels, test.labels])
         split = np.concatenate([tagged.split, np.full(test.n, "test")])
@@ -265,12 +252,16 @@ def cmd_eval(args) -> int:
     net = nn.load_checkpoint(args.checkpoint)
     rng = make_rng(args.seed)
     if args.task in SYNTH_TASKS:
+        # checkpoints do not carry their embedding, and a fresh one would
+        # score the model on a different plane
+        if not args.embedding:
+            raise ConfigError("synthetic tasks need --embedding, the file train wrote "
+                              "next to the checkpoint")
         dataset, _ = datamod.make_synthetic_dataset(
-            args.task, rng, n_test=args.n_test,
-            emb=_load_embedding(args.embedding) if args.embedding else None)
+            args.task, rng, n_test=args.n_test, emb=_load_embedding(args.embedding))
         x, y = dataset.subset("test")
     elif args.task == "mnist":
-        test = _load_mnist_test(args)
+        test = _load_mnist(args, "t10k")
         x, y = test.inputs, test.labels
     else:
         raise ConfigError(f"unknown task {args.task!r}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import gzip
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -160,6 +161,16 @@ def make_synthetic_dataset(task: str, rng: np.random.Generator,
     labels = np.concatenate([y for _, y, _ in parts])
     split = np.concatenate([s for _, _, s in parts])
     return Dataset(embed_100d(points, emb), labels, split), emb
+
+
+def find_mnist_file(directory, prefix: str) -> str:
+    """Path of the IDX file for prefix (e.g. "train-images-idx3") under
+    directory, plain or gzipped, with or without the "-ubyte" suffix."""
+    for suffix in ("-ubyte", "-ubyte.gz", "", ".gz"):
+        candidate = os.path.join(directory, prefix + suffix)
+        if os.path.exists(candidate):
+            return candidate
+    raise DataError(f"cannot find {prefix}* under {directory}")
 
 
 def _open_maybe_gzip(path):

@@ -37,7 +37,7 @@ def kl_categorical_unchecked(p: Tensor, log_q: Tensor) -> Tensor:
     """kl_categorical without the row-sum check, for float64 probability rows
     the caller has just built as a softmax."""
     log_p = np.log(np.maximum(p, PROB_FLOOR))
-    return (p * (log_p - log_q)).sum(axis=1)
+    return np.add.reduce(p * (log_p - log_q), axis=1)
 
 
 def base_distribution(model, x: Tensor):
@@ -70,5 +70,6 @@ def grad_r_delta_kl(model, x: Tensor, r: Tensor, base) -> Tensor:
     if hasattr(model, "grad_r_delta_kl"):
         return model.grad_r_delta_kl(x, r, base)
     logits, cache = nn.forward(model, x + r)
-    d_logits = np.exp(log_softmax_unchecked(logits)) - base
+    d_logits = np.exp(log_softmax_unchecked(logits))
+    d_logits -= base
     return nn.backward(model, cache, d_logits, param_grads=False).d_input

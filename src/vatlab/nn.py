@@ -6,7 +6,10 @@ here. Backward produces exact gradients with respect to the parameters and,
 unless told to skip it, the input, which the perturbation search needs; the
 search itself skips the parameter gradients and propagates to the input only.
 Backward can write the parameter gradients into a caller's GradientBundle, so
-a steady-state training update allocates no parameter-sized array.
+a steady-state training update allocates no parameter-sized array. The
+negative log-likelihood's gradient starts from the softmax probabilities,
+which the training step also takes as the penalty's base distribution
+instead of computing them again.
 
 Module-level counters track forward/backward calls so the regularizer's
 propagation cost can be audited.
@@ -98,7 +101,7 @@ class MlpNetwork:
         ])
 
 
-@dataclass
+@dataclass(slots=True)
 class ForwardCache:
     net_id: int
     x: Tensor
@@ -106,7 +109,7 @@ class ForwardCache:
     activations: list[Tensor]  # post-activation outputs per layer
 
 
-@dataclass
+@dataclass(slots=True)
 class GradientBundle:
     d_weights: list[Tensor]
     d_biases: list[Tensor]
@@ -186,7 +189,7 @@ def backward(net: MlpNetwork, cache: ForwardCache, d_logits: Tensor,
         if param_grads:
             below = cache.x if i == 0 else cache.activations[i - 1]
             d_weights[i] = np.matmul(below.T, delta, out=d_weights[i])
-            d_biases[i] = delta.sum(axis=0, out=d_biases[i])
+            d_biases[i] = np.add.reduce(delta, axis=0, out=d_biases[i])
         if i > 0 or input_grad:
             delta = delta @ layer.weights.T
     out.d_input = delta if input_grad else None
@@ -195,18 +198,29 @@ def backward(net: MlpNetwork, cache: ForwardCache, d_logits: Tensor,
 
 def nll_loss(logits: Tensor, labels: np.ndarray) -> tuple[float, Tensor]:
     """Mean negative log-likelihood and its gradient w.r.t. the logits."""
+    loss, d_logits, _ = _nll_loss_and_proba(logits, labels)
+    return loss, d_logits
+
+
+def _nll_loss_and_proba(logits: Tensor, labels: np.ndarray) -> tuple[float, Tensor, Tensor]:
+    """nll_loss, checks included, plus the softmax probabilities its gradient
+    starts from, which the training step reuses as the penalty's base
+    distribution."""
     logits = as_tensor(logits)
     labels = np.asarray(labels)
     n, c = logits.shape
     if labels.shape != (n,):
         raise DimensionError(f"labels shape {labels.shape} does not match batch {n}")
-    if labels.min() < 0 or labels.max() >= c:
+    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= c:
         raise DataError("label out of range")
     log_p = log_softmax(logits)
-    loss = -log_p[np.arange(n), labels].mean()
-    d_logits = np.exp(log_p)
-    d_logits[np.arange(n), labels] -= 1.0
-    return float(loss), d_logits / n
+    rows = np.arange(n)
+    loss = -(np.add.reduce(log_p[rows, labels]) / n)
+    proba = np.exp(log_p)
+    d_logits = proba.copy()
+    d_logits[rows, labels] -= 1.0
+    d_logits /= n
+    return float(loss), d_logits, proba
 
 
 def predict_proba(net: MlpNetwork, x: Tensor) -> Tensor:

@@ -2,8 +2,12 @@
 
 Everything downstream (networks, divergences, perturbation search) goes
 through these helpers, so the finiteness and shape checks live here.
-Tensors are plain float64 numpy arrays in row-major layout with the batch
-as the leading dimension.
+log_softmax_unchecked is the kernel of the checked log_softmax; the passes
+inside a training update call it directly, and the update checks its losses
+once instead. Reductions on the hot path call the ufunc reductions
+(np.add.reduce, np.maximum.reduce) that the array methods .sum() and .max()
+dispatch to, without the Python-level dispatch. Tensors are plain float64
+numpy arrays in row-major layout with the batch as the leading dimension.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ def as_tensor(values) -> Tensor:
 
 
 def check_finite(t: Tensor, what: str = "tensor") -> Tensor:
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise NumericError(f"non-finite values in {what}")
     return t
 
@@ -49,8 +53,10 @@ def log_softmax(logits: Tensor) -> Tensor:
 def log_softmax_unchecked(z: Tensor) -> Tensor:
     """log_softmax without its checks, for float64 (batch, C) logits the
     caller has already validated or whose result it checks itself."""
-    shifted = z - z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = z - np.maximum.reduce(z, axis=1, keepdims=True)
+    norm = np.add.reduce(np.exp(shifted), axis=1, keepdims=True)
+    shifted -= np.log(norm, out=norm)
+    return shifted
 
 
 def softmax(logits: Tensor) -> Tensor:
@@ -75,12 +81,12 @@ def sample_unit_vector(rng: np.random.Generator, dim: int,
         raise DimensionError("sample_unit_vector needs dim >= 1")
     v = rng.standard_normal((1 if batch is None else batch, dim))
     norms = _row_norms(v)
-    while np.any(norms <= 1e-30):
+    while (norms <= 1e-30).any():
         redraw = norms[:, 0] <= 1e-30
         v[redraw] = rng.standard_normal((int(redraw.sum()), dim))
         norms = _row_norms(v)
-    out = v / norms
-    return out[0] if batch is None else out
+    v /= norms
+    return v[0] if batch is None else v
 
 
 def normalize_rows(t: Tensor, fallback: Tensor | None = None, tol: float = 1e-12) -> Tensor:
@@ -89,7 +95,8 @@ def normalize_rows(t: Tensor, fallback: Tensor | None = None, tol: float = 1e-12
     With no fallback, degenerate rows are left as zeros.
     """
     t = as_tensor(t)
-    norms = np.linalg.norm(t, axis=1, keepdims=True)
+    # what np.linalg.norm(..., axis=1) computes for real rows
+    norms = np.sqrt(np.add.reduce(t * t, axis=1, keepdims=True))
     degenerate = norms[:, 0] < tol
     safe = np.where(norms < tol, 1.0, norms)
     out = t / safe

@@ -38,6 +38,15 @@ def schedule_rate(schedule: DecaySchedule, step: int) -> float:
     return schedule.initial * schedule.factor ** (step // schedule.period)
 
 
+def _check_grads(params: list[Tensor], grads: list[Tensor]) -> None:
+    """Raise before an update moves anything when the gradients do not match."""
+    if len(grads) != len(params):
+        raise DimensionError("parameter/gradient count mismatch")
+    for p, g in zip(params, grads):
+        if g.shape != p.shape:
+            raise DimensionError("gradient shape does not match parameter")
+
+
 class MomentumSgd:
     """SGD with damped momentum and a per-update decaying learning rate."""
 
@@ -51,17 +60,16 @@ class MomentumSgd:
 
     def step(self, params: list[Tensor], grads: list[Tensor]) -> None:
         """Apply one in-place update; grads point in the ascent direction of the loss."""
+        _check_grads(params, grads)
         if self.prev_update is None:
             self.prev_update = [np.zeros_like(p) for p in params]
-        if len(grads) != len(params):
-            raise DimensionError("parameter/gradient count mismatch")
-        gamma = schedule_rate(self.schedule, self.step_count)
+        mu = self.mu
+        scale = (1.0 - mu) * schedule_rate(self.schedule, self.step_count)
         for p, g, prev in zip(params, grads, self.prev_update):
-            if g.shape != p.shape:
-                raise DimensionError("gradient shape does not match parameter")
-            # Delta_i = mu * Delta_{i-1} + ((1 - mu) * gamma) * g, in place
-            prev *= self.mu
-            prev += ((1.0 - self.mu) * gamma) * g
+            # Delta_i = mu * Delta_{i-1} + ((1 - mu) * gamma) * g, in place,
+            # with scale = (1 - mu) * gamma
+            prev *= mu
+            prev += scale * g
             p -= prev
         self.step_count += 1
 
@@ -90,35 +98,34 @@ class Adam:
 
     def step(self, params: list[Tensor], grads: list[Tensor]) -> None:
         """Apply one in-place update to C-contiguous parameters."""
+        _check_grads(params, grads)
+        if not all(p.flags.c_contiguous for p in params):
+            raise UsageError("Adam updates C-contiguous parameters in place")
         if self.m is None:
             self.m = [np.zeros(p.shape) for p in params]
             self.v = [np.zeros(p.shape) for p in params]
-        if len(grads) != len(params):
-            raise DimensionError("parameter/gradient count mismatch")
         rate = schedule_rate(self.schedule, self.step_count)
         self.step_count += 1
         t = self.step_count
-        bias1, bias2 = 1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t
+        consts = (self.beta1, 1.0 - self.beta1, self.beta2, 1.0 - self.beta2,
+                  1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t, rate)
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            if g.shape != p.shape:
-                raise DimensionError("gradient shape does not match parameter")
-            if not p.flags.c_contiguous:
-                raise UsageError("Adam updates C-contiguous parameters in place")
             p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
             for start in range(0, p.size, _ADAM_BLOCK):
                 block = slice(start, start + _ADAM_BLOCK)
-                self._update(p[block], g[block], m[block], v[block], rate, bias1, bias2)
+                self._update(p[block], g[block], m[block], v[block], *consts)
 
-    def _update(self, p, g, m, v, rate, bias1, bias2) -> None:
-        """The 14 passes of one update over one block."""
+    def _update(self, p, g, m, v, beta1, gain1, beta2, gain2, bias1, bias2, rate) -> None:
+        """The 14 passes of one update over one block; gain1 and gain2 are
+        1 - beta1 and 1 - beta2."""
         s, denom = self._scratch
         if p.size < _ADAM_BLOCK:
             s, denom = s[:p.size], denom[:p.size]
         # m <- beta1 m + (1 - beta1) g;  v <- beta2 v + ((1 - beta2) g) g
-        m *= self.beta1
-        m += np.multiply(g, 1.0 - self.beta1, out=s)
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=s)
+        m *= beta1
+        m += np.multiply(g, gain1, out=s)
+        v *= beta2
+        np.multiply(g, gain2, out=s)
         v += np.multiply(s, g, out=s)
         # p <- p - (rate * m_hat) / (sqrt(v_hat) + eps)
         np.divide(v, bias2, out=denom)

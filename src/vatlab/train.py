@@ -18,7 +18,7 @@ from . import baselines, divergence, nn, vat
 from .baselines import Regularizer
 from .data import Dataset
 from .errors import ConfigError, DataError, NumericError
-from .numerics import Tensor, log_softmax_unchecked, make_rng
+from .numerics import Tensor, make_rng
 from .optim import Adam, DecaySchedule, MomentumSgd
 from .vat import VatConfig
 
@@ -87,10 +87,10 @@ def make_optimizer(cfg: TrainConfig):
 
 
 def _base(net, x: Tensor, clean):
-    """Output distribution at x, taken from the clean logits when given."""
+    """Output distribution at x, taken from the clean pass when given."""
     if clean is None:
         return divergence.base_distribution(net, x)
-    return np.exp(log_softmax_unchecked(clean[0]))  # nll_loss checked these logits
+    return clean[0]
 
 
 def _vat_penalty(net, reg, x, y, rng, clean, out) -> tuple:
@@ -123,9 +123,10 @@ def _l2_penalty(net, reg, x, y, rng, clean, out) -> tuple:
 
 # kind -> penalty(net, reg, x_reg, y, rng, clean, out) returning the penalty
 # value, its parameter gradients and the scale they enter the update with;
-# clean is (logits, input gradient) of the step's likelihood pass when that
-# pass ran on x_reg, else None, and out is the bundle a penalty pass writes
-# its gradients into. Kinds without an entry add no penalty term.
+# clean is (softmax probabilities, input gradient) of the step's likelihood
+# pass when that pass ran on x_reg, else None, and out is the bundle a
+# penalty pass writes its gradients into. Kinds without an entry add no
+# penalty term.
 _PENALTIES = {
     "vat": _vat_penalty,
     "random_perturbation": _random_penalty,
@@ -144,9 +145,9 @@ def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
 
     The likelihood runs on (x, y) and the penalty on x_reg, or on x when
     x_reg is None. In that case the penalty reuses the likelihood pass: its
-    logits give the base distribution and its input gradient the adversarial
-    direction. x_reg may hold unlabeled rows, so label-requiring methods
-    reject it.
+    probabilities are the base distribution and its input gradient the
+    adversarial direction. x_reg may hold unlabeled rows, so label-requiring
+    methods reject it.
 
     The gradients go into the two bundles of net.gradient_buffers(), which
     the first update allocates and later updates overwrite.
@@ -160,24 +161,25 @@ def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
     lik_out, penalty_out = net.gradient_buffers()
     x_lik = nn.apply_dropout(x, reg.keep_prob, rng) if reg.kind == "dropout" else x
     logits, cache = nn.forward(net, x_lik)
-    nll_value, d_logits = nn.nll_loss(logits, y)
+    nll_value, d_logits, proba = nn._nll_loss_and_proba(logits, y)
     grads = nn.backward(net, cache, d_logits, input_grad=reg.kind in _READS_INPUT_GRAD,
                         out=lik_out)
+    lik_grads = grads.parameter_grads()
 
     reg_value = 0.0
     penalty = _PENALTIES.get(reg.kind)
     if penalty is not None and reg.weight > 0:
-        clean = (logits, grads.d_input) if x_reg is None else None
+        clean = (proba, grads.d_input) if x_reg is None else None
         reg_value, reg_grads, scale = penalty(net, reg, x if x_reg is None else x_reg,
                                               y, rng, clean, penalty_out)
-        for g, rg in zip(grads.parameter_grads(), reg_grads):
+        for g, rg in zip(lik_grads, reg_grads):
             rg *= scale  # rounds like g += scale * rg, without the temporary
             g += rg
 
     if not (math.isfinite(nll_value) and math.isfinite(reg_value)):
         raise NumericError(f"non-finite loss in training update (nll {nll_value}, "
                            f"penalty {reg_value})")
-    optimizer.step(net.parameters(), grads.parameter_grads())
+    optimizer.step(net.parameters(), lik_grads)
     return {"nll": nll_value, "reg": reg_value}
 
 
@@ -197,10 +199,11 @@ def evaluate(net, x: Tensor, y: np.ndarray | None,
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
-    """Endless minibatch index stream; full-batch when batch_size is 0 or >= n."""
+    """Endless minibatch index stream; full-batch when batch_size is 0 or >= n,
+    as slice(None), so a full batch reads views instead of copies."""
     if batch_size == 0 or batch_size >= n:
         while True:
-            yield np.arange(n)
+            yield slice(None)
     while True:
         order = rng.permutation(n)
         for start in range(0, n - batch_size + 1, batch_size):

@@ -69,7 +69,8 @@ def gen_vap(model, x: Tensor, cfg: VatConfig, rng: np.random.Generator,
     d = sample_unit_vector(rng, dim, batch)
     for _ in range(cfg.power_iterations):
         grad = divergence.grad_r_delta_kl(model, x, cfg.xi * d, base)
-        norms = np.linalg.norm(grad, axis=1, keepdims=True)
+        # what np.linalg.norm(..., axis=1) computes for real rows
+        norms = np.sqrt(np.add.reduce(grad * grad, axis=1, keepdims=True))
         degenerate = norms < _DEGENERATE_TOL
         if degenerate.any():
             log.debug("gen_vap: %d degenerate rows keep their previous direction",
@@ -77,7 +78,8 @@ def gen_vap(model, x: Tensor, cfg: VatConfig, rng: np.random.Generator,
             d = np.where(degenerate, d, grad / np.where(degenerate, 1.0, norms))
         else:
             d = grad / norms
-    return cfg.epsilon * d
+    d *= cfg.epsilon  # d is this search's own array
+    return d
 
 
 def lds_estimate(model, x: Tensor, r_vadv: Tensor, base=None) -> Tensor:
@@ -111,8 +113,11 @@ def vat_backward(net, x: Tensor, r_vadv: Tensor, base=None, *,
         base = divergence.base_distribution(net, x)
     logits, cache = nn.forward(net, x + r_vadv)
     log_q = log_softmax_unchecked(logits)
-    penalty = float(divergence.kl_categorical_unchecked(base, log_q).mean())
-    d_logits = (np.exp(log_q) - base) / x.shape[0]
+    n = x.shape[0]
+    penalty = float(np.add.reduce(divergence.kl_categorical_unchecked(base, log_q)) / n)
+    d_logits = np.exp(log_q)
+    d_logits -= base
+    d_logits /= n
     return penalty, nn.backward(net, cache, d_logits, input_grad=False, out=out)
 
 

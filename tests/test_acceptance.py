@@ -14,6 +14,7 @@ from conftest import numeric_grad, random_small_net
 
 from vatlab import baselines, data as dm, divergence, nn, oracles, vat
 from vatlab.baselines import Regularizer
+from vatlab.errors import DataError
 from vatlab.numerics import make_rng, log_softmax
 from vatlab.optim import DecaySchedule
 from vatlab.train import TrainConfig, evaluate, train_semisup, train_supervised
@@ -322,25 +323,13 @@ class TestTrainingDynamics:
                f"mean smoothness {stats['vat'][2]:.4f} vs {stats['none'][2]:.4f}")
 
 
-def _find_mnist_dir():
-    directory = os.environ.get("VATLAB_MNIST_DIR", "data/mnist")
-    prefixes = ("train-images-idx3", "train-labels-idx1",
-                "t10k-images-idx3", "t10k-labels-idx1")
-    found = {}
-    for prefix in prefixes:
-        for suffix in ("-ubyte", "-ubyte.gz", "", ".gz"):
-            candidate = os.path.join(directory, prefix + suffix)
-            if os.path.exists(candidate):
-                found[prefix] = candidate
-                break
-        else:
-            return None
-    return found
-
-
 def _require_mnist():
-    files = _find_mnist_dir()
-    if files is None:
+    directory = os.environ.get("VATLAB_MNIST_DIR", "data/mnist")
+    try:
+        files = {prefix: dm.find_mnist_file(directory, prefix)
+                 for prefix in ("train-images-idx3", "train-labels-idx1",
+                                "t10k-images-idx3", "t10k-labels-idx1")}
+    except DataError:
         print("SKIP: MNIST checks need IDX files under data/mnist "
               "(or $VATLAB_MNIST_DIR); none found and this environment "
               "has no network access to fetch them")

@@ -180,6 +180,8 @@ POINTS_CSV = {"header.csv": "x0,x1,label\n",
     (BOUNDARY + ["{tmp}/header.csv"], 4),
     (BOUNDARY + ["{tmp}/one-row.csv"], 4),
     (BOUNDARY + ["{tmp}/text.csv"], 4),
+    # a synthetic model scored without its embedding would be scored on a new plane
+    (["eval", "--task", "moons", "--checkpoint", "{tmp}/net.ckpt.npz"], 2),
 ])
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
     # every malformed invocation exits with its documented code, never a traceback

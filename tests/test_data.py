@@ -146,6 +146,14 @@ class TestIdxLoading:
         with pytest.raises(FormatError):
             dm.load_mnist_idx(tmp_path / "img", tmp_path / "lab")
 
+    def test_find_file_prefers_ubyte_then_gzip(self, tmp_path):
+        for name in ("t10k-images-idx3-ubyte.gz", "t10k-images-idx3"):
+            (tmp_path / name).write_bytes(b"")
+        found = dm.find_mnist_file(tmp_path, "t10k-images-idx3")
+        assert found == str(tmp_path / "t10k-images-idx3-ubyte.gz")
+        with pytest.raises(DataError, match="cannot find train-labels-idx1"):
+            dm.find_mnist_file(tmp_path, "train-labels-idx1")
+
 
 class TestSemisupSplit:
     def _fake(self, n=6000, classes=10, seed=0):

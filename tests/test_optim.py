@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vatlab.errors import ConfigError, UsageError
+from vatlab.errors import ConfigError, DimensionError, UsageError
 from vatlab.optim import Adam, DecaySchedule, MomentumSgd, schedule_rate
 
 
@@ -101,6 +101,49 @@ class TestAdam:
         opt = Adam(DecaySchedule(0.002, 0.9, 500))
         assert schedule_rate(opt.schedule, 0) == 0.002
         assert abs(schedule_rate(opt.schedule, 500) - 0.0018) < 1e-15
+
+
+def _state(opt):
+    """step_count and copies of the optimizer's arrays (None before the first step)."""
+    if isinstance(opt, MomentumSgd):
+        arrays = opt.prev_update
+    else:
+        arrays = None if opt.m is None else opt.m + opt.v
+    return opt.step_count, None if arrays is None else [a.copy() for a in arrays]
+
+
+def _unchanged(before, after):
+    (count_a, arrays_a), (count_b, arrays_b) = before, after
+    if count_a != count_b or (arrays_a is None) != (arrays_b is None):
+        return False
+    return arrays_a is None or all(np.array_equal(a, b) for a, b in zip(arrays_a, arrays_b))
+
+
+@pytest.mark.parametrize("make", [lambda: MomentumSgd(0.9, DecaySchedule(0.1)),
+                                  lambda: Adam(DecaySchedule(0.1))], ids=["sgd", "adam"])
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "after-a-step"])
+@pytest.mark.parametrize("n_grads", [3, 2], ids=["bad-third-shape", "bad-count"])
+def test_bad_gradients_leave_everything_unchanged(make, warm, n_grads):
+    # every gradient is validated before the first parameter moves, so a bad
+    # last gradient cannot leave a partially applied update behind
+    opt = make()
+    params = [np.zeros(3), np.zeros(3), np.zeros(2)]
+    if warm:
+        opt.step(params, [np.ones(3), np.ones(3), np.ones(2)])
+    before = [p.copy() for p in params], _state(opt)
+    with pytest.raises(DimensionError):
+        opt.step(params, [np.ones(3)] * n_grads)
+    assert all(np.array_equal(p, q) for p, q in zip(params, before[0]))
+    assert _unchanged(before[1], _state(opt))
+
+
+def test_adam_checks_every_layout_before_moving_anything():
+    opt = Adam(DecaySchedule(0.1))
+    params = [np.zeros(3), np.zeros((3, 2)).T]
+    with pytest.raises(UsageError):
+        opt.step(params, [np.ones(3), np.ones((2, 3))])
+    assert np.all(params[0] == 0.0)
+    assert opt.step_count == 0 and opt.m is None and opt.v is None
 
 
 def test_in_place_updates_match_textbook_expressions(rng):
