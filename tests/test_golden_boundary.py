@@ -1,0 +1,90 @@
+"""Golden boundary plots: fixed runs must give bitwise the same picture.
+
+Each run trains a synthetic model through `vatlab train` and draws its
+decision boundary through `vatlab boundary`. The table pins SHA-256
+prefixes of the SVG bytes and of the probed lattice's `values.tobytes()`
+at resolutions 200 and 137; neither digest depends on the CSV text
+format. Like the golden weights, the digests are tied to the numpy
+version and the OpenBLAS kernels, so in any other environment the tests
+skip and name both.
+
+A change that alters the plots on purpose prints the new table with
+
+    PYTHONPATH=src python tests/test_golden_boundary.py
+
+and replaces GOLDEN below with it; the table is never rewritten by a test.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from test_golden_weights import _openblas_config
+
+from vatlab import cli, contour, data as dm, nn
+
+NUMPY = "2.4.6"
+OPENBLAS = "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64"
+RESOLUTIONS = (200, 137)
+
+# run -> {resolution: (SHA-256 prefix of the SVG bytes, of the grid values' bytes)}
+GOLDEN = {
+    "moons-mle": {200: ('c477e6d3', '48e0948e'), 137: ('4caa2c33', 'b4888781')},
+    "moons-vat": {200: ('f4e3e884', '074bde21'), 137: ('eee295e3', '03efcbe7')},
+    "circles-mle": {200: ('4e100dd7', '7bf783e4'), 137: ('fc79b953', 'cf9d69de')},
+    "circles-vat": {200: ('cd6eadcd', 'e93f7a77'), 137: ('040f2938', 'ed325c50')},
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:8]
+
+
+def fingerprint(name):
+    """Digests of one run: `vatlab train` on task-method (seed 5, 300 updates),
+    then `vatlab boundary` and `contour.probe_grid` on the same lattice at
+    each resolution."""
+    task, method = name.split("-")
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        prefix = os.path.join(tmp, "run")
+        assert cli.main(["train", "--task", task, "--reg", method, "--seed", "5",
+                         "--updates", "300", "--out-prefix", prefix]) == 0
+        net = nn.load_checkpoint(prefix + ".ckpt.npz")
+        with np.load(prefix + ".embedding.npz") as npz:
+            emb = dm.EmbeddingMap(matrix=npz["matrix"], offset=npz["offset"])
+        points = np.genfromtxt(prefix + ".train.csv", delimiter=",", skip_header=1)[:, :2]
+        for resolution in RESOLUTIONS:
+            plot = os.path.join(tmp, f"plot{resolution}")
+            assert cli.main(["boundary", "--checkpoint", prefix + ".ckpt.npz",
+                             "--embedding", prefix + ".embedding.npz",
+                             "--train-csv", prefix + ".train.csv",
+                             "--resolution", str(resolution), "--out", plot]) == 0
+            grid = contour.probe_grid(net, emb, contour.lattice_bounds(points), resolution)
+            with open(plot + ".svg", "rb") as fh:
+                out[resolution] = (_sha(fh.read()), _sha(grid.values.tobytes()))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_boundary_matches_golden(name):
+    env = (np.__version__, _openblas_config())
+    if env != (NUMPY, OPENBLAS):
+        pytest.skip(f"golden boundaries were made with numpy {NUMPY} and {OPENBLAS!r}; "
+                    f"this is numpy {env[0]} with {env[1]!r}")
+    assert fingerprint(name) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    print(f'NUMPY = "{np.__version__}"')
+    print(f'OPENBLAS = "{_openblas_config()}"')
+    print()
+    print("# run -> {resolution: (SHA-256 prefix of the SVG bytes, of the grid values' bytes)}")
+    print("GOLDEN = {")
+    for run in GOLDEN:
+        print(f'    "{run}": {fingerprint(run)!r},')
+    print("}")
