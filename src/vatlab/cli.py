@@ -228,6 +228,8 @@ def cmd_train(args) -> int:
         net, record = train_supervised(cfg, full.inputs, full.labels,
                                        test.inputs, test.labels)
     elif args.task == "mnist-semisup":
+        if args.n_labeled < 1:
+            raise ConfigError(f"--n-labeled must be >= 1, got {args.n_labeled}")
         full = _load_mnist(args)
         tagged = datamod.make_semisup_split(full, args.n_labeled, args.n_validation, rng)
         test = _load_mnist(args, "t10k")
@@ -271,6 +273,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_boundary(args) -> int:
+    if args.resolution < 2:
+        raise ConfigError(f"--resolution must be >= 2, got {args.resolution}")
     net = nn.load_checkpoint(args.checkpoint)
     if net.input_dim != datamod.EMBED_DIM:
         raise UsageError("boundary plots need a synthetic-task checkpoint")

@@ -37,16 +37,42 @@ def lattice_bounds(points: Tensor, pad_fraction: float = 0.3) -> tuple[float, fl
     return lo[0] - pad[0], hi[0] + pad[0], lo[1] - pad[1], hi[1] + pad[1]
 
 
+# Lattice points per probe block, so that memory beyond the result grid stays
+# bounded as the resolution grows. The lattice rows are split near-equally, so
+# with more than one block every block holds at least 8192 points. Blocks must
+# stay that large: OpenBLAS (0.3.31, SkylakeX kernels) sends a product with
+# M*N*K <= 1e6 to a small-matrix kernel that rounds differently, which for the
+# 100->2 output layer is any block of <= 5000 points, and p would then differ
+# in its last bits from one product over the whole lattice.
+PROBE_BLOCK = 16_384
+
+
 def probe_grid(net, emb: EmbeddingMap, bounds: tuple[float, float, float, float],
                resolution: int = 200) -> BoundaryGrid:
-    """p(y=1|x) over a resolution x resolution lattice in the 2-D plane."""
+    """p(y=1|x) over a resolution x resolution lattice in the 2-D plane,
+    probed in row blocks of at most PROBE_BLOCK points."""
     x0, x1, y0, y1 = bounds
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)
-    gx, gy = np.meshgrid(xs, ys)
-    plane = np.column_stack([gx.ravel(), gy.ravel()])
-    proba = nn.predict_proba(net, embed_100d(plane, emb))[:, 1]
-    return BoundaryGrid(xs=xs, ys=ys, values=proba.reshape(resolution, resolution))
+    values = np.empty((resolution, resolution))
+    n_blocks = -(-resolution * resolution // PROBE_BLOCK)
+    for rows in np.array_split(np.arange(resolution), n_blocks):
+        gx, gy = np.meshgrid(xs, ys[rows])
+        plane = np.column_stack([gx.ravel(), gy.ravel()])
+        proba = nn.predict_proba(net, embed_100d(plane, emb))[:, 1]
+        values[rows] = proba.reshape(len(rows), resolution)
+    return BoundaryGrid(xs=xs, ys=ys, values=values)
+
+
+# marching-squares case -> (edge, edge) segments; the saddles 5 and 10 are
+# resolved per cell. Edges: 0 bottom, 1 right, 2 top, 3 left.
+_PAIRS = {
+    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
+    6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(2, 0)],
+    11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
+}
+# edge -> the two corners it joins, in interpolation order
+_EDGE_CORNERS = ((0, 1), (1, 2), (3, 2), (0, 3))
 
 
 def marching_squares(grid: BoundaryGrid, level: float = 0.5) -> list[list[tuple[float, float]]]:
@@ -54,44 +80,35 @@ def marching_squares(grid: BoundaryGrid, level: float = 0.5) -> list[list[tuple[
 
     Each lattice cell contributes 0-2 segments; endpoints are linearly
     interpolated along the crossed edges. Saddle cells are split by the
-    cell-center value.
+    cell-center value. Cells are visited row by row; only those the level
+    crosses reach the Python loop.
     """
-    xs, ys, v = grid.xs, grid.ys, grid.values
+    xs, ys, v = grid.xs.tolist(), grid.ys.tolist(), grid.values.tolist()
+    above = (grid.values >= level).astype(np.uint8)
+    cases = (above[:-1, :-1] | above[:-1, 1:] << 1
+             | above[1:, 1:] << 2 | above[1:, :-1] << 3)
+    rows, cols = np.nonzero((cases != 0) & (cases != 15))
     segments = []
 
     def interp(pa, pb, fa, fb):
         t = 0.5 if fb == fa else (level - fa) / (fb - fa)
         return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
 
-    for j in range(len(ys) - 1):
-        for i in range(len(xs) - 1):
-            corners = [(xs[i], ys[j]), (xs[i + 1], ys[j]),
-                       (xs[i + 1], ys[j + 1]), (xs[i], ys[j + 1])]
-            f = [v[j, i], v[j, i + 1], v[j + 1, i + 1], v[j + 1, i]]
-            case = sum(1 << k for k in range(4) if f[k] >= level)
-            if case in (0, 15):
-                continue
-            edges = {
-                0: interp(corners[0], corners[1], f[0], f[1]),
-                1: interp(corners[1], corners[2], f[1], f[2]),
-                2: interp(corners[3], corners[2], f[3], f[2]),
-                3: interp(corners[0], corners[3], f[0], f[3]),
-            }
-            table = {
-                1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
-                6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(2, 0)],
-                11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
-            }
-            if case in (5, 10):
-                center = np.mean(f)
-                if case == 5:
-                    pairs = [(3, 0), (1, 2)] if center < level else [(3, 2), (1, 0)]
-                else:
-                    pairs = [(0, 1), (2, 3)] if center < level else [(0, 3), (2, 1)]
+    for j, i, case in zip(rows.tolist(), cols.tolist(), cases[rows, cols].tolist()):
+        corners = [(xs[i], ys[j]), (xs[i + 1], ys[j]),
+                   (xs[i + 1], ys[j + 1]), (xs[i], ys[j + 1])]
+        f = [v[j][i], v[j][i + 1], v[j + 1][i + 1], v[j + 1][i]]
+        if case in (5, 10):
+            center = np.mean(f)
+            if case == 5:
+                pairs = [(3, 0), (1, 2)] if center < level else [(3, 2), (1, 0)]
             else:
-                pairs = table[case]
-            for a, b in pairs:
-                segments.append((edges[a], edges[b]))
+                pairs = [(0, 1), (2, 3)] if center < level else [(0, 3), (2, 1)]
+        else:
+            pairs = _PAIRS[case]
+        edges = [interp(corners[a], corners[b], f[a], f[b]) for a, b in _EDGE_CORNERS]
+        for a, b in pairs:
+            segments.append((edges[a], edges[b]))
     return _merge_segments(segments)
 
 
@@ -177,9 +194,11 @@ def boundary_svg(grid: BoundaryGrid, points: Tensor, labels: np.ndarray,
 
 
 def grid_csv(grid: BoundaryGrid) -> str:
-    """x,y,p rows for the probed lattice."""
+    """x,y,p rows for the probed lattice, each value its shortest round-trip
+    decimal."""
+    x_text = [repr(x) for x in grid.xs.tolist()]
     lines = ["x,y,p"]
-    for j, y in enumerate(grid.ys):
-        for i, x in enumerate(grid.xs):
-            lines.append(f"{x!r},{y!r},{grid.values[j, i]!r}")
+    for y, row in zip(grid.ys.tolist(), grid.values.tolist()):
+        y_text = repr(y)
+        lines += [f"{x},{y_text},{p!r}" for x, p in zip(x_text, row)]
     return "\n".join(lines) + "\n"

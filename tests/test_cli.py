@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from test_data import _write_idx_images, _write_idx_labels
 
 from vatlab import nn
 from vatlab.cli import main
@@ -155,10 +156,12 @@ class TestConfigFile:
 TRAIN = ["train", "--task", "moons", "--updates", "2", "--out-prefix", "{tmp}/x"]
 BOUNDARY = ["boundary", "--checkpoint", "{tmp}/net.ckpt.npz", "--embedding", "{tmp}/emb.npz",
             "--resolution", "5", "--out", "{tmp}/plot", "--train-csv"]
-# --train-csv files for BOUNDARY: header only, one row (zero span), a non-numeric cell
+# --train-csv files for BOUNDARY: header only, one row (zero span), a non-numeric cell,
+# and a valid one
 POINTS_CSV = {"header.csv": "x0,x1,label\n",
               "one-row.csv": "x0,x1,label\n0.5,0.25,1\n",
-              "text.csv": "x0,x1,label\n0.5,0.25,1\n-0.5,x,0\n"}
+              "text.csv": "x0,x1,label\n0.5,0.25,1\n-0.5,x,0\n",
+              "two-rows.csv": "x0,x1,label\n0.5,0.25,1\n-0.5,-0.75,0\n"}
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -182,6 +185,11 @@ POINTS_CSV = {"header.csv": "x0,x1,label\n",
     (BOUNDARY + ["{tmp}/text.csv"], 4),
     # a synthetic model scored without its embedding would be scored on a new plane
     (["eval", "--task", "moons", "--checkpoint", "{tmp}/net.ckpt.npz"], 2),
+    (BOUNDARY + ["{tmp}/two-rows.csv", "--resolution", "0"], 2),
+    (BOUNDARY + ["{tmp}/two-rows.csv", "--resolution=-3"], 2),
+    (BOUNDARY + ["{tmp}/two-rows.csv", "--resolution", "1"], 2),
+    (["train", "--task", "mnist-semisup", "--mnist-dir", "{tmp}/mnist", "--n-labeled", "0",
+      "--n-validation", "5", "--updates", "1", "--hidden", "8", "--out-prefix", "{tmp}/x"], 2),
 ])
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
     # every malformed invocation exits with its documented code, never a traceback
@@ -191,5 +199,11 @@ def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
     np.savez(tmp_path / "emb.npz", matrix=np.eye(2, 100), offset=np.zeros(100))
     for name, text in POINTS_CSV.items():
         (tmp_path / name).write_text(text)
+    (tmp_path / "mnist").mkdir()
+    for split in ("train", "t10k"):  # 40 random 28x28 images
+        _write_idx_images(tmp_path / "mnist" / f"{split}-images-idx3-ubyte",
+                          make_rng(0).integers(0, 256, (40, 28, 28), dtype=np.uint8))
+        _write_idx_labels(tmp_path / "mnist" / f"{split}-labels-idx1-ubyte",
+                          [i % 10 for i in range(40)])
     assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == code
     assert "Traceback" not in capsys.readouterr().err

@@ -1,3 +1,6 @@
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,48 @@ def linear_field_grid(n=21):
     return BoundaryGrid(xs=xs, ys=ys, values=values)
 
 
+def reference_marching_squares(grid, level):
+    """Unmerged segments of marching_squares, one Python step per cell."""
+    xs, ys, v = grid.xs, grid.ys, grid.values
+    segments = []
+
+    def interp(pa, pb, fa, fb):
+        t = 0.5 if fb == fa else (level - fa) / (fb - fa)
+        return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
+
+    table = {1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)], 6: [(0, 2)], 7: [(3, 2)],
+             8: [(2, 3)], 9: [(2, 0)], 11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)]}
+    for j in range(len(ys) - 1):
+        for i in range(len(xs) - 1):
+            corners = [(xs[i], ys[j]), (xs[i + 1], ys[j]),
+                       (xs[i + 1], ys[j + 1]), (xs[i], ys[j + 1])]
+            f = [v[j, i], v[j, i + 1], v[j + 1, i + 1], v[j + 1, i]]
+            case = sum(1 << k for k in range(4) if f[k] >= level)
+            if case in (0, 15):
+                continue
+            edges = {0: interp(corners[0], corners[1], f[0], f[1]),
+                     1: interp(corners[1], corners[2], f[1], f[2]),
+                     2: interp(corners[3], corners[2], f[3], f[2]),
+                     3: interp(corners[0], corners[3], f[0], f[3])}
+            if case == 5:
+                pairs = [(3, 0), (1, 2)] if np.mean(f) < level else [(3, 2), (1, 0)]
+            elif case == 10:
+                pairs = [(0, 1), (2, 3)] if np.mean(f) < level else [(0, 3), (2, 1)]
+            else:
+                pairs = table[case]
+            segments += [(edges[a], edges[b]) for a, b in pairs]
+    return segments
+
+
 class TestMarchingSquares:
+    def test_matches_cell_by_cell_reference(self, rng):
+        # a random field crosses the level in most cells, saddles included
+        grid = BoundaryGrid(xs=np.linspace(-1.0, 2.0, 41), ys=np.linspace(0.5, 1.5, 31),
+                            values=rng.random((31, 41)))
+        grid.values[3, 4] = 0.5  # a corner exactly at the level
+        expected = contour._merge_segments(reference_marching_squares(grid, 0.5))
+        assert marching_squares(grid, 0.5) == expected
+
     def test_vertical_line_for_linear_field(self):
         lines = marching_squares(linear_field_grid(), level=0.5)
         points = np.array([p for line in lines for p in line])
@@ -56,6 +100,28 @@ class TestProbeGrid:
         assert np.allclose(grid.values, 0.5)
         assert marching_squares(grid, 0.5) == []
 
+    def test_memory_stays_bounded(self, rng):
+        # one product over the 200^2 lattice peaked at 94 MB
+        net = nn.init_mlp([100, 100, 2], rng)
+        emb = dm.make_embedding(rng)
+        tracemalloc.start()
+        try:
+            probe_grid(net, emb, (-1, 1, -1, 1), resolution=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
+    def test_blocks_match_one_product_over_the_lattice(self, rng):
+        # fails if a block drops below OpenBLAS's small-matrix threshold
+        net = nn.init_mlp([100, 100, 2], rng)
+        emb = dm.make_embedding(rng)
+        grid = probe_grid(net, emb, (-1, 1, -1, 1), resolution=200)
+        gx, gy = np.meshgrid(grid.xs, grid.ys)
+        plane = np.column_stack([gx.ravel(), gy.ravel()])
+        whole = nn.predict_proba(net, dm.embed_100d(plane, emb))[:, 1]
+        assert grid.values.tobytes() == whole.reshape(200, 200).tobytes()
+
     def test_rejects_invalid_values(self):
         with pytest.raises(ConfigError):
             BoundaryGrid(xs=np.arange(2.0), ys=np.arange(2.0),
@@ -78,6 +144,15 @@ def test_grid_csv_row_count():
     lines = contour.grid_csv(grid).strip().split("\n")
     assert lines[0] == "x,y,p"
     assert len(lines) == 1 + 25
+
+
+def test_grid_csv_round_trips(rng):
+    grid = BoundaryGrid(xs=np.linspace(-1.3, 2.7, 7), ys=np.linspace(-0.4, 0.9, 5),
+                        values=rng.random((5, 7)) ** 9)
+    table = np.genfromtxt(io.StringIO(contour.grid_csv(grid)), delimiter=",", skip_header=1)
+    gx, gy = np.meshgrid(grid.xs, grid.ys)
+    for column, expected in zip(table.T, (gx, gy, grid.values)):
+        assert column.tobytes() == expected.ravel().tobytes()
 
 
 def test_lattice_bounds_padding():
