@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import require_env
 from test_data import _write_idx_images, _write_idx_labels
 
 from vatlab import nn
@@ -119,16 +120,32 @@ class TestAuditCost:
         assert (counts["forward"], counts["backward"]) == (0, 0)
 
 
+# The exact table of TINY_GRID, tied like the golden weights to the numpy
+# version and the OpenBLAS configuration it was made with.
+GRID_NUMPY = "2.4.6"
+GRID_OPENBLAS = "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64"
+TINY_GRID = ("grid", "--task", "moons", "--methods", "mle,vat", "--reps", "2",
+             "--grid-reps", "1", "--updates", "20", "--n-val", "50", "--n-test", "50")
+GOLDEN_GRID_CSV = '''\
+method,mean_test_error,sd_test_error,best_hyperparameters
+mle,0.13,0.049999999999999996,"{"optimizer": "sgd", "regularizer": "none", "total_updates": 20, "weight": 0.0}"
+vat,0.14,0.060000000000000005,"{"epsilon": 0.1, "optimizer": "sgd", "power_iterations": 1, "regularizer": "vat", "total_updates": 20, "weight": 1.0, "xi": 1e-06}"
+'''
+
+
 class TestGridCommand:
     def test_tiny_grid_table(self, tmp_path, capsys):
         out = str(tmp_path / "table.csv")
-        code = run_cli("grid", "--task", "moons", "--methods", "mle,vat",
-                       "--reps", "2", "--grid-reps", "1", "--updates", "20",
-                       "--n-val", "50", "--n-test", "50", "--out", out)
-        assert code == 0
+        assert run_cli(*TINY_GRID, "--out", out) == 0
         lines = open(out).read().strip().split("\n")
         assert lines[0].startswith("method,")
         assert len(lines) == 3
+
+    def test_tiny_grid_matches_golden(self, tmp_path, capsys):
+        require_env(GRID_NUMPY, GRID_OPENBLAS, "grid table")
+        out = str(tmp_path / "table.csv")
+        assert run_cli(*TINY_GRID, "--out", out) == 0
+        assert open(out).read() == GOLDEN_GRID_CSV
 
     def test_unknown_method_exits_2(self):
         assert run_cli("grid", "--task", "moons", "--methods", "nope") == 2

@@ -23,7 +23,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from test_golden_weights import _openblas_config
+from conftest import openblas_config, require_env
 
 from vatlab import cli, contour, data as dm, nn
 
@@ -72,16 +72,13 @@ def fingerprint(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_boundary_matches_golden(name):
-    env = (np.__version__, _openblas_config())
-    if env != (NUMPY, OPENBLAS):
-        pytest.skip(f"golden boundaries were made with numpy {NUMPY} and {OPENBLAS!r}; "
-                    f"this is numpy {env[0]} with {env[1]!r}")
+    require_env(NUMPY, OPENBLAS, "boundaries")
     assert fingerprint(name) == GOLDEN[name]
 
 
 if __name__ == "__main__":
     print(f'NUMPY = "{np.__version__}"')
-    print(f'OPENBLAS = "{_openblas_config()}"')
+    print(f'OPENBLAS = "{openblas_config()}"')
     print()
     print("# run -> {resolution: (SHA-256 prefix of the SVG bytes, of the grid values' bytes)}")
     print("GOLDEN = {")

@@ -4,26 +4,26 @@ Each run pins a SHA-256 prefix of its trained parameters' bytes and the
 final NLL and penalty values, all exact. Digests are not portable across
 numpy versions or BLAS kernels, so the table also records the numpy version
 and the OpenBLAS configuration it was made with; in any other environment
-the tests skip and name both. Runs whose weights depend on the OpenBLAS
-thread count (semi-supervised random perturbation and VAT, whose penalty
-batch has 216 rows, and every 784-1200-600-10 run) are left out; the runs
-below give the same weights at 1 and at 2 threads.
+the tests skip and name both. The GOLDEN runs give the same weights at 1
+and at 2 OpenBLAS threads. Semi-supervised random perturbation and VAT,
+whose penalty batch has 216 rows, do not, so GOLDEN_ONE_THREAD pins them at
+1 thread, set at run time through OpenBLAS's own set_num_threads (the tests
+skip when the library has none). The 784-1200-600-10 runs are left out.
 
 A change that alters the weights on purpose prints the new table with
 
     PYTHONPATH=src python tests/test_golden_weights.py
 
-and replaces GOLDEN below with it; the table is never rewritten by a test.
+and replaces GOLDEN and GOLDEN_ONE_THREAD below with it; the tables are
+never rewritten by a test.
 """
 
-import ctypes
 import functools
-import glob
 import hashlib
-import os
 
 import numpy as np
 import pytest
+from conftest import blas_threads, openblas_config, require_env
 from test_acceptance import BENCHMARK_SETTINGS, _benchmark_regularizer
 
 from vatlab import data as dm
@@ -58,19 +58,13 @@ GOLDEN = {
     "circles-adam-vat": ("7a3cf510", 0.03422588075198975, 0.14061972186033875),
 }
 
-
-def _openblas_config():
-    """Runtime configuration string of the OpenBLAS numpy loaded, or None."""
-    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libdir, "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                config = getattr(lib, f"{prefix}_get_config{suffix}", None)
-                if config is not None:
-                    config.restype = ctypes.c_char_p
-                    return config().decode()
-    return None
+# the same, for runs made at 1 OpenBLAS thread
+GOLDEN_ONE_THREAD = {
+    "moons-semisup-random_perturbation": ("5639c149", 0.10614682634128167, 0.18668278460200563),
+    "moons-semisup-vat": ("4678b034", 0.16666373355781305, 0.11194843750055601),
+    "circles-semisup-random_perturbation": ("a5c8061a", 0.046980856406748, 0.14462639487982332),
+    "circles-semisup-vat": ("ffe95249", 0.05630273088702594, 0.15457417182218436),
+}
 
 
 @functools.cache
@@ -110,22 +104,37 @@ def fingerprint(name):
     return digest[:8], record.final["nll"], record.final["reg"]
 
 
+def fingerprint_one_thread(name):
+    with blas_threads(1):
+        return fingerprint(name)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_weights_match_golden(name):
-    env = (np.__version__, _openblas_config())
-    if env != (NUMPY, OPENBLAS):
-        pytest.skip(f"golden weights were made with numpy {NUMPY} and {OPENBLAS!r}; "
-                    f"this is numpy {env[0]} with {env[1]!r}")
+    require_env(NUMPY, OPENBLAS, "weights")
     assert fingerprint(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ONE_THREAD))
+def test_one_thread_weights_match_golden(name):
+    require_env(NUMPY, OPENBLAS, "weights")
+    assert fingerprint_one_thread(name) == GOLDEN_ONE_THREAD[name]
+
+
+def _print_table(title, table, fingerprint_fn):
+    print(f"{title} = {{")
+    for run in table:
+        digest, nll, reg = fingerprint_fn(run)
+        print(f'    "{run}": ("{digest}", {nll!r}, {reg!r}),')
+    print("}")
 
 
 if __name__ == "__main__":
     print(f'NUMPY = "{np.__version__}"')
-    print(f'OPENBLAS = "{_openblas_config()}"')
+    print(f'OPENBLAS = "{openblas_config()}"')
     print()
     print("# run -> (SHA-256 prefix of the parameter bytes, final nll, final reg)")
-    print("GOLDEN = {")
-    for run in GOLDEN:
-        digest, nll, reg = fingerprint(run)
-        print(f'    "{run}": ("{digest}", {nll!r}, {reg!r}),')
-    print("}")
+    _print_table("GOLDEN", GOLDEN, fingerprint)
+    print()
+    print("# the same, for runs made at 1 OpenBLAS thread")
+    _print_table("GOLDEN_ONE_THREAD", GOLDEN_ONE_THREAD, fingerprint_one_thread)
