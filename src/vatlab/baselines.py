@@ -17,8 +17,6 @@ from .errors import ConfigError
 from .numerics import Tensor, as_tensor, normalize_rows, sample_unit_vector
 from .vat import VatConfig
 
-_ZERO_TOL = 1e-12
-
 REGULARIZER_KINDS = (
     "none", "l2_decay", "dropout", "random_perturbation",
     "adversarial_linf", "adversarial_l2", "vat",
@@ -27,7 +25,8 @@ REGULARIZER_KINDS = (
 
 @dataclass
 class Regularizer:
-    """Exactly one regularization method, with its hyperparameters."""
+    """Exactly one regularization method, with its hyperparameters. The
+    training step weights the penalty by weight, never by vat.weight."""
     kind: str
     weight: float = 1.0           # lambda multiplying the penalty term
     epsilon: float = 0.0          # perturbation radius (perturbation methods)
@@ -56,6 +55,23 @@ class Regularizer:
         return self.kind in ("dropout", "adversarial_linf", "adversarial_l2")
 
 
+def make_regularizer(kind: str, *, weight: float = 1.0, epsilon: float = 0.5,
+                     keep_prob: float = 0.5, xi: float = 1e-6,
+                     power_iterations: int = 1) -> Regularizer:
+    """The Regularizer of one kind, keeping only the hyperparameters it reads;
+    "none" and dropout add no penalty, so they carry weight 0."""
+    if kind == "vat":
+        cfg = VatConfig(epsilon=epsilon, xi=xi, power_iterations=power_iterations)
+        return Regularizer(kind="vat", weight=weight, vat=cfg)
+    if kind == "none":
+        return Regularizer(kind="none", weight=0.0)
+    if kind == "l2_decay":
+        return Regularizer(kind="l2_decay", weight=weight)
+    if kind == "dropout":
+        return Regularizer(kind="dropout", keep_prob=keep_prob, weight=0.0)
+    return Regularizer(kind=kind, epsilon=epsilon, weight=weight)
+
+
 def adv_perturbation(net, x: Tensor, labels: np.ndarray, epsilon: float,
                      norm: str = "l2", grad: Tensor | None = None) -> Tensor:
     """One-step adversarial perturbation of the NLL at (x, labels).
@@ -73,7 +89,7 @@ def adv_perturbation(net, x: Tensor, labels: np.ndarray, epsilon: float,
         grad = nn.backward(net, cache, d_logits, param_grads=False).d_input
     if norm == "linf":
         return epsilon * np.sign(grad)
-    return epsilon * normalize_rows(grad, tol=_ZERO_TOL)
+    return epsilon * normalize_rows(grad)
 
 
 def random_perturbation(x: Tensor, epsilon: float, rng: np.random.Generator) -> Tensor:

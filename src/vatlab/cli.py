@@ -9,23 +9,23 @@ codes: 0 ok, 2 config error, 3 numeric failure, 4 data/format error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import tempfile
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
 from . import contour, data as datamod, nn, train as trainmod, vat
-from .baselines import Regularizer
+from .baselines import Regularizer, make_regularizer
 from .data import Dataset, EmbeddingMap
 from .errors import (ConfigError, DataError, FormatError, NumericError,
                      UsageError)
 from .numerics import make_rng
 from .optim import DecaySchedule
-from .train import TrainConfig, grid_search, train_semisup, train_supervised
+from .train import TrainConfig, grid_search, run_errors, train_semisup, train_supervised
 from .vat import VatConfig
 
 SYNTH_TASKS = ("moons", "circles")
@@ -122,27 +122,18 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def _make_regularizer(args) -> Regularizer:
-    method = args.reg
-    if method not in METHOD_NAMES:
-        raise ConfigError(f"unknown method {method!r}; choose from {sorted(METHOD_NAMES)}")
-    kind = METHOD_NAMES[method]
-    if kind == "vat":
-        cfg = VatConfig(epsilon=args.epsilon, xi=args.xi, power_iterations=args.ip)
-        return Regularizer(kind="vat", weight=args.weight, vat=cfg)
-    if kind == "none":
-        return Regularizer(kind="none", weight=0.0)
-    if kind == "l2_decay":
-        return Regularizer(kind="l2_decay", weight=args.weight)
-    if kind == "dropout":
-        return Regularizer(kind="dropout", keep_prob=args.keep_prob, weight=0.0)
-    return Regularizer(kind=kind, epsilon=args.epsilon, weight=args.weight)
+    if args.reg not in METHOD_NAMES:
+        raise ConfigError(f"unknown method {args.reg!r}; choose from {sorted(METHOD_NAMES)}")
+    return make_regularizer(METHOD_NAMES[args.reg], weight=args.weight,
+                            epsilon=args.epsilon, keep_prob=args.keep_prob,
+                            xi=args.xi, power_iterations=args.ip)
 
 
 def _synthetic_train_config(args, reg: Regularizer, hidden_sizes: list[int]) -> TrainConfig:
     return TrainConfig(
         input_dim=datamod.EMBED_DIM, hidden_sizes=hidden_sizes, n_classes=2,
         regularizer=reg, optimizer="sgd",
-        schedule=DecaySchedule(1.0, 0.995, 1), momentum=0.9,
+        schedule=DecaySchedule(1.0, 0.995, 1),
         batch_size=0, total_updates=args.updates,
         eval_every=args.eval_every, seed=args.seed,
     )
@@ -273,8 +264,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_boundary(args) -> int:
-    if args.resolution < 2:
-        raise ConfigError(f"--resolution must be >= 2, got {args.resolution}")
     net = nn.load_checkpoint(args.checkpoint)
     if net.input_dim != datamod.EMBED_DIM:
         raise UsageError("boundary plots need a synthetic-task checkpoint")
@@ -318,37 +307,22 @@ def cmd_grid(args) -> int:
     if unknown:
         raise ConfigError(f"unknown grid methods: {sorted(unknown)}")
 
+    def make_data(seed, n_eval):
+        dataset, _ = datamod.make_synthetic_dataset(
+            args.task, make_rng(seed), n_train_per_class=args.n_train // 2, n_test=n_eval)
+        return (*dataset.subset("labeled"), *dataset.subset("test"))
+
     def run_method(method):
-        configs = []
-        for params in SYNTH_GRIDS[method]:
-            ns = argparse.Namespace(reg=method, epsilon=params.get("epsilon", 0.5),
-                                    weight=params.get("weight", 1.0),
-                                    keep_prob=params.get("keep_prob", 0.5),
-                                    xi=1e-6, ip=args.ip)
-            reg = _make_regularizer(ns)
-            configs.append(_synthetic_train_config(args, reg, [100]))
-
-        def make_data(seed):
-            rng = make_rng(seed)
-            dataset, _ = datamod.make_synthetic_dataset(
-                args.task, rng, n_train_per_class=args.n_train // 2, n_test=args.n_val)
-            tx, ty = dataset.subset("labeled")
-            vx, vy = dataset.subset("test")
-            return tx, ty, vx, vy
-
-        result = grid_search(configs, make_data, repetitions=args.grid_reps,
-                             base_seed=args.seed)
+        kind = METHOD_NAMES[method]
+        configs = [_synthetic_train_config(
+            args, make_regularizer(kind, power_iterations=args.ip, **params), [100])
+            for params in SYNTH_GRIDS[method]]
+        result = grid_search(configs, functools.partial(make_data, n_eval=args.n_val),
+                             repetitions=args.grid_reps, base_seed=args.seed)
         # final protocol: retrain the winner on fresh data, report test error
-        errors = []
-        for rep in range(args.reps):
-            rng = make_rng(args.seed + 10_000 + rep)
-            dataset, _ = datamod.make_synthetic_dataset(
-                args.task, rng, n_train_per_class=args.n_train // 2, n_test=args.n_test)
-            tx, ty = dataset.subset("labeled")
-            sx, sy = dataset.subset("test")
-            cfg = replace(result.best_config, seed=args.seed + 10_000 + rep)
-            net, _ = train_supervised(cfg, tx, ty)
-            errors.append(trainmod.evaluate(net, sx, sy, with_lds=False)["error"])
+        seeds = range(args.seed + 10_000, args.seed + 10_000 + args.reps)
+        errors = run_errors(result.best_config, functools.partial(make_data, n_eval=args.n_test),
+                            [(s, s) for s in seeds])
         return method, result, float(np.mean(errors)), float(np.std(errors))
 
     rows = [run_method(m) for m in methods]

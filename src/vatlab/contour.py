@@ -29,11 +29,16 @@ class BoundaryGrid:
             raise ConfigError("grid values must be probabilities")
 
 
-def lattice_bounds(points: Tensor, pad_fraction: float = 0.3) -> tuple[float, float, float, float]:
+LATTICE_PAD = 0.3   # lattice_bounds pads each side by this fraction of the range
+SVG_SIZE = 640      # boundary_svg's width and height in pixels
+_MERGE_TOL = 1e-9   # _merge_segments joins endpoints equal at this grain
+
+
+def lattice_bounds(points: Tensor) -> tuple[float, float, float, float]:
     points = as_tensor(points)
     lo = points.min(axis=0)
     hi = points.max(axis=0)
-    pad = pad_fraction * (hi - lo)
+    pad = LATTICE_PAD * (hi - lo)
     return lo[0] - pad[0], hi[0] + pad[0], lo[1] - pad[1], hi[1] + pad[1]
 
 
@@ -50,7 +55,10 @@ PROBE_BLOCK = 16_384
 def probe_grid(net, emb: EmbeddingMap, bounds: tuple[float, float, float, float],
                resolution: int = 200) -> BoundaryGrid:
     """p(y=1|x) over a resolution x resolution lattice in the 2-D plane,
-    probed in row blocks of at most PROBE_BLOCK points."""
+    probed in row blocks of at most PROBE_BLOCK points. resolution must be
+    at least 2, so that the lattice spans the bounds."""
+    if resolution < 2:
+        raise ConfigError(f"resolution must be >= 2, got {resolution}")
     x0, x1, y0, y1 = bounds
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)
@@ -112,10 +120,10 @@ def marching_squares(grid: BoundaryGrid, level: float = 0.5) -> list[list[tuple[
     return _merge_segments(segments)
 
 
-def _merge_segments(segments, tol: float = 1e-9) -> list[list[tuple[float, float]]]:
+def _merge_segments(segments) -> list[list[tuple[float, float]]]:
     """Chain shared-endpoint segments into polylines (greedy join)."""
     def key(p):
-        return (round(p[0] / tol), round(p[1] / tol))
+        return (round(p[0] / _MERGE_TOL), round(p[1] / _MERGE_TOL))
 
     remaining = list(segments)
     polylines = []
@@ -141,12 +149,12 @@ def _merge_segments(segments, tol: float = 1e-9) -> list[list[tuple[float, float
 
 
 def boundary_svg(grid: BoundaryGrid, points: Tensor, labels: np.ndarray,
-                 mean_lds: float | None = None, width: int = 640,
-                 height: int = 640) -> str:
+                 mean_lds: float | None = None) -> str:
     """SVG document: shaded probability field, 0.5 contour, data markers.
 
     Class 1 points draw as red circles, class 0 as blue triangles.
     """
+    width = height = SVG_SIZE
     x0, x1 = grid.xs[0], grid.xs[-1]
     y0, y1 = grid.ys[0], grid.ys[-1]
 

@@ -19,6 +19,8 @@ from .errors import DimensionError, NumericError
 # Floor applied to probabilities before they enter a logarithm outside of
 # log-sum-exp; keeps KL finite for near-degenerate distributions.
 PROB_FLOOR = 1e-12
+# normalize_rows turns rows of a smaller L2 norm into zeros.
+ZERO_NORM = 1e-12
 
 Tensor = np.ndarray
 
@@ -89,20 +91,13 @@ def sample_unit_vector(rng: np.random.Generator, dim: int,
     return v[0] if batch is None else v
 
 
-def normalize_rows(t: Tensor, fallback: Tensor | None = None, tol: float = 1e-12) -> Tensor:
-    """L2-normalize each row; rows with norm below tol keep the fallback row.
-
-    With no fallback, degenerate rows are left as zeros.
-    """
+def normalize_rows(t: Tensor) -> Tensor:
+    """L2-normalize each row; rows with norm below ZERO_NORM become zeros."""
     t = as_tensor(t)
     # what np.linalg.norm(..., axis=1) computes for real rows
     norms = np.sqrt(np.add.reduce(t * t, axis=1, keepdims=True))
-    degenerate = norms[:, 0] < tol
-    safe = np.where(norms < tol, 1.0, norms)
-    out = t / safe
+    degenerate = norms < ZERO_NORM
+    out = t / np.where(degenerate, 1.0, norms)
     if degenerate.any():
-        if fallback is not None:
-            out[degenerate] = fallback[degenerate]
-        else:
-            out[degenerate] = 0.0
+        out[degenerate[:, 0]] = 0.0
     return out

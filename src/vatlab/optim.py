@@ -82,15 +82,15 @@ class MomentumSgd:
 _ADAM_BLOCK = 16_384
 
 
-class Adam:
-    """ADAM with bias correction; default moment constants from the standard setting."""
+# ADAM's moment decay rates and denominator offset: the standard setting
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, schedule: DecaySchedule, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+
+class Adam:
+    """ADAM with bias correction and the ADAM_* constants."""
+
+    def __init__(self, schedule: DecaySchedule):
         self.schedule = schedule
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m: list[Tensor] | None = None
         self.v: list[Tensor] | None = None
@@ -107,8 +107,8 @@ class Adam:
         rate = schedule_rate(self.schedule, self.step_count)
         self.step_count += 1
         t = self.step_count
-        consts = (self.beta1, 1.0 - self.beta1, self.beta2, 1.0 - self.beta2,
-                  1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t, rate)
+        consts = (ADAM_BETA1, 1.0 - ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA2,
+                  1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t, rate)
         for p, g, m, v in zip(params, grads, self.m, self.v):
             p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
             for start in range(0, p.size, _ADAM_BLOCK):
@@ -130,7 +130,7 @@ class Adam:
         # p <- p - (rate * m_hat) / (sqrt(v_hat) + eps)
         np.divide(v, bias2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += ADAM_EPS
         np.divide(m, bias1, out=s)
         s *= rate
         s /= denom

@@ -1,5 +1,6 @@
-"""Training loops: regularized supervised steps, the two-minibatch
-semi-supervised protocol, evaluation, and hyperparameter grid search.
+"""Training: the regularized update step, one training loop for supervised
+and two-minibatch semi-supervised runs, evaluation, the repetition loop over
+seeds, and hyperparameter grid search.
 
 The minimized objective is the mean NLL on the labeled batch plus
 weight * mean KL sensitivity (or the chosen baseline penalty) on the
@@ -25,6 +26,7 @@ from .vat import VatConfig
 # Smoothness estimates in evaluate() use the fixed probe settings below
 # regardless of the training-time configuration.
 EVAL_VAT = VatConfig(epsilon=0.5, power_iterations=5)
+MOMENTUM = 0.9  # mu of the SGD optimizer
 
 
 @dataclass
@@ -35,7 +37,6 @@ class TrainConfig:
     regularizer: Regularizer
     optimizer: str = "sgd"                    # "sgd" or "adam"
     schedule: DecaySchedule = field(default_factory=lambda: DecaySchedule(1.0, 0.995, 1))
-    momentum: float = 0.9
     batch_size: int = 0                       # 0 = full batch
     reg_batch_size: int = 0                   # 0 = reuse the likelihood batch
     total_updates: int = 1000
@@ -82,7 +83,7 @@ class TrainRecord:
 
 def make_optimizer(cfg: TrainConfig):
     if cfg.optimizer == "sgd":
-        return MomentumSgd(cfg.momentum, cfg.schedule)
+        return MomentumSgd(MOMENTUM, cfg.schedule)
     return Adam(cfg.schedule)
 
 
@@ -184,16 +185,16 @@ def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
 
 
 def evaluate(net, x: Tensor, y: np.ndarray | None,
-             eval_cfg: VatConfig = EVAL_VAT, rng: np.random.Generator | None = None,
-             with_lds: bool = True) -> dict:
-    """Error rate (argmax mismatches) and mean smoothness estimate on a split."""
+             rng: np.random.Generator | None = None, with_lds: bool = True) -> dict:
+    """Error rate (argmax mismatches) and mean smoothness estimate, probed
+    with EVAL_VAT, on a split."""
     out = {}
     proba = nn.predict_proba(net, x)
     if y is not None:
         out["error"] = float((proba.argmax(axis=1) != y).mean())
     if with_lds:
         rng = rng if rng is not None else make_rng(0)
-        result = vat.generate(net, x, eval_cfg, rng)
+        result = vat.generate(net, x, EVAL_VAT, rng)
         out["mean_lds"] = float(result.lds_estimate.mean())
     return out
 
@@ -214,22 +215,7 @@ def train_supervised(cfg: TrainConfig, train_x: Tensor, train_y: np.ndarray,
                      test_x: Tensor | None = None, test_y: np.ndarray | None = None,
                      net=None, record_lds: bool = False) -> tuple:
     """Train on labeled data only; returns (net, TrainRecord)."""
-    rng, eval_rng = make_rng(cfg.seed), _eval_rng(cfg.seed)
-    if net is None:
-        net = nn.init_mlp(cfg.layer_sizes(), rng)
-    optimizer = make_optimizer(cfg)
-    record = TrainRecord()
-    batches = _batches(train_x.shape[0], cfg.batch_size, rng)
-    for update in range(1, cfg.total_updates + 1):
-        idx = next(batches)
-        losses = supervised_step(net, train_x[idx], train_y[idx], cfg.regularizer,
-                                 optimizer, rng)
-        if (cfg.eval_every and update % cfg.eval_every == 0) or update == cfg.total_updates:
-            record.append(update=update,
-                          **_eval_row(net, train_x, train_y, test_x, test_y,
-                                      record_lds, eval_rng), **losses)
-    net.release_gradient_buffers()
-    return net, record
+    return _train(cfg, train_x, train_y, None, test_x, test_y, net, record_lds)
 
 
 def train_semisup(cfg: TrainConfig, dataset: Dataset,
@@ -239,28 +225,35 @@ def train_semisup(cfg: TrainConfig, dataset: Dataset,
     The likelihood batch comes from labeled rows; the regularizer batch is
     drawn uniformly from the union of labeled and unlabeled rows.
     """
-    rng, eval_rng = make_rng(cfg.seed), _eval_rng(cfg.seed)
     lab_x, lab_y = dataset.subset("labeled")
-    pool_mask = np.isin(dataset.split, ("labeled", "unlabeled"))
-    pool_x = dataset.inputs[pool_mask]
+    pool_x = dataset.inputs[np.isin(dataset.split, ("labeled", "unlabeled"))]
     test_x, test_y = (dataset.subset("test") if "test" in dataset.split
                       else (None, None))
+    return _train(cfg, lab_x, lab_y, pool_x, test_x, test_y, net, record_lds)
+
+
+def _train(cfg: TrainConfig, x: Tensor, y: np.ndarray, pool_x: Tensor | None,
+           test_x: Tensor | None, test_y: np.ndarray | None, net, record_lds: bool) -> tuple:
+    """The training loop. Each update draws a likelihood batch of (x, y), then
+    a regularizer batch of pool_x; with no pool (supervised training) the
+    penalty reuses the likelihood batch."""
+    rng, eval_rng = make_rng(cfg.seed), _eval_rng(cfg.seed)
     if net is None:
         net = nn.init_mlp(cfg.layer_sizes(), rng)
     optimizer = make_optimizer(cfg)
     record = TrainRecord()
-    lab_batches = _batches(lab_x.shape[0], cfg.batch_size, rng)
-    reg_size = cfg.reg_batch_size or cfg.batch_size
-    reg_batches = _batches(pool_x.shape[0], reg_size, rng)
+    batches = _batches(x.shape[0], cfg.batch_size, rng)
+    if pool_x is not None:
+        reg_batches = _batches(pool_x.shape[0], cfg.reg_batch_size or cfg.batch_size, rng)
     for update in range(1, cfg.total_updates + 1):
-        li = next(lab_batches)
-        ri = next(reg_batches)
-        losses = supervised_step(net, lab_x[li], lab_y[li], cfg.regularizer,
-                                 optimizer, rng, x_reg=pool_x[ri])
+        idx = next(batches)
+        x_reg = None if pool_x is None else pool_x[next(reg_batches)]
+        losses = supervised_step(net, x[idx], y[idx], cfg.regularizer, optimizer, rng,
+                                 x_reg=x_reg)
         if (cfg.eval_every and update % cfg.eval_every == 0) or update == cfg.total_updates:
             record.append(update=update,
-                          **_eval_row(net, lab_x, lab_y, test_x, test_y,
-                                      record_lds, eval_rng), **losses)
+                          **_eval_row(net, x, y, test_x, test_y, record_lds, eval_rng),
+                          **losses)
     net.release_gradient_buffers()
     return net, record
 
@@ -304,6 +297,17 @@ def _config_summary(cfg: TrainConfig) -> dict:
     return summary
 
 
+def run_errors(cfg: TrainConfig, make_data, seeds) -> list[float]:
+    """Held-out error of one supervised run of cfg per (data seed, training
+    seed) pair; make_data(data_seed) returns (train_x, train_y, eval_x, eval_y)."""
+    errors = []
+    for data_seed, train_seed in seeds:
+        train_x, train_y, eval_x, eval_y = make_data(data_seed)
+        net, _ = train_supervised(replace(cfg, seed=train_seed), train_x, train_y)
+        errors.append(evaluate(net, eval_x, eval_y, with_lds=False)["error"])
+    return errors
+
+
 def grid_search(configs: list[TrainConfig], make_data, repetitions: int,
                 base_seed: int = 0) -> GridResult:
     """Pick the config with the lowest mean validation error.
@@ -316,13 +320,8 @@ def grid_search(configs: list[TrainConfig], make_data, repetitions: int,
     table = []
     best = None
     for ci, cfg in enumerate(configs):
-        errors = []
-        for rep in range(repetitions):
-            seed = base_seed + rep
-            train_x, train_y, val_x, val_y = make_data(seed)
-            run_cfg = replace(cfg, seed=seed * 1000 + ci)
-            net, _ = train_supervised(run_cfg, train_x, train_y)
-            errors.append(evaluate(net, val_x, val_y, with_lds=False)["error"])
+        data_seeds = range(base_seed, base_seed + repetitions)
+        errors = run_errors(cfg, make_data, [(s, s * 1000 + ci) for s in data_seeds])
         mean = float(np.mean(errors))
         sd = float(np.std(errors))
         table.append({"config": _config_summary(cfg), "mean_error": mean, "sd_error": sd})

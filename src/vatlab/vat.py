@@ -31,7 +31,9 @@ class VatConfig:
     epsilon: float          # perturbation radius, input-space L2 units
     xi: float = 1e-6        # finite-difference probe scale
     power_iterations: int = 1
-    weight: float = 1.0     # penalty weight in the training objective
+    # gates vat_step_cost_audit (audit-cost --weight) only; the training
+    # step weights the penalty by Regularizer.weight
+    weight: float = 1.0
 
     def __post_init__(self):
         for name in ("epsilon", "xi", "weight"):
@@ -89,11 +91,9 @@ def lds_estimate(model, x: Tensor, r_vadv: Tensor, base=None) -> Tensor:
     return -divergence.delta_kl(model, x, r_vadv, base)
 
 
-def generate(model, x: Tensor, cfg: VatConfig, rng: np.random.Generator,
-             base=None) -> VapResult:
+def generate(model, x: Tensor, cfg: VatConfig, rng: np.random.Generator) -> VapResult:
     """gen_vap plus the smoothness estimate at the resulting perturbation."""
-    if base is None:
-        base = divergence.base_distribution(model, x)
+    base = divergence.base_distribution(model, x)
     r = gen_vap(model, x, cfg, rng, base=base)
     return VapResult(r_vadv=r, lds_estimate=lds_estimate(model, x, r, base=base))
 

@@ -67,7 +67,7 @@ def openblas_config():
     config = _openblas_function("get_config")
     if config is None:
         return None
-    config.restype = ctypes.c_char_p
+    config.argtypes, config.restype = [], ctypes.c_char_p
     return config().decode()
 
 
@@ -88,6 +88,8 @@ def blas_threads(n):
     get_threads = _openblas_function("get_num_threads")
     if set_threads is None or get_threads is None:
         pytest.skip("the OpenBLAS numpy loaded exports no set_num_threads/get_num_threads")
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
     before = get_threads()
     set_threads(n)
     try:

@@ -13,11 +13,11 @@ import pytest
 from conftest import numeric_grad, random_small_net
 
 from vatlab import baselines, data as dm, divergence, nn, oracles, vat
-from vatlab.baselines import Regularizer
+from vatlab.baselines import Regularizer, make_regularizer
 from vatlab.errors import DataError
 from vatlab.numerics import make_rng, log_softmax
 from vatlab.optim import DecaySchedule
-from vatlab.train import TrainConfig, evaluate, train_semisup, train_supervised
+from vatlab.train import TrainConfig, evaluate, run_errors, train_semisup, train_supervised
 from vatlab.vat import VatConfig
 
 
@@ -235,34 +235,19 @@ BENCHMARK_SETTINGS = {
 }
 
 
-def _benchmark_regularizer(kind, params):
-    if kind == "none":
-        return Regularizer(kind="none", weight=0.0)
-    if kind == "l2_decay":
-        return Regularizer(kind="l2_decay", weight=params["weight"])
-    if kind == "dropout":
-        return Regularizer(kind="dropout", keep_prob=params["keep_prob"], weight=0.0)
-    if kind == "vat":
-        return Regularizer(kind="vat", vat=VatConfig(epsilon=params["epsilon"]))
-    return Regularizer(kind=kind, epsilon=params["epsilon"])
-
-
 def _run_benchmark(task, repetitions=50):
-    methods = ["none"] + list(BENCHMARK_SETTINGS[task])
-    errors = {m: [] for m in methods}
-    for seed in range(repetitions):
-        data_rng = make_rng(seed)
-        ds, _ = dm.make_synthetic_dataset(task, data_rng)
-        tx, ty = ds.subset("labeled")
-        sx, sy = ds.subset("test")
-        for method in methods:
-            reg = _benchmark_regularizer(method,
-                                         BENCHMARK_SETTINGS[task].get(method, {}))
-            cfg = TrainConfig(input_dim=100, hidden_sizes=[100], n_classes=2,
-                              regularizer=reg, total_updates=1000, seed=seed + 7)
-            net, _ = train_supervised(cfg, tx, ty)
-            errors[method].append(evaluate(net, sx, sy, with_lds=False)["error"])
-    return {m: np.asarray(v) for m, v in errors.items()}
+    def make_data(seed):
+        ds, _ = dm.make_synthetic_dataset(task, make_rng(seed))
+        return (*ds.subset("labeled"), *ds.subset("test"))
+
+    seeds = [(seed, seed + 7) for seed in range(repetitions)]
+    errors = {}
+    for method in ["none"] + list(BENCHMARK_SETTINGS[task]):
+        reg = make_regularizer(method, **BENCHMARK_SETTINGS[task].get(method, {}))
+        cfg = TrainConfig(input_dim=100, hidden_sizes=[100], n_classes=2,
+                          regularizer=reg, total_updates=1000)
+        errors[method] = np.asarray(run_errors(cfg, make_data, seeds))
+    return errors
 
 
 @pytest.mark.slow
@@ -301,8 +286,7 @@ class TestTrainingDynamics:
             tx, ty = ds.subset("labeled")
             sx, sy = ds.subset("test")
             for method in rows:
-                reg = _benchmark_regularizer(
-                    method, {"epsilon": 0.5} if method == "vat" else {})
+                reg = make_regularizer(method, epsilon=0.5)
                 cfg = TrainConfig(input_dim=100, hidden_sizes=[100], n_classes=2,
                                   regularizer=reg, total_updates=1000,
                                   seed=seed + 7)

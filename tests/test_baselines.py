@@ -23,6 +23,22 @@ class TestRegularizer:
             kind="vat", vat=VatConfig(epsilon=1.0)).needs_labels
 
 
+@pytest.mark.parametrize("kind, expected", [
+    ("none", baselines.Regularizer(kind="none", weight=0.0)),
+    ("l2_decay", baselines.Regularizer(kind="l2_decay", weight=0.3)),
+    ("dropout", baselines.Regularizer(kind="dropout", keep_prob=0.7, weight=0.0)),
+    ("random_perturbation",
+     baselines.Regularizer(kind="random_perturbation", epsilon=2.0, weight=0.3)),
+    ("adversarial_linf", baselines.Regularizer(kind="adversarial_linf", epsilon=2.0, weight=0.3)),
+    ("adversarial_l2", baselines.Regularizer(kind="adversarial_l2", epsilon=2.0, weight=0.3)),
+    ("vat", baselines.Regularizer(kind="vat", weight=0.3,
+                                  vat=VatConfig(epsilon=2.0, xi=1e-5, power_iterations=3))),
+])
+def test_make_regularizer_keeps_only_what_each_kind_reads(kind, expected):
+    assert baselines.make_regularizer(kind, weight=0.3, epsilon=2.0, keep_prob=0.7,
+                                      xi=1e-5, power_iterations=3) == expected
+
+
 class TestAdvPerturbation:
     def test_flat_model_gives_zero(self, rng):
         net = nn.init_mlp([4, 3, 2], rng)

@@ -90,6 +90,14 @@ class TestProbeGrid:
         grid = probe_grid(net, emb, (-1, 1, -1, 1), resolution=16)
         assert np.all((grid.values >= 0) & (grid.values <= 1))
 
+    @pytest.mark.parametrize("resolution", [1, 0, -3])
+    def test_rejects_resolution_below_2(self, rng, resolution):
+        # a one-point lattice has zero span, which boundary_svg would divide by
+        net = nn.init_mlp([100, 10, 2], rng)
+        emb = dm.make_embedding(rng)
+        with pytest.raises(ConfigError, match="resolution"):
+            probe_grid(net, emb, (-1, 1, -1, 1), resolution=resolution)
+
     def test_flat_network_gives_half(self, rng):
         net = nn.init_mlp([100, 10, 2], rng)
         for layer in net.layers:
@@ -157,6 +165,6 @@ def test_grid_csv_round_trips(rng):
 
 def test_lattice_bounds_padding():
     points = np.array([[0.0, 0.0], [1.0, 2.0]])
-    x0, x1, y0, y1 = contour.lattice_bounds(points, pad_fraction=0.3)
+    x0, x1, y0, y1 = contour.lattice_bounds(points)
     assert np.allclose((x0, x1), (-0.3, 1.3))
     assert np.allclose((y0, y1), (-0.6, 2.6))

@@ -14,7 +14,7 @@ A change that alters the weights on purpose prints the new table with
 
     PYTHONPATH=src python tests/test_golden_weights.py
 
-and replaces GOLDEN and GOLDEN_ONE_THREAD below with it; the tables are
+and replaces GOLDEN and GOLDEN_ONE_THREAD below with them; the tables are
 never rewritten by a test.
 """
 
@@ -24,9 +24,10 @@ import hashlib
 import numpy as np
 import pytest
 from conftest import blas_threads, openblas_config, require_env
-from test_acceptance import BENCHMARK_SETTINGS, _benchmark_regularizer
+from test_acceptance import BENCHMARK_SETTINGS
 
 from vatlab import data as dm
+from vatlab.baselines import make_regularizer
 from vatlab.numerics import make_rng
 from vatlab.optim import DecaySchedule
 from vatlab.train import TrainConfig, train_semisup, train_supervised
@@ -73,7 +74,7 @@ def _dataset(task, seed, n_unlabeled=0):
 
 
 def _config(task, kind, **kwargs):
-    reg = _benchmark_regularizer(kind, BENCHMARK_SETTINGS[task].get(kind, {}))
+    reg = make_regularizer(kind, **BENCHMARK_SETTINGS[task].get(kind, {}))
     return TrainConfig(input_dim=100, hidden_sizes=[100], n_classes=2,
                        regularizer=reg, **kwargs)
 

@@ -77,10 +77,9 @@ def test_rng_streams_bitwise_identical():
 
 def test_normalize_rows_fallback():
     t = np.array([[3.0, 4.0], [0.0, 0.0]])
-    fallback = np.array([[0.0, 0.0], [1.0, 0.0]])
-    out = normalize_rows(t, fallback=fallback)
+    out = normalize_rows(t)
     assert np.allclose(out[0], [0.6, 0.8])
-    assert np.allclose(out[1], [1.0, 0.0])
+    assert np.array_equal(out[1], [0.0, 0.0])
 
 
 def test_softmax_matches_log_softmax(rng):
