@@ -8,13 +8,14 @@ the tests skip and name both. The GOLDEN runs give the same weights at 1
 and at 2 OpenBLAS threads. Semi-supervised random perturbation and VAT,
 whose penalty batch has 216 rows, do not, so GOLDEN_ONE_THREAD pins them at
 1 thread, set at run time through OpenBLAS's own set_num_threads (the tests
-skip when the library has none). The 784-1200-600-10 runs are left out.
+skip when the library has none). GOLDEN_MNIST_SIZE pins four short
+784-1200-600-10 ADAM runs on random MNIST-shaped inputs at 1 thread too.
 
 A change that alters the weights on purpose prints the new table with
 
     PYTHONPATH=src python tests/test_golden_weights.py
 
-and replaces GOLDEN and GOLDEN_ONE_THREAD below with them; the tables are
+and replaces GOLDEN, GOLDEN_ONE_THREAD and GOLDEN_MNIST_SIZE below with them; the tables are
 never rewritten by a test.
 """
 
@@ -67,6 +68,14 @@ GOLDEN_ONE_THREAD = {
     "circles-semisup-vat": ("ffe95249", 0.05630273088702594, 0.15457417182218436),
 }
 
+# the same, for the 784-1200-600-10 runs, made at 1 OpenBLAS thread
+GOLDEN_MNIST_SIZE = {
+    "mnist-size-none": ("732edac6", 2.889382300389832, 0.0),
+    "mnist-size-vat": ("b8dfddeb", 2.752123764687586, 0.12268257939563046),
+    "mnist-size-semisup-vat": ("8e1d48b9", 4.5768834404890955, 0.011205020526687452),
+    "mnist-size-l2_decay": ("c9b9c6e9", 2.8278453005933994, 0.17610730990710483),
+}
+
 
 @functools.cache
 def _dataset(task, seed, n_unlabeled=0):
@@ -99,15 +108,56 @@ def train_run(name):
     return train_supervised(cfg, x, y)
 
 
-def fingerprint(name):
-    net, record = train_run(name)
+@functools.cache
+def _mnist_shaped():
+    """400 random 784-pixel rows with random labels 0-9; as a tagged dataset,
+    the first 100 rows are labeled and the other 300 unlabeled."""
+    rng = make_rng(2026)
+    x, y = rng.random((400, 784)), rng.integers(0, 10, 400)
+    split = np.array(["labeled"] * 100 + ["unlabeled"] * 300)
+    return x, y, dm.Dataset(x, np.where(split == "labeled", y, -1), split)
+
+
+MNIST_SIZE_SETTINGS = {
+    "none": {},
+    "vat": {"epsilon": 2.0},
+    "semisup-vat": {"epsilon": 0.3},
+    "l2_decay": {"weight": 1e-4},
+}
+
+
+def mnist_size_run(name):
+    """(net, record) of one mnist-size-kind run: a 784-1200-600-10 net under
+    ADAM DecaySchedule(0.002, 0.9, 500), batch 100, 5 updates, seed 7; the
+    semi-supervised VAT run draws a 250-row regularizer batch from all 400 rows."""
+    rest = name.removeprefix("mnist-size-")
+    semisup = rest.startswith("semisup-")
+    reg = make_regularizer(rest.removeprefix("semisup-"), **MNIST_SIZE_SETTINGS[rest])
+    cfg = TrainConfig(input_dim=784, hidden_sizes=[1200, 600], n_classes=10,
+                      regularizer=reg, optimizer="adam",
+                      schedule=DecaySchedule(0.002, 0.9, 500), batch_size=100,
+                      reg_batch_size=250 if semisup else 0, total_updates=5, seed=7)
+    x, y, dataset = _mnist_shaped()
+    return train_semisup(cfg, dataset) if semisup else train_supervised(cfg, x, y)
+
+
+def _digest(net, record):
     digest = hashlib.sha256(b"".join(p.tobytes() for p in net.parameters())).hexdigest()
     return digest[:8], record.final["nll"], record.final["reg"]
+
+
+def fingerprint(name):
+    return _digest(*train_run(name))
 
 
 def fingerprint_one_thread(name):
     with blas_threads(1):
         return fingerprint(name)
+
+
+def fingerprint_mnist_size(name):
+    with blas_threads(1):
+        return _digest(*mnist_size_run(name))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -120,6 +170,12 @@ def test_weights_match_golden(name):
 def test_one_thread_weights_match_golden(name):
     require_env(NUMPY, OPENBLAS, "weights")
     assert fingerprint_one_thread(name) == GOLDEN_ONE_THREAD[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MNIST_SIZE))
+def test_mnist_size_weights_match_golden(name):
+    require_env(NUMPY, OPENBLAS, "weights")
+    assert fingerprint_mnist_size(name) == GOLDEN_MNIST_SIZE[name]
 
 
 def _print_table(title, table, fingerprint_fn):
@@ -139,3 +195,6 @@ if __name__ == "__main__":
     print()
     print("# the same, for runs made at 1 OpenBLAS thread")
     _print_table("GOLDEN_ONE_THREAD", GOLDEN_ONE_THREAD, fingerprint_one_thread)
+    print()
+    print("# the same, for the 784-1200-600-10 runs, made at 1 OpenBLAS thread")
+    _print_table("GOLDEN_MNIST_SIZE", GOLDEN_MNIST_SIZE, fingerprint_mnist_size)
