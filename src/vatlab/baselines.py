@@ -22,6 +22,16 @@ REGULARIZER_KINDS = (
     "adversarial_linf", "adversarial_l2", "vat",
 )
 
+# kind -> the hyperparameters a Regularizer of that kind reads besides its
+# weight (VAT's live in its VatConfig); kinds without an entry read none
+HYPERPARAMETERS = {
+    "vat": ("epsilon", "xi", "power_iterations"),
+    "random_perturbation": ("epsilon",),
+    "adversarial_linf": ("epsilon",),
+    "adversarial_l2": ("epsilon",),
+    "dropout": ("keep_prob",),
+}
+
 
 @dataclass
 class Regularizer:
@@ -54,22 +64,25 @@ class Regularizer:
         """True for methods that cannot run on unlabeled data."""
         return self.kind in ("dropout", "adversarial_linf", "adversarial_l2")
 
+    def hyperparameters(self) -> dict:
+        """The kind's HYPERPARAMETERS, name -> value, in table order."""
+        source = self.vat if self.kind == "vat" else self
+        return {name: getattr(source, name) for name in HYPERPARAMETERS.get(self.kind, ())}
+
 
 def make_regularizer(kind: str, *, weight: float = 1.0, epsilon: float = 0.5,
                      keep_prob: float = 0.5, xi: float = 1e-6,
                      power_iterations: int = 1) -> Regularizer:
-    """The Regularizer of one kind, keeping only the hyperparameters it reads;
-    "none" and dropout add no penalty, so they carry weight 0."""
+    """The Regularizer of one kind, keeping only its HYPERPARAMETERS; "none"
+    and dropout add no penalty, so they carry weight 0."""
+    given = {"epsilon": epsilon, "keep_prob": keep_prob, "xi": xi,
+             "power_iterations": power_iterations}
+    params = {name: given[name] for name in HYPERPARAMETERS.get(kind, ())}
+    if kind in ("none", "dropout"):
+        weight = 0.0
     if kind == "vat":
-        cfg = VatConfig(epsilon=epsilon, xi=xi, power_iterations=power_iterations)
-        return Regularizer(kind="vat", weight=weight, vat=cfg)
-    if kind == "none":
-        return Regularizer(kind="none", weight=0.0)
-    if kind == "l2_decay":
-        return Regularizer(kind="l2_decay", weight=weight)
-    if kind == "dropout":
-        return Regularizer(kind="dropout", keep_prob=keep_prob, weight=0.0)
-    return Regularizer(kind=kind, epsilon=epsilon, weight=weight)
+        return Regularizer(kind="vat", weight=weight, vat=VatConfig(**params))
+    return Regularizer(kind=kind, weight=weight, **params)
 
 
 def adv_perturbation(net, x: Tensor, labels: np.ndarray, epsilon: float,
@@ -98,21 +111,30 @@ def random_perturbation(x: Tensor, epsilon: float, rng: np.random.Generator) -> 
     return epsilon * sample_unit_vector(rng, x.shape[1], x.shape[0])
 
 
-def l2_penalty(net, lam: float) -> tuple[float, list[Tensor]]:
+def l2_penalty(net, lam: float, *, out: nn.GradientBundle | None = None
+               ) -> tuple[float, list[Tensor] | nn.GradientBundle]:
     """(lam/2) * sum of squared weights and its gradient lam * W per layer.
 
     Biases are excluded. The gradient list matches net.parameters() order,
-    with zero entries for the biases.
+    with zero entries for the biases. With out, the gradients are written
+    into out's arrays (entries still None are allocated and kept there) and
+    out is returned in place of the list.
     """
     if lam < 0:
         raise ConfigError("l2 weight must be >= 0")
+    n = len(net.layers)
+    bundle = out if out is not None else nn.GradientBundle([None] * n, [None] * n, None)
     penalty = 0.0
-    grads = []
-    for layer in net.layers:
-        penalty += 0.5 * lam * float((layer.weights ** 2).sum())
-        grads.append(lam * layer.weights)
-        grads.append(np.zeros_like(layer.biases))
-    return penalty, grads
+    for i, layer in enumerate(net.layers):
+        w = layer.weights
+        # the weight gradient's array holds W ** 2 for the sum first
+        dw = bundle.d_weights[i] = np.multiply(w, w, out=bundle.d_weights[i])
+        penalty += 0.5 * lam * float(dw.sum())
+        np.multiply(w, lam, out=dw)
+        if bundle.d_biases[i] is None:
+            bundle.d_biases[i] = np.empty_like(layer.biases)
+        bundle.d_biases[i].fill(0.0)
+    return penalty, bundle.parameter_grads() if out is None else out
 
 
 def adv_loss_term(net, x: Tensor, labels: np.ndarray, r_adv: Tensor, *,

@@ -306,6 +306,8 @@ def cmd_grid(args) -> int:
     unknown = set(methods) - set(SYNTH_GRIDS)
     if unknown:
         raise ConfigError(f"unknown grid methods: {sorted(unknown)}")
+    if args.reps < 1:
+        raise ConfigError(f"--reps must be >= 1, got {args.reps}")
 
     def make_data(seed, n_eval):
         dataset, _ = datamod.make_synthetic_dataset(

@@ -43,28 +43,41 @@ def lattice_bounds(points: Tensor) -> tuple[float, float, float, float]:
 
 
 # Lattice points per probe block, so that memory beyond the result grid stays
-# bounded as the resolution grows. The lattice rows are split near-equally, so
-# with more than one block every block holds at least 8192 points. Blocks must
-# stay that large: OpenBLAS (0.3.31, SkylakeX kernels) sends a product with
-# M*N*K <= 1e6 to a small-matrix kernel that rounds differently, which for the
-# 100->2 output layer is any block of <= 5000 points, and p would then differ
-# in its last bits from one product over the whole lattice.
+# bounded as the resolution grows; the lattice rows are split near-equally.
 PROBE_BLOCK = 16_384
+# OpenBLAS (0.3.31, SkylakeX kernels) sends a product with M*N*K at most this
+# to a small-matrix kernel that rounds differently, so a block must not fall
+# under it for a product that over the whole lattice does not, or p would
+# differ in its last bits from one product over the whole lattice.
+_SMALL_GEMM = 1_000_000
+
+
+def _probe_blocks(resolution: int, per_point: list[int]) -> int:
+    """Row blocks for a resolution x resolution probe whose products take
+    per_point (N*K) multiply-adds per lattice point each: one per PROBE_BLOCK
+    points, fewer while the smallest block would send a product to the
+    small-matrix kernel that the whole lattice does not, down to one."""
+    points = resolution * resolution
+    large = [nk for nk in per_point if points * nk > _SMALL_GEMM]
+    n = -(-points // PROBE_BLOCK)
+    while n > 1 and large and (resolution // n) * resolution * min(large) <= _SMALL_GEMM:
+        n -= 1
+    return n
 
 
 def probe_grid(net, emb: EmbeddingMap, bounds: tuple[float, float, float, float],
                resolution: int = 200) -> BoundaryGrid:
     """p(y=1|x) over a resolution x resolution lattice in the 2-D plane,
-    probed in row blocks of at most PROBE_BLOCK points. resolution must be
-    at least 2, so that the lattice spans the bounds."""
+    probed in row blocks (see _probe_blocks). resolution must be at least 2,
+    so that the lattice spans the bounds."""
     if resolution < 2:
         raise ConfigError(f"resolution must be >= 2, got {resolution}")
     x0, x1, y0, y1 = bounds
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)
     values = np.empty((resolution, resolution))
-    n_blocks = -(-resolution * resolution // PROBE_BLOCK)
-    for rows in np.array_split(np.arange(resolution), n_blocks):
+    per_point = [emb.matrix.size] + [layer.weights.size for layer in net.layers]
+    for rows in np.array_split(np.arange(resolution), _probe_blocks(resolution, per_point)):
         gx, gy = np.meshgrid(xs, ys[rows])
         plane = np.column_stack([gx.ravel(), gy.ravel()])
         proba = nn.predict_proba(net, embed_100d(plane, emb))[:, 1]

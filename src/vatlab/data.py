@@ -142,6 +142,8 @@ def make_synthetic_dataset(task: str, rng: np.random.Generator,
     """Embedded train/test (plus optional unlabeled pool) for one repetition."""
     if task not in _GENERATORS:
         raise ConfigError(f"unknown synthetic task {task!r}")
+    if n_unlabeled < 0:
+        raise ConfigError(f"n_unlabeled must be >= 0, got {n_unlabeled}")
     gen = _GENERATORS[task]
     if emb is None:
         emb = make_embedding(rng)

@@ -5,8 +5,12 @@ identity output layer; softmax is applied by the loss / divergence code, not
 here. Backward produces exact gradients with respect to the parameters and,
 unless told to skip it, the input, which the perturbation search needs; the
 search itself skips the parameter gradients and propagates to the input only.
-Backward can write the parameter gradients into a caller's GradientBundle, so
-a steady-state training update allocates no parameter-sized array. The
+Each network keeps all its parameters in one float64 vector, of which every
+layer's weights and biases are views, so an optimizer updates it in one call.
+Backward can write the parameter gradients into a caller's GradientBundle, and
+the network keeps two bundles whose arrays are views of one vector each, so a
+steady-state training update allocates no parameter-sized array and combines
+its likelihood and penalty gradients in two calls. The
 negative log-likelihood's gradient starts from the softmax probabilities,
 which the training step also takes as the penalty's base distribution
 instead of computing them again.
@@ -17,6 +21,7 @@ propagation cost can be audited.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,10 +57,16 @@ class Layer:
 
 @dataclass
 class MlpNetwork:
+    """A stack of layers whose weights and biases are consecutive views of one
+    float64 vector, in parameters() order: layers passed in as such views
+    keep their vector, others are copied into a new one. Assign into a layer
+    array in place; a rebound one (layer.weights = ...) would not train, and
+    the training loop raises UsageError for it."""
     layers: list[Layer]
+    _vector: Tensor = field(init=False, repr=False, compare=False)
     # (likelihood, penalty) bundles the training step writes its gradients
-    # into: made by the first update, reused after, dropped when a training
-    # loop ends, never copied or saved
+    # into, each a set of views of one vector: made by the first update,
+    # reused after, dropped when a training loop ends, never copied or saved
     _grad_buffers: tuple | None = field(default=None, init=False, repr=False,
                                         compare=False)
 
@@ -65,6 +76,16 @@ class MlpNetwork:
                 raise DimensionError("consecutive layer dimensions do not chain")
         if self.layers and self.layers[-1].activation != "identity":
             raise ConfigError("output layer must use the identity activation")
+        arrays = self.parameters()
+        vector = _packed_vector(arrays)
+        if vector is None:
+            vector = np.empty(sum(a.size for a in arrays))
+            views = _views(vector, [a.shape for a in arrays])
+            for view, a in zip(views, arrays):
+                view[...] = a
+            for layer, w, b in zip(self.layers, views[::2], views[1::2]):
+                layer.weights, layer.biases = w, b
+        self._vector = vector
 
     @property
     def input_dim(self) -> int:
@@ -74,6 +95,11 @@ class MlpNetwork:
     def output_classes(self) -> int:
         return self.layers[-1].weights.shape[1]
 
+    @property
+    def parameter_vector(self) -> Tensor:
+        """The one vector every parameter array is a view of."""
+        return self._vector
+
     def parameters(self) -> list[Tensor]:
         """Flat list of parameter arrays (views, not copies)."""
         params = []
@@ -82,13 +108,22 @@ class MlpNetwork:
             params.append(layer.biases)
         return params
 
+    def check_views(self) -> None:
+        """Raise UsageError unless every layer array is still its view of the
+        parameter vector."""
+        if _packed_vector(self.parameters()) is not self._vector:
+            raise UsageError("a layer's weights or biases were rebound to an array outside "
+                             "the network's parameter vector; assign into them in place")
+
     def gradient_buffers(self) -> tuple["GradientBundle", "GradientBundle"]:
-        """Two reusable bundles for backward(..., out=); the first backward
-        into each allocates its arrays."""
+        """Two reusable bundles for backward(..., out=), whose arrays are views
+        of one vector each, laid out like the parameter vector. The first call
+        makes them, after check_views()."""
         if self._grad_buffers is None:
-            n = len(self.layers)
-            self._grad_buffers = (GradientBundle([None] * n, [None] * n, None),
-                                  GradientBundle([None] * n, [None] * n, None))
+            self.check_views()
+            shapes = [a.shape for a in self.parameters()]
+            self._grad_buffers = tuple(_bundle_on(np.zeros(self._vector.size), shapes)
+                                       for _ in range(2))
         return self._grad_buffers
 
     def release_gradient_buffers(self) -> None:
@@ -96,9 +131,43 @@ class MlpNetwork:
         self._grad_buffers = None
 
     def copy(self) -> "MlpNetwork":
-        return MlpNetwork([
-            Layer(l.weights.copy(), l.biases.copy(), l.activation) for l in self.layers
-        ])
+        """A network on a copy of the parameter vector, after check_views()."""
+        self.check_views()
+        views = _views(self._vector.copy(), [a.shape for a in self.parameters()])
+        return MlpNetwork([Layer(w, b, l.activation)
+                           for l, w, b in zip(self.layers, views[::2], views[1::2])])
+
+
+def _views(vector: Tensor, shapes) -> list[Tensor]:
+    """C-contiguous views of consecutive runs of vector, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(vector[start:stop].reshape(shape))
+        start = stop
+    return views
+
+
+def _packed_vector(arrays: list[Tensor]) -> Tensor | None:
+    """The float64 vector the arrays are consecutive C-contiguous views of,
+    in order and covering all of it, or None."""
+    vector = arrays[0].base if arrays else None
+    if not (isinstance(vector, np.ndarray) and vector.ndim == 1
+            and vector.dtype == np.float64 and vector.flags.c_contiguous):
+        return None
+    address = vector.ctypes.data
+    for a in arrays:
+        if (a.base is not vector or a.dtype != np.float64 or not a.flags.c_contiguous
+                or a.ctypes.data != address):
+            return None
+        address += a.nbytes
+    return vector if address == vector.ctypes.data + vector.nbytes else None
+
+
+def _bundle_on(vector: Tensor, shapes) -> "GradientBundle":
+    """A GradientBundle whose arrays are views of vector, one per shape."""
+    views = _views(vector, shapes)
+    return GradientBundle(views[::2], views[1::2], None, vector)
 
 
 @dataclass(slots=True)
@@ -115,6 +184,8 @@ class GradientBundle:
     d_biases: list[Tensor]
     d_input: Tensor | None  # None when backward ran with input_grad=False
     # d_weights and d_biases hold None where backward ran with param_grads=False
+    # the one vector d_weights and d_biases are views of, when they are
+    vector: Tensor | None = None
 
     def parameter_grads(self) -> list[Tensor]:
         grads = []
@@ -131,13 +202,16 @@ def init_mlp(layer_sizes: list[int], rng: np.random.Generator) -> MlpNetwork:
     """
     if len(layer_sizes) < 2:
         raise ConfigError("need at least input and output sizes")
+    pairs = list(zip(layer_sizes, layer_sizes[1:]))
+    shapes = [shape for fan_in, fan_out in pairs for shape in ((fan_in, fan_out), (fan_out,))]
+    views = _views(np.zeros(sum(math.prod(shape) for shape in shapes)), shapes)
     layers = []
-    for i, (fan_in, fan_out) in enumerate(zip(layer_sizes, layer_sizes[1:])):
-        w = rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
-        b = np.zeros(fan_out)
-        act = "identity" if i == len(layer_sizes) - 2 else "relu"
-        layers.append(Layer(w, b, act))
+    for i, ((fan_in, _), w, b) in enumerate(zip(pairs, views[::2], views[1::2])):
+        rng.standard_normal(out=w)  # the draws of rng.standard_normal(w.shape)
+        w *= np.sqrt(2.0 / fan_in)
+        layers.append(Layer(w, b, "identity" if i == len(pairs) - 1 else "relu"))
     return MlpNetwork(layers)
+
 
 
 def forward(net: MlpNetwork, x: Tensor) -> tuple[Tensor, ForwardCache]:
@@ -256,10 +330,8 @@ def load_checkpoint(path) -> MlpNetwork:
             if int(data["version"][0]) != _CHECKPOINT_VERSION:
                 raise FormatError(f"unsupported checkpoint version in {path}")
             acts = [str(a) for a in data["activations"]]
-            layers = [
-                Layer(data[f"w{i}"].astype(np.float64), data[f"b{i}"].astype(np.float64), act)
-                for i, act in enumerate(acts)
-            ]
+            # the network copies the arrays into its float64 parameter vector
+            return MlpNetwork([Layer(data[f"w{i}"], data[f"b{i}"], act)
+                               for i, act in enumerate(acts)])
     except (EOFError, KeyError, OSError, ValueError) as exc:
         raise FormatError(f"bad checkpoint file {path}: {exc}") from exc
-    return MlpNetwork(layers)

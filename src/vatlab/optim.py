@@ -57,19 +57,22 @@ class MomentumSgd:
         self.schedule = schedule
         self.step_count = 0
         self.prev_update: list[Tensor] | None = None
+        self._scratch: list[Tensor] | None = None  # one array per parameter
 
     def step(self, params: list[Tensor], grads: list[Tensor]) -> None:
         """Apply one in-place update; grads point in the ascent direction of the loss."""
         _check_grads(params, grads)
         if self.prev_update is None:
             self.prev_update = [np.zeros_like(p) for p in params]
+        if self._scratch is None:
+            self._scratch = [np.empty_like(p) for p in params]
         mu = self.mu
         scale = (1.0 - mu) * schedule_rate(self.schedule, self.step_count)
-        for p, g, prev in zip(params, grads, self.prev_update):
+        for p, g, prev, s in zip(params, grads, self.prev_update, self._scratch):
             # Delta_i = mu * Delta_{i-1} + ((1 - mu) * gamma) * g, in place,
-            # with scale = (1 - mu) * gamma
+            # with scale = (1 - mu) * gamma; s holds the bits of scale * g
             prev *= mu
-            prev += scale * g
+            prev += np.multiply(g, scale, out=s)
             p -= prev
         self.step_count += 1
 

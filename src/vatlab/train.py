@@ -50,6 +50,8 @@ class TrainConfig:
             raise ConfigError("total_updates must be >= 1")
         if self.batch_size < 0 or self.reg_batch_size < 0:
             raise ConfigError("batch sizes must be >= 0")
+        if self.eval_every < 0:
+            raise ConfigError(f"eval_every must be >= 0, got {self.eval_every}")
 
     def layer_sizes(self) -> list[int]:
         return [self.input_dim, *self.hidden_sizes, self.n_classes]
@@ -97,37 +99,33 @@ def _base(net, x: Tensor, clean):
 def _vat_penalty(net, reg, x, y, rng, clean, out) -> tuple:
     base = _base(net, x, clean)
     r = vat.gen_vap(net, x, reg.vat, rng, base=base)
-    value, grads = vat.vat_backward(net, x, r, base=base, out=out)
-    return value, grads.parameter_grads(), reg.weight
+    return vat.vat_backward(net, x, r, base=base, out=out)[0], reg.weight
 
 
 def _random_penalty(net, reg, x, y, rng, clean, out) -> tuple:
     base = _base(net, x, clean)
     r = baselines.random_perturbation(x, reg.epsilon, rng)
-    value, grads = vat.vat_backward(net, x, r, base=base, out=out)
-    return value, grads.parameter_grads(), reg.weight
+    return vat.vat_backward(net, x, r, base=base, out=out)[0], reg.weight
 
 
 def _adversarial_penalty(norm: str):
     def penalty(net, reg, x, y, rng, clean, out) -> tuple:
         # label-requiring kinds never see a separate batch, so clean is set
         r = baselines.adv_perturbation(net, x, y, reg.epsilon, norm, grad=clean[1])
-        value, grads = baselines.adv_loss_term(net, x, y, r, out=out)
-        return value, grads.parameter_grads(), reg.weight
+        return baselines.adv_loss_term(net, x, y, r, out=out)[0], reg.weight
     return penalty
 
 
 def _l2_penalty(net, reg, x, y, rng, clean, out) -> tuple:
-    value, grads = baselines.l2_penalty(net, reg.weight)  # already weighted
-    return value, grads, 1.0
+    return baselines.l2_penalty(net, reg.weight, out=out)[0], 1.0  # already weighted
 
 
 # kind -> penalty(net, reg, x_reg, y, rng, clean, out) returning the penalty
-# value, its parameter gradients and the scale they enter the update with;
-# clean is (softmax probabilities, input gradient) of the step's likelihood
-# pass when that pass ran on x_reg, else None, and out is the bundle a
-# penalty pass writes its gradients into. Kinds without an entry add no
-# penalty term.
+# value and the scale its gradients enter the update with; the gradients go
+# into out, the bundle of every parameter's penalty gradient. clean is
+# (softmax probabilities, input gradient) of the step's likelihood pass when
+# that pass ran on x_reg, else None. Kinds without an entry add no penalty
+# term.
 _PENALTIES = {
     "vat": _vat_penalty,
     "random_perturbation": _random_penalty,
@@ -151,7 +149,10 @@ def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
     methods reject it.
 
     The gradients go into the two bundles of net.gradient_buffers(), which
-    the first update allocates and later updates overwrite.
+    the first update of a training run allocates, after checking that no
+    layer array was rebound, and later updates overwrite. The penalty's
+    vector is added into the likelihood's in one call, and the optimizer
+    moves the parameter vector in one call.
 
     Raises NumericError, before the parameters or the optimizer state change,
     when the NLL or the penalty value is not finite: a non-finite value in any
@@ -165,22 +166,21 @@ def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
     nll_value, d_logits, proba = nn._nll_loss_and_proba(logits, y)
     grads = nn.backward(net, cache, d_logits, input_grad=reg.kind in _READS_INPUT_GRAD,
                         out=lik_out)
-    lik_grads = grads.parameter_grads()
 
     reg_value = 0.0
     penalty = _PENALTIES.get(reg.kind)
     if penalty is not None and reg.weight > 0:
         clean = (proba, grads.d_input) if x_reg is None else None
-        reg_value, reg_grads, scale = penalty(net, reg, x if x_reg is None else x_reg,
-                                              y, rng, clean, penalty_out)
-        for g, rg in zip(lik_grads, reg_grads):
-            rg *= scale  # rounds like g += scale * rg, without the temporary
-            g += rg
+        reg_value, scale = penalty(net, reg, x if x_reg is None else x_reg,
+                                   y, rng, clean, penalty_out)
+        pen = penalty_out.vector
+        pen *= scale  # rounds like lik += scale * pen, without the temporary
+        lik_out.vector += pen
 
     if not (math.isfinite(nll_value) and math.isfinite(reg_value)):
         raise NumericError(f"non-finite loss in training update (nll {nll_value}, "
                            f"penalty {reg_value})")
-    optimizer.step(net.parameters(), lik_grads)
+    optimizer.step([net.parameter_vector], [lik_out.vector])
     return {"nll": nll_value, "reg": reg_value}
 
 
@@ -285,16 +285,8 @@ class GridResult:
 
 def _config_summary(cfg: TrainConfig) -> dict:
     reg = cfg.regularizer
-    summary = {"regularizer": reg.kind, "weight": reg.weight}
-    if reg.kind == "vat":
-        summary.update(epsilon=reg.vat.epsilon, xi=reg.vat.xi,
-                       power_iterations=reg.vat.power_iterations)
-    elif reg.kind in ("random_perturbation", "adversarial_linf", "adversarial_l2"):
-        summary["epsilon"] = reg.epsilon
-    elif reg.kind == "dropout":
-        summary["keep_prob"] = reg.keep_prob
-    summary.update(optimizer=cfg.optimizer, total_updates=cfg.total_updates)
-    return summary
+    return {"regularizer": reg.kind, "weight": reg.weight, **reg.hyperparameters(),
+            "optimizer": cfg.optimizer, "total_updates": cfg.total_updates}
 
 
 def run_errors(cfg: TrainConfig, make_data, seeds) -> list[float]:
@@ -317,6 +309,8 @@ def grid_search(configs: list[TrainConfig], make_data, repetitions: int,
     """
     if not configs:
         raise ConfigError("empty hyperparameter grid")
+    if repetitions < 1:
+        raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
     table = []
     best = None
     for ci, cfg in enumerate(configs):

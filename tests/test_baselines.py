@@ -172,3 +172,11 @@ def test_random_direction_hurts_less_than_searched(rng):
     kl_vadv = divergence.delta_kl(net, x, r_vadv, base).mean()
     kl_rand = divergence.delta_kl(net, x, r_rand, base).mean()
     assert kl_rand < kl_vadv
+
+
+@pytest.mark.parametrize("kind", baselines.REGULARIZER_KINDS)
+def test_hyperparameters_are_the_ones_make_regularizer_keeps(kind):
+    given = {"epsilon": 2.0, "keep_prob": 0.7, "xi": 1e-5, "power_iterations": 3}
+    reg = baselines.make_regularizer(kind, weight=0.3, **given)
+    assert reg.hyperparameters() == {name: given[name]
+                                     for name in baselines.HYPERPARAMETERS.get(kind, ())}

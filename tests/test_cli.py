@@ -171,6 +171,8 @@ class TestConfigFile:
 
 
 TRAIN = ["train", "--task", "moons", "--updates", "2", "--out-prefix", "{tmp}/x"]
+GRID = ["grid", "--task", "moons", "--methods", "mle", "--updates", "2", "--n-val", "10",
+        "--n-test", "10", "--grid-reps", "1", "--reps", "1"]
 BOUNDARY = ["boundary", "--checkpoint", "{tmp}/net.ckpt.npz", "--embedding", "{tmp}/emb.npz",
             "--resolution", "5", "--out", "{tmp}/plot", "--train-csv"]
 # --train-csv files for BOUNDARY: header only, one row (zero span), a non-numeric cell,
@@ -207,6 +209,10 @@ POINTS_CSV = {"header.csv": "x0,x1,label\n",
     (BOUNDARY + ["{tmp}/two-rows.csv", "--resolution", "1"], 2),
     (["train", "--task", "mnist-semisup", "--mnist-dir", "{tmp}/mnist", "--n-labeled", "0",
       "--n-validation", "5", "--updates", "1", "--hidden", "8", "--out-prefix", "{tmp}/x"], 2),
+    (GRID + ["--reps", "0"], 2),
+    (GRID + ["--grid-reps", "0"], 2),
+    (TRAIN + ["--eval-every=-1"], 2),
+    (TRAIN + ["--n-unlabeled=-4"], 2),
 ])
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
     # every malformed invocation exits with its documented code, never a traceback

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from vatlab import contour, data as dm, nn
-from vatlab.contour import BoundaryGrid, boundary_svg, marching_squares, probe_grid
+from vatlab.contour import (BoundaryGrid, _probe_blocks, boundary_svg, marching_squares,
+                            probe_grid)
 from vatlab.errors import ConfigError
 
 
@@ -83,6 +84,14 @@ class TestMarchingSquares:
         assert np.max(np.abs(radii - 1.0)) < 0.05
 
 
+def assert_matches_one_product(net, emb, resolution):
+    grid = probe_grid(net, emb, (-1, 1, -1, 1), resolution=resolution)
+    gx, gy = np.meshgrid(grid.xs, grid.ys)
+    plane = np.column_stack([gx.ravel(), gy.ravel()])
+    whole = nn.predict_proba(net, dm.embed_100d(plane, emb))[:, 1]
+    assert grid.values.tobytes() == whole.reshape(resolution, resolution).tobytes()
+
+
 class TestProbeGrid:
     def test_values_are_probabilities(self, rng):
         net = nn.init_mlp([100, 10, 2], rng)
@@ -122,13 +131,18 @@ class TestProbeGrid:
 
     def test_blocks_match_one_product_over_the_lattice(self, rng):
         # fails if a block drops below OpenBLAS's small-matrix threshold
-        net = nn.init_mlp([100, 100, 2], rng)
-        emb = dm.make_embedding(rng)
-        grid = probe_grid(net, emb, (-1, 1, -1, 1), resolution=200)
-        gx, gy = np.meshgrid(grid.xs, grid.ys)
-        plane = np.column_stack([gx.ravel(), gy.ravel()])
-        whole = nn.predict_proba(net, dm.embed_100d(plane, emb))[:, 1]
-        assert grid.values.tobytes() == whole.reshape(200, 200).tobytes()
+        assert_matches_one_product(nn.init_mlp([100, 100, 2], rng), dm.make_embedding(rng), 200)
+
+    def test_narrow_hidden_layer_matches_one_product(self, rng):
+        # 2 blocks of 137^2 would put the 50->2 layer under the threshold
+        assert_matches_one_product(nn.init_mlp([100, 50, 2], rng), dm.make_embedding(rng), 137)
+
+    @pytest.mark.parametrize("hidden, resolution, blocks", [
+        (100, 200, 3), (50, 137, 1), (50, 200, 3), (7, 137, 2),
+    ])
+    def test_block_count(self, hidden, resolution, blocks):
+        per_point = [2 * 100, 100 * hidden, hidden * 2]
+        assert _probe_blocks(resolution, per_point) == blocks
 
     def test_rejects_invalid_values(self):
         with pytest.raises(ConfigError):

@@ -195,3 +195,58 @@ def test_init_shapes_and_scaling(rng):
     assert np.all(net.layers[0].biases == 0)
     observed_std = net.layers[0].weights.std()
     assert abs(observed_std - np.sqrt(2.0 / 100)) < 0.02
+
+
+class TestParameterVector:
+    """Every network keeps its parameters in one float64 vector."""
+
+    def test_parameters_are_views_of_one_vector_in_order(self, rng):
+        net = nn.init_mlp([5, 7, 3], rng)
+        vector = net.parameter_vector
+        assert vector.ndim == 1 and vector.dtype == np.float64
+        start = 0
+        for p in net.parameters():
+            assert p.base is vector and p.flags.c_contiguous
+            assert p.ctypes.data == vector[start:].ctypes.data
+            start += p.size
+        assert start == vector.size
+        vector += 1.0
+        assert np.all(net.layers[0].biases == 1.0)
+
+    def test_layers_passed_in_are_copied_into_a_new_vector(self):
+        w, b = np.array([[1.0, 2.0]]), np.array([0.5, 0.0])
+        net = nn.MlpNetwork([nn.Layer(w, b, "identity")])
+        assert net.parameter_vector.tolist() == [1.0, 2.0, 0.5, 0.0]
+        assert not np.shares_memory(w, net.parameter_vector)
+        net.check_views()
+
+    def test_init_draws_match_separate_arrays(self):
+        # the same bits as rng.standard_normal(shape) * sqrt(2 / fan_in) per layer
+        net = nn.init_mlp([5, 7, 3], make_rng(3))
+        rng = make_rng(3)
+        for layer, fan_in in zip(net.layers, (5, 7)):
+            want = rng.standard_normal(layer.weights.shape) * np.sqrt(2.0 / fan_in)
+            assert np.array_equal(layer.weights, want)
+
+    def test_copy_and_checkpoint_own_their_vector(self, tmp_path, rng):
+        net = random_small_net(rng, [6, 5, 3])
+        path = tmp_path / "net.npz"
+        nn.save_checkpoint(net, path)
+        for other in (net.copy(), nn.load_checkpoint(path)):
+            assert not np.shares_memory(other.parameter_vector, net.parameter_vector)
+            assert all(p.base is other.parameter_vector for p in other.parameters())
+            assert np.array_equal(other.parameter_vector, net.parameter_vector)
+
+    @pytest.mark.parametrize("name", ["weights", "biases"])
+    def test_rebound_layer_array_is_rejected(self, name, rng):
+        net = random_small_net(rng, [4, 6, 3])
+        layer = net.layers[1]
+        getattr(layer, name)[...] += 1.0  # in place: still the vector's view
+        net.check_views()
+        setattr(layer, name, getattr(layer, name) + 1.0)
+        with pytest.raises(UsageError):
+            net.check_views()
+        with pytest.raises(UsageError):
+            net.gradient_buffers()
+        with pytest.raises(UsageError):
+            net.copy()

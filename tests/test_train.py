@@ -6,7 +6,7 @@ from conftest import random_small_net
 
 from vatlab import data as dm, nn, train as tm
 from vatlab.baselines import Regularizer
-from vatlab.errors import ConfigError, NumericError
+from vatlab.errors import ConfigError, NumericError, UsageError
 from vatlab.numerics import make_rng, softmax
 from vatlab.optim import Adam, DecaySchedule, MomentumSgd
 from vatlab.train import TrainConfig, evaluate, grid_search, supervised_step
@@ -83,8 +83,9 @@ class TestSupervisedStep:
 
         probe = Probe()
         supervised_step(net, x, y, reg, probe, make_rng(99))
-        for got, want in zip(probe.grads, expected):
-            assert np.array_equal(got, want)
+        # the optimizer sees one gradient vector, in parameters() order
+        (got,) = probe.grads
+        assert np.array_equal(got, np.concatenate([g.ravel() for g in expected]))
 
     @pytest.mark.parametrize("kind, counts", [
         ("none", (1, 1)), ("l2_decay", (1, 1)), ("dropout", (1, 1)),
@@ -161,6 +162,10 @@ class TestNonFiniteUpdate:
         assert _same_state(before, _state(net, opt))
 
 
+ALLOCATION_KINDS = ["none", "dropout", "random_perturbation", "adversarial_linf",
+                    "adversarial_l2", "vat", "vat-semisup", "l2_decay"]
+
+
 def _optimizer(name):
     return (MomentumSgd(0.9, DecaySchedule(0.1)) if name == "sgd"
             else Adam(DecaySchedule(0.01)))
@@ -196,21 +201,29 @@ class TestGradientBuffers:
         net = random_small_net(rng, [4, 8, 3])
         opt = _optimizer("adam")
         supervised_step(net, x, y, PENALIZED["vat"], opt, make_rng(0))
-        arrays = [g for bundle in net.gradient_buffers() for g in bundle.parameter_grads()]
+        vectors = [bundle.vector for bundle in net.gradient_buffers()]
         supervised_step(net, x, y, PENALIZED["vat"], opt, make_rng(1))
-        again = [g for bundle in net.gradient_buffers() for g in bundle.parameter_grads()]
-        assert all(a is b for a, b in zip(arrays, again))
-        assert all(g is None for bundle in net.copy().gradient_buffers()
-                   for g in bundle.parameter_grads())
+        bundles = net.gradient_buffers()
+        assert all(b.vector is v for b, v in zip(bundles, vectors))
+        assert all(g.base is b.vector for b in bundles for g in b.parameter_grads())
+        assert net.copy()._grad_buffers is None
         # a finished training loop hands back a network without them
         trained, _ = tm.train_supervised(small_config(PENALIZED["vat"], total_updates=2), x, y)
-        assert all(g is None for bundle in trained.gradient_buffers()
-                   for g in bundle.parameter_grads())
+        assert trained._grad_buffers is None
 
-    @pytest.mark.parametrize("kind", ["none", "dropout", "random_perturbation",
-                                      "adversarial_linf", "adversarial_l2", "vat",
-                                      "vat-semisup"])
-    def test_steady_state_update_allocates_no_weight_sized_array(self, kind, rng):
+    def test_training_rejects_a_rebound_layer_array(self, rng):
+        # the optimizer moves the parameter vector, which a rebound array has left
+        x, y = toy_batch(rng)
+        net = random_small_net(rng, [4, 8, 3])
+        net.layers[0].weights = net.layers[0].weights.copy()
+        with pytest.raises(UsageError):
+            tm.train_supervised(small_config(), x, y, net=net)
+
+    @pytest.mark.parametrize("kind, optimizer", [
+        *[pytest.param(kind, "adam", id=kind) for kind in ALLOCATION_KINDS],
+        *[pytest.param(kind, "sgd", id=f"{kind}-sgd") for kind in ALLOCATION_KINDS],
+    ])
+    def test_steady_state_update_allocates_no_weight_sized_array(self, kind, optimizer, rng):
         # a 200-300-10 net on 4 rows: the 60,000-element first weight matrix
         # dwarfs every batch-sized array, so a traced peak below half its
         # size means no gradient or temporary of its size was made
@@ -218,7 +231,7 @@ class TestGradientBuffers:
         x_reg = rng.standard_normal((4, 200)) if kind == "vat-semisup" else None
         reg = PENALIZED["vat" if kind == "vat-semisup" else kind]
         net = nn.init_mlp([200, 300, 10], rng)
-        opt, step_rng = _optimizer("adam"), make_rng(0)
+        opt, step_rng = _optimizer(optimizer), make_rng(0)
         for _ in range(2):
             supervised_step(net, x, y, reg, opt, step_rng, x_reg=x_reg)
         tracemalloc.start()
@@ -268,8 +281,9 @@ class TestSemisupStep:
         logits, cache = nn.forward(net, x)
         _, d_logits = nn.nll_loss(logits, y)
         expected = nn.backward(net, cache, d_logits)
-        for got, want in zip(probe.grads, expected.parameter_grads()):
-            assert np.array_equal(got, want)
+        (got,) = probe.grads
+        assert np.array_equal(got, np.concatenate([g.ravel()
+                                                   for g in expected.parameter_grads()]))
 
     def test_l2_decay_applies(self, rng):
         # weight decay needs no labels, so the semi-supervised loop keeps it
@@ -381,6 +395,12 @@ class TestGridSearch:
         with pytest.raises(ConfigError):
             grid_search([], self._make_data, 1)
 
+    @pytest.mark.parametrize("repetitions", [0, -2])
+    def test_no_repetitions_rejected(self, repetitions):
+        # with none, every mean is nan and the first config would win
+        with pytest.raises(ConfigError):
+            grid_search([small_config(), small_config()], self._make_data, repetitions)
+
     def test_singleton_grid(self):
         cfg = small_config(total_updates=5)
         result = grid_search([cfg], self._make_data, repetitions=2)
@@ -402,3 +422,9 @@ class TestGridSearch:
 
         result = grid_search([bad, good], separable, repetitions=3)
         assert result.best_config.total_updates == 30
+
+
+def test_config_rejects_negative_eval_every():
+    # 0 means the final evaluation only; a negative value evaluated every update
+    with pytest.raises(ConfigError):
+        small_config(eval_every=-1)
