@@ -35,8 +35,7 @@ HYPERPARAMETERS = {
 
 @dataclass
 class Regularizer:
-    """Exactly one regularization method, with its hyperparameters. The
-    training step weights the penalty by weight, never by vat.weight."""
+    """Exactly one regularization method, with its hyperparameters."""
     kind: str
     weight: float = 1.0           # lambda multiplying the penalty term
     epsilon: float = 0.0          # perturbation radius (perturbation methods)
@@ -112,29 +111,25 @@ def random_perturbation(x: Tensor, epsilon: float, rng: np.random.Generator) -> 
 
 
 def l2_penalty(net, lam: float, *, out: nn.GradientBundle | None = None
-               ) -> tuple[float, list[Tensor] | nn.GradientBundle]:
-    """(lam/2) * sum of squared weights and its gradient lam * W per layer.
+               ) -> tuple[float, nn.GradientBundle]:
+    """(lam/2) * sum of squared weights and its gradient: lam * W for each
+    weight array, zero for the biases, which are excluded.
 
-    Biases are excluded. The gradient list matches net.parameters() order,
-    with zero entries for the biases. With out, the gradients are written
-    into out's arrays (entries still None are allocated and kept there) and
-    out is returned in place of the list.
+    The gradients are written into out, or into a new net.zero_gradients()
+    bundle, which is returned.
     """
     if lam < 0:
         raise ConfigError("l2 weight must be >= 0")
-    n = len(net.layers)
-    bundle = out if out is not None else nn.GradientBundle([None] * n, [None] * n, None)
+    bundle = out if out is not None else net.zero_gradients()
     penalty = 0.0
-    for i, layer in enumerate(net.layers):
+    for layer, dw, db in zip(net.layers, bundle.d_weights, bundle.d_biases):
         w = layer.weights
         # the weight gradient's array holds W ** 2 for the sum first
-        dw = bundle.d_weights[i] = np.multiply(w, w, out=bundle.d_weights[i])
+        np.multiply(w, w, out=dw)
         penalty += 0.5 * lam * float(dw.sum())
         np.multiply(w, lam, out=dw)
-        if bundle.d_biases[i] is None:
-            bundle.d_biases[i] = np.empty_like(layer.biases)
-        bundle.d_biases[i].fill(0.0)
-    return penalty, bundle.parameter_grads() if out is None else out
+        db.fill(0.0)
+    return penalty, bundle
 
 
 def adv_loss_term(net, x: Tensor, labels: np.ndarray, r_adv: Tensor, *,

@@ -62,9 +62,15 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _atomic_call(path: str, writer) -> None:
-    """Run writer(tmp_path) then rename tmp_path onto path."""
+    """Run writer(tmp_path) then rename tmp_path onto path. A path that
+    cannot be written (a directory, or in a missing one) is a ConfigError."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: it is a directory")
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".vatlab-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".vatlab-")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     os.close(fd)
     try:
         writer(tmp)
@@ -141,7 +147,7 @@ def _synthetic_train_config(args, reg: Regularizer, hidden_sizes: list[int]) -> 
 
 def _mnist_train_config(args, reg: Regularizer, semisup: bool) -> TrainConfig:
     return TrainConfig(
-        input_dim=784, hidden_sizes=args_hidden(args), n_classes=10,
+        input_dim=datamod.MNIST_DIM, hidden_sizes=args_hidden(args), n_classes=10,
         regularizer=reg, optimizer="adam",
         schedule=DecaySchedule(0.002, 0.9, 500),
         batch_size=100, reg_batch_size=250 if semisup else 0,
@@ -219,8 +225,6 @@ def cmd_train(args) -> int:
         net, record = train_supervised(cfg, full.inputs, full.labels,
                                        test.inputs, test.labels)
     elif args.task == "mnist-semisup":
-        if args.n_labeled < 1:
-            raise ConfigError(f"--n-labeled must be >= 1, got {args.n_labeled}")
         full = _load_mnist(args)
         tagged = datamod.make_semisup_split(full, args.n_labeled, args.n_validation, rng)
         test = _load_mnist(args, "t10k")
@@ -243,6 +247,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     net = nn.load_checkpoint(args.checkpoint)
+    input_dim = datamod.EMBED_DIM if args.task in SYNTH_TASKS else datamod.MNIST_DIM
+    if net.input_dim != input_dim:
+        raise UsageError(f"the checkpoint takes {net.input_dim} inputs, task {args.task} "
+                         f"has {input_dim}")
     rng = make_rng(args.seed)
     if args.task in SYNTH_TASKS:
         # checkpoints do not carry their embedding, and a fresh one would
@@ -303,6 +311,8 @@ def _read_points_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 def cmd_grid(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise ConfigError("--methods names no method")
     unknown = set(methods) - set(SYNTH_GRIDS)
     if unknown:
         raise ConfigError(f"unknown grid methods: {sorted(unknown)}")
@@ -343,7 +353,7 @@ def cmd_audit_cost(args) -> int:
     rng = make_rng(args.seed)
     net = nn.init_mlp([20, 16, 4], rng)
     x = rng.standard_normal((8, 20))
-    cfg = VatConfig(epsilon=1.0, power_iterations=args.ip, weight=args.weight)
+    cfg = VatConfig(epsilon=1.0, power_iterations=args.ip)
     counts = vat.vat_step_cost_audit(net, x, cfg, rng)
     print(json.dumps(counts))
     return 0
@@ -425,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit-cost", help="count forward/backward passes per step")
     common(p)
     p.add_argument("--ip", type=int, default=1)
-    p.add_argument("--weight", type=float, default=1.0)
     p.set_defaults(func=cmd_audit_cost)
 
     return parser

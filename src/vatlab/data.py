@@ -22,6 +22,7 @@ from .numerics import Tensor, as_tensor
 SPLIT_TAGS = ("labeled", "unlabeled", "validation", "test")
 
 EMBED_DIM = 100
+MNIST_DIM = 784  # a flattened 28x28 digit image
 
 _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
@@ -233,6 +234,10 @@ def make_semisup_split(dataset: Dataset, n_labeled: int, n_validation: int,
     Labeled rows are drawn near-uniformly per class (counts differ by at most
     one where the class sizes allow); the remainder becomes the unlabeled pool.
     """
+    if n_labeled < 1:
+        raise ConfigError(f"n_labeled must be >= 1, got {n_labeled}")
+    if n_validation < 0:
+        raise ConfigError(f"n_validation must be >= 0, got {n_validation}")
     if dataset.labels is None:
         raise DataError("semi-supervised split needs labels")
     n = dataset.n

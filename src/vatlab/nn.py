@@ -5,15 +5,16 @@ identity output layer; softmax is applied by the loss / divergence code, not
 here. Backward produces exact gradients with respect to the parameters and,
 unless told to skip it, the input, which the perturbation search needs; the
 search itself skips the parameter gradients and propagates to the input only.
-Each network keeps all its parameters in one float64 vector, of which every
-layer's weights and biases are views, so an optimizer updates it in one call.
-Backward can write the parameter gradients into a caller's GradientBundle, and
-the network keeps two bundles whose arrays are views of one vector each, so a
-steady-state training update allocates no parameter-sized array and combines
-its likelihood and penalty gradients in two calls. The
-negative log-likelihood's gradient starts from the softmax probabilities,
-which the training step also takes as the penalty's base distribution
-instead of computing them again.
+Each network copies the arrays it is built from into one float64 vector and
+makes every layer's weights and biases views of it, so an optimizer updates
+the network in one call. Every parameter gradient is laid out the same way: a
+GradientBundle's weight and bias gradients are views of one vector. Backward
+writes into a new bundle, or into a caller's; the network keeps two bundles,
+so a steady-state training update allocates no parameter-sized array and
+combines its likelihood and penalty gradients in two calls. The negative
+log-likelihood's gradient starts from the softmax probabilities, which the
+training step also takes as the penalty's base distribution instead of
+computing them again.
 
 Module-level counters track forward/backward calls so the regularizer's
 propagation cost can be audited.
@@ -58,15 +59,17 @@ class Layer:
 @dataclass
 class MlpNetwork:
     """A stack of layers whose weights and biases are consecutive views of one
-    float64 vector, in parameters() order: layers passed in as such views
-    keep their vector, others are copied into a new one. Assign into a layer
-    array in place; a rebound one (layer.weights = ...) would not train, and
-    the training loop raises UsageError for it."""
+    float64 vector, in parameters() order. The constructor copies the given
+    layers' arrays into a new vector and builds its own Layers on its views,
+    leaving the given ones as they were. Assign into a layer array in place;
+    a rebound one (layer.weights = ...) would not train, and the training
+    loop raises UsageError for it."""
     layers: list[Layer]
     _vector: Tensor = field(init=False, repr=False, compare=False)
+    _views: list[Tensor] = field(init=False, repr=False, compare=False)
     # (likelihood, penalty) bundles the training step writes its gradients
-    # into, each a set of views of one vector: made by the first update,
-    # reused after, dropped when a training loop ends, never copied or saved
+    # into: made by the first update, reused after, dropped when a training
+    # loop ends, never copied or saved
     _grad_buffers: tuple | None = field(default=None, init=False, repr=False,
                                         compare=False)
 
@@ -77,15 +80,10 @@ class MlpNetwork:
         if self.layers and self.layers[-1].activation != "identity":
             raise ConfigError("output layer must use the identity activation")
         arrays = self.parameters()
-        vector = _packed_vector(arrays)
-        if vector is None:
-            vector = np.empty(sum(a.size for a in arrays))
-            views = _views(vector, [a.shape for a in arrays])
-            for view, a in zip(views, arrays):
-                view[...] = a
-            for layer, w, b in zip(self.layers, views[::2], views[1::2]):
-                layer.weights, layer.biases = w, b
-        self._vector = vector
+        self._vector = np.concatenate([a.ravel() for a in arrays], dtype=np.float64)
+        self._views = _views(self._vector, [a.shape for a in arrays])
+        self.layers = [Layer(w, b, layer.activation) for layer, w, b
+                       in zip(self.layers, self._views[::2], self._views[1::2])]
 
     @property
     def input_dim(self) -> int:
@@ -109,21 +107,25 @@ class MlpNetwork:
         return params
 
     def check_views(self) -> None:
-        """Raise UsageError unless every layer array is still its view of the
-        parameter vector."""
-        if _packed_vector(self.parameters()) is not self._vector:
+        """Raise UsageError unless every layer array is still the view of the
+        parameter vector the constructor made."""
+        if [id(p) for p in self.parameters()] != [id(view) for view in self._views]:
             raise UsageError("a layer's weights or biases were rebound to an array outside "
                              "the network's parameter vector; assign into them in place")
 
+    def zero_gradients(self) -> "GradientBundle":
+        """A new bundle of zero parameter gradients, views of one vector laid
+        out like the parameter vector."""
+        vector = np.zeros(self._vector.size)
+        views = _views(vector, [view.shape for view in self._views])
+        return GradientBundle(views[::2], views[1::2], None, vector)
+
     def gradient_buffers(self) -> tuple["GradientBundle", "GradientBundle"]:
-        """Two reusable bundles for backward(..., out=), whose arrays are views
-        of one vector each, laid out like the parameter vector. The first call
-        makes them, after check_views()."""
+        """Two reusable zero_gradients() bundles for backward(..., out=). The
+        first call makes them, after check_views()."""
         if self._grad_buffers is None:
             self.check_views()
-            shapes = [a.shape for a in self.parameters()]
-            self._grad_buffers = tuple(_bundle_on(np.zeros(self._vector.size), shapes)
-                                       for _ in range(2))
+            self._grad_buffers = (self.zero_gradients(), self.zero_gradients())
         return self._grad_buffers
 
     def release_gradient_buffers(self) -> None:
@@ -133,9 +135,7 @@ class MlpNetwork:
     def copy(self) -> "MlpNetwork":
         """A network on a copy of the parameter vector, after check_views()."""
         self.check_views()
-        views = _views(self._vector.copy(), [a.shape for a in self.parameters()])
-        return MlpNetwork([Layer(w, b, l.activation)
-                           for l, w, b in zip(self.layers, views[::2], views[1::2])])
+        return MlpNetwork(self.layers)
 
 
 def _views(vector: Tensor, shapes) -> list[Tensor]:
@@ -146,28 +146,6 @@ def _views(vector: Tensor, shapes) -> list[Tensor]:
         views.append(vector[start:stop].reshape(shape))
         start = stop
     return views
-
-
-def _packed_vector(arrays: list[Tensor]) -> Tensor | None:
-    """The float64 vector the arrays are consecutive C-contiguous views of,
-    in order and covering all of it, or None."""
-    vector = arrays[0].base if arrays else None
-    if not (isinstance(vector, np.ndarray) and vector.ndim == 1
-            and vector.dtype == np.float64 and vector.flags.c_contiguous):
-        return None
-    address = vector.ctypes.data
-    for a in arrays:
-        if (a.base is not vector or a.dtype != np.float64 or not a.flags.c_contiguous
-                or a.ctypes.data != address):
-            return None
-        address += a.nbytes
-    return vector if address == vector.ctypes.data + vector.nbytes else None
-
-
-def _bundle_on(vector: Tensor, shapes) -> "GradientBundle":
-    """A GradientBundle whose arrays are views of vector, one per shape."""
-    views = _views(vector, shapes)
-    return GradientBundle(views[::2], views[1::2], None, vector)
 
 
 @dataclass(slots=True)
@@ -183,8 +161,8 @@ class GradientBundle:
     d_weights: list[Tensor]
     d_biases: list[Tensor]
     d_input: Tensor | None  # None when backward ran with input_grad=False
-    # d_weights and d_biases hold None where backward ran with param_grads=False
-    # the one vector d_weights and d_biases are views of, when they are
+    # the one vector d_weights and d_biases are views of; None, with both
+    # lists empty, when backward ran with param_grads=False
     vector: Tensor | None = None
 
     def parameter_grads(self) -> list[Tensor]:
@@ -203,15 +181,13 @@ def init_mlp(layer_sizes: list[int], rng: np.random.Generator) -> MlpNetwork:
     if len(layer_sizes) < 2:
         raise ConfigError("need at least input and output sizes")
     pairs = list(zip(layer_sizes, layer_sizes[1:]))
-    shapes = [shape for fan_in, fan_out in pairs for shape in ((fan_in, fan_out), (fan_out,))]
-    views = _views(np.zeros(sum(math.prod(shape) for shape in shapes)), shapes)
-    layers = []
-    for i, ((fan_in, _), w, b) in enumerate(zip(pairs, views[::2], views[1::2])):
-        rng.standard_normal(out=w)  # the draws of rng.standard_normal(w.shape)
-        w *= np.sqrt(2.0 / fan_in)
-        layers.append(Layer(w, b, "identity" if i == len(pairs) - 1 else "relu"))
-    return MlpNetwork(layers)
-
+    net = MlpNetwork([Layer(np.zeros((fan_in, fan_out)), np.zeros(fan_out),
+                            "identity" if i == len(pairs) - 1 else "relu")
+                      for i, (fan_in, fan_out) in enumerate(pairs)])
+    for (fan_in, _), layer in zip(pairs, net.layers):
+        rng.standard_normal(out=layer.weights)  # the draws of rng.standard_normal(shape)
+        layer.weights *= np.sqrt(2.0 / fan_in)
+    return net
 
 
 def forward(net: MlpNetwork, x: Tensor) -> tuple[Tensor, ForwardCache]:
@@ -240,9 +216,9 @@ def backward(net: MlpNetwork, cache: ForwardCache, d_logits: Tensor,
 
     With input_grad=False the input gradient (the product with the first
     layer's weights) is skipped and d_input is None. With param_grads=False
-    the weight and bias gradients are skipped and only d_input is computed.
-    With out, the parameter gradients are written into out's arrays (entries
-    still None are allocated and kept there) and out is returned.
+    the weight and bias gradients are skipped and the returned bundle carries
+    only d_input. The parameter gradients go into out's arrays, and out is
+    returned; without out, into a new net.zero_gradients() bundle.
     """
     if cache.net_id != id(net) or len(cache.pre_activations) != len(net.layers):
         raise UsageError("cache does not belong to this network")
@@ -250,20 +226,18 @@ def backward(net: MlpNetwork, cache: ForwardCache, d_logits: Tensor,
     if d_logits.shape != cache.pre_activations[-1].shape:
         raise DimensionError("d_logits shape does not match the forward logits")
     _counts["backward"] += 1
-    n = len(net.layers)
     if out is None:
-        out = GradientBundle([None] * n, [None] * n, None)
-    d_weights, d_biases = out.d_weights, out.d_biases
+        out = net.zero_gradients() if param_grads else GradientBundle([], [], None)
     delta = d_logits
-    for i in range(n - 1, -1, -1):
+    for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         if layer.activation == "relu":
             # the output layer is identity, so delta is this pass's own product
             delta *= cache.pre_activations[i] > 0
         if param_grads:
             below = cache.x if i == 0 else cache.activations[i - 1]
-            d_weights[i] = np.matmul(below.T, delta, out=d_weights[i])
-            d_biases[i] = np.add.reduce(delta, axis=0, out=d_biases[i])
+            np.matmul(below.T, delta, out=out.d_weights[i])
+            np.add.reduce(delta, axis=0, out=out.d_biases[i])
         if i > 0 or input_grad:
             delta = delta @ layer.weights.T
     out.d_input = delta if input_grad else None
@@ -330,7 +304,6 @@ def load_checkpoint(path) -> MlpNetwork:
             if int(data["version"][0]) != _CHECKPOINT_VERSION:
                 raise FormatError(f"unsupported checkpoint version in {path}")
             acts = [str(a) for a in data["activations"]]
-            # the network copies the arrays into its float64 parameter vector
             return MlpNetwork([Layer(data[f"w{i}"], data[f"b{i}"], act)
                                for i, act in enumerate(acts)])
     except (EOFError, KeyError, OSError, ValueError) as exc:

@@ -4,6 +4,10 @@ The momentum update is Delta_i = mu * Delta_{i-1} + (1 - mu) * gamma_i * g,
 with the damping factor (1 - mu) kept as written; parameters move by
 theta <- theta - Delta_i, so the supplied gradient is always the descent
 direction of the minimized loss.
+
+Each optimizer's step takes the parameters as one array, which it moves in
+place, and their gradient as one array of the same shape: the training step
+passes a network's parameter vector and its gradient vector.
 """
 
 from __future__ import annotations
@@ -38,13 +42,11 @@ def schedule_rate(schedule: DecaySchedule, step: int) -> float:
     return schedule.initial * schedule.factor ** (step // schedule.period)
 
 
-def _check_grads(params: list[Tensor], grads: list[Tensor]) -> None:
-    """Raise before an update moves anything when the gradients do not match."""
-    if len(grads) != len(params):
-        raise DimensionError("parameter/gradient count mismatch")
-    for p, g in zip(params, grads):
-        if g.shape != p.shape:
-            raise DimensionError("gradient shape does not match parameter")
+def _check_grads(params: Tensor, grads: Tensor) -> None:
+    """Raise before an update moves anything when the gradient does not match."""
+    if grads.shape != params.shape:
+        raise DimensionError(f"gradient shape {grads.shape} does not match "
+                             f"parameter shape {params.shape}")
 
 
 class MomentumSgd:
@@ -56,32 +58,31 @@ class MomentumSgd:
         self.mu = mu
         self.schedule = schedule
         self.step_count = 0
-        self.prev_update: list[Tensor] | None = None
-        self._scratch: list[Tensor] | None = None  # one array per parameter
+        self.prev_update: Tensor | None = None
+        self._scratch: Tensor | None = None
 
-    def step(self, params: list[Tensor], grads: list[Tensor]) -> None:
+    def step(self, params: Tensor, grads: Tensor) -> None:
         """Apply one in-place update; grads point in the ascent direction of the loss."""
         _check_grads(params, grads)
         if self.prev_update is None:
-            self.prev_update = [np.zeros_like(p) for p in params]
+            self.prev_update = np.zeros_like(params)
         if self._scratch is None:
-            self._scratch = [np.empty_like(p) for p in params]
+            self._scratch = np.empty_like(params)
         mu = self.mu
         scale = (1.0 - mu) * schedule_rate(self.schedule, self.step_count)
-        for p, g, prev, s in zip(params, grads, self.prev_update, self._scratch):
-            # Delta_i = mu * Delta_{i-1} + ((1 - mu) * gamma) * g, in place,
-            # with scale = (1 - mu) * gamma; s holds the bits of scale * g
-            prev *= mu
-            prev += np.multiply(g, scale, out=s)
-            p -= prev
+        # Delta_i = mu * Delta_{i-1} + ((1 - mu) * gamma) * g, in place, with
+        # scale = (1 - mu) * gamma; the scratch array holds the bits of scale * g
+        self.prev_update *= mu
+        self.prev_update += np.multiply(grads, scale, out=self._scratch)
+        params -= self.prev_update
         self.step_count += 1
 
 
-# Adam updates each parameter in consecutive blocks of this many elements of
-# its flat view: 128 KiB of float64 per array, so the six arrays a block pass
-# touches (parameter, gradient, both moments, two scratch blocks) take 768 KiB
-# and stay in a 2 MB L2 cache across the update's 14 passes, where whole
-# MNIST-size weight arrays (up to 7.5 MB each) go out to memory on every pass.
+# Adam updates the parameters in consecutive blocks of this many elements of
+# their flat view: 128 KiB of float64 per array, so the six arrays a block pass
+# touches (parameters, gradient, both moments, two scratch blocks) take 768 KiB
+# and stay in a 2 MB L2 cache across the update's 14 passes, where a whole
+# MNIST-size parameter vector (13 MB) goes out to memory on every pass.
 _ADAM_BLOCK = 16_384
 
 
@@ -95,28 +96,28 @@ class Adam:
     def __init__(self, schedule: DecaySchedule):
         self.schedule = schedule
         self.step_count = 0
-        self.m: list[Tensor] | None = None
-        self.v: list[Tensor] | None = None
+        self.m: Tensor | None = None
+        self.v: Tensor | None = None
         self._scratch = (np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK))
 
-    def step(self, params: list[Tensor], grads: list[Tensor]) -> None:
+    def step(self, params: Tensor, grads: Tensor) -> None:
         """Apply one in-place update to C-contiguous parameters."""
         _check_grads(params, grads)
-        if not all(p.flags.c_contiguous for p in params):
+        if not params.flags.c_contiguous:
             raise UsageError("Adam updates C-contiguous parameters in place")
         if self.m is None:
-            self.m = [np.zeros(p.shape) for p in params]
-            self.v = [np.zeros(p.shape) for p in params]
+            self.m = np.zeros(params.shape)
+            self.v = np.zeros(params.shape)
         rate = schedule_rate(self.schedule, self.step_count)
         self.step_count += 1
         t = self.step_count
         consts = (ADAM_BETA1, 1.0 - ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA2,
                   1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t, rate)
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
-            for start in range(0, p.size, _ADAM_BLOCK):
-                block = slice(start, start + _ADAM_BLOCK)
-                self._update(p[block], g[block], m[block], v[block], *consts)
+        p, g = params.reshape(-1), grads.reshape(-1)
+        m, v = self.m.reshape(-1), self.v.reshape(-1)
+        for start in range(0, p.size, _ADAM_BLOCK):
+            block = slice(start, start + _ADAM_BLOCK)
+            self._update(p[block], g[block], m[block], v[block], *consts)
 
     def _update(self, p, g, m, v, beta1, gain1, beta2, gain2, bias1, bias2, rate) -> None:
         """The 14 passes of one update over one block; gain1 and gain2 are

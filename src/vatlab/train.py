@@ -180,7 +180,7 @@ def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
     if not (math.isfinite(nll_value) and math.isfinite(reg_value)):
         raise NumericError(f"non-finite loss in training update (nll {nll_value}, "
                            f"penalty {reg_value})")
-    optimizer.step([net.parameter_vector], [lik_out.vector])
+    optimizer.step(net.parameter_vector, lik_out.vector)
     return {"nll": nll_value, "reg": reg_value}
 
 

@@ -31,12 +31,9 @@ class VatConfig:
     epsilon: float          # perturbation radius, input-space L2 units
     xi: float = 1e-6        # finite-difference probe scale
     power_iterations: int = 1
-    # gates vat_step_cost_audit (audit-cost --weight) only; the training
-    # step weights the penalty by Regularizer.weight
-    weight: float = 1.0
 
     def __post_init__(self):
-        for name in ("epsilon", "xi", "weight"):
+        for name in ("epsilon", "xi"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.epsilon <= 0:
@@ -45,8 +42,6 @@ class VatConfig:
             raise ConfigError(f"xi must be > 0, got {self.xi}")
         if self.power_iterations < 1:
             raise ConfigError(f"power_iterations must be >= 1, got {self.power_iterations}")
-        if self.weight < 0:
-            raise ConfigError(f"weight must be >= 0, got {self.weight}")
 
 
 @dataclass
@@ -128,12 +123,10 @@ def vat_step_cost_audit(net, x_reg: Tensor, cfg: VatConfig,
     With power_iterations = 1 the path costs exactly 3 forward and 2 backward
     propagations: one forward for the base distribution, one forward/backward
     pair inside the perturbation search, one pair for the penalty gradient.
-    A zero penalty weight short-circuits to no propagations at all.
     """
     nn.reset_propagation_counts()
-    if cfg.weight > 0:
-        base = divergence.base_distribution(net, x_reg)
-        r = gen_vap(net, x_reg, cfg, rng, base=base)
-        vat_backward(net, x_reg, r, base=base)
+    base = divergence.base_distribution(net, x_reg)
+    r = gen_vap(net, x_reg, cfg, rng, base=base)
+    vat_backward(net, x_reg, r, base=base)
     fwd, bwd = nn.propagation_counts()
     return {"forward": fwd, "backward": bwd, "power_iterations": cfg.power_iterations}

@@ -114,11 +114,6 @@ class TestAuditCost:
         counts = json.loads(capsys.readouterr().out)
         assert (counts["forward"], counts["backward"]) == (4, 3)
 
-    def test_zero_weight(self, capsys):
-        run_cli("audit-cost", "--weight", "0")
-        counts = json.loads(capsys.readouterr().out)
-        assert (counts["forward"], counts["backward"]) == (0, 0)
-
 
 # The exact table of TINY_GRID, tied like the golden weights to the numpy
 # version and the OpenBLAS configuration it was made with.
@@ -213,12 +208,28 @@ POINTS_CSV = {"header.csv": "x0,x1,label\n",
     (GRID + ["--grid-reps", "0"], 2),
     (TRAIN + ["--eval-every=-1"], 2),
     (TRAIN + ["--n-unlabeled=-4"], 2),
+    # an output path in a missing directory, or a directory
+    (["gen-data", "--task", "moons", "--n-test", "10", "--out", "{tmp}/missing/d.csv"], 2),
+    (["gen-data", "--task", "moons", "--n-test", "10", "--out", "{tmp}"], 2),
+    (TRAIN[:-1] + ["{tmp}/missing/x"], 2),
+    (BOUNDARY + ["{tmp}/two-rows.csv"] + ["--out", "{tmp}/missing/plot"], 2),
+    (GRID + ["--out", "{tmp}/missing/table.csv"], 2),
+    # a checkpoint of the other task's input width
+    (["eval", "--task", "moons", "--checkpoint", "{tmp}/mnist.ckpt.npz",
+      "--embedding", "{tmp}/emb.npz"], 2),
+    (["eval", "--task", "mnist", "--mnist-dir", "{tmp}/mnist",
+      "--checkpoint", "{tmp}/net.ckpt.npz"], 2),
+    (["train", "--task", "mnist-semisup", "--mnist-dir", "{tmp}/mnist", "--n-labeled", "5",
+      "--n-validation=-10", "--updates", "1", "--hidden", "8", "--out-prefix", "{tmp}/x"], 2),
+    (GRID[:4] + [","], 2),
+    (GRID[:4] + [""], 2),
 ])
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
     # every malformed invocation exits with its documented code, never a traceback
     (tmp_path / "empty.npz").write_bytes(b"")
     (tmp_path / "bad.cfg").write_text("updates = ten\n")
     nn.save_checkpoint(nn.init_mlp([100, 3, 2], make_rng(0)), tmp_path / "net.ckpt.npz")
+    nn.save_checkpoint(nn.init_mlp([784, 3, 10], make_rng(0)), tmp_path / "mnist.ckpt.npz")
     np.savez(tmp_path / "emb.npz", matrix=np.eye(2, 100), offset=np.zeros(100))
     for name, text in POINTS_CSV.items():
         (tmp_path / name).write_text(text)

@@ -100,16 +100,14 @@ class TestBackward:
         assert np.array_equal(got.d_input, want.d_input)
         assert np.array_equal(d_logits, d_before)
 
-    def test_empty_out_bundle_is_filled(self, rng):
-        # the entries of a fresh bundle are allocated by the first backward into it
+    def test_new_bundle_is_laid_out_like_the_parameter_vector(self, rng):
         net = random_small_net(rng, [5, 7, 3])
         logits, cache = nn.forward(net, rng.standard_normal((4, 5)))
-        out = nn.GradientBundle([None, None], [None, None], None)
-        nn.backward(net, cache, logits, input_grad=False, out=out)
-        want = nn.backward(net, cache, logits)
-        for got, w in zip(out.parameter_grads(), want.parameter_grads()):
-            assert np.array_equal(got, w)
-        assert out.d_input is None
+        got = nn.backward(net, cache, logits, input_grad=False)
+        assert got.vector.shape == net.parameter_vector.shape
+        for g, p in zip(got.parameter_grads(), net.parameters()):
+            assert g.base is got.vector and g.shape == p.shape
+        assert got.d_input is None
 
     def test_input_only_backward_matches_full_input_gradient(self, rng):
         net = random_small_net(rng, [5, 7, 4, 3])
@@ -118,7 +116,7 @@ class TestBackward:
         full = nn.backward(net, cache, d_logits)
         lean = nn.backward(net, cache, d_logits, param_grads=False)
         assert np.array_equal(lean.d_input, full.d_input)
-        assert all(g is None for g in lean.parameter_grads())
+        assert lean.parameter_grads() == [] and lean.vector is None
 
     def test_stale_cache_rejected(self, rng):
         net = random_small_net(rng)
@@ -219,6 +217,24 @@ class TestParameterVector:
         assert net.parameter_vector.tolist() == [1.0, 2.0, 0.5, 0.0]
         assert not np.shares_memory(w, net.parameter_vector)
         net.check_views()
+
+    @pytest.mark.parametrize("source", ["separate-arrays", "another-network"])
+    def test_construction_leaves_the_given_layers_alone(self, source, rng):
+        # the network builds its own Layers on views of its own vector
+        if source == "separate-arrays":
+            given = [nn.Layer(rng.standard_normal((4, 6)), np.zeros(6), "relu"),
+                     nn.Layer(rng.standard_normal((6, 3)), np.ones(3), "identity")]
+        else:
+            given = nn.init_mlp([4, 6, 3], rng).layers
+        arrays = [(layer.weights, layer.biases) for layer in given]
+        before = [(w.copy(), b.copy()) for w, b in arrays]
+        net = nn.MlpNetwork(given)
+        net.parameter_vector[:] += 1.0
+        for layer, mine, (w, b), (w0, b0) in zip(given, net.layers, arrays, before):
+            assert mine is not layer
+            assert layer.weights is w and layer.biases is b
+            assert np.array_equal(w, w0) and np.array_equal(b, b0)
+            assert np.array_equal(mine.weights, w0 + 1.0)
 
     def test_init_draws_match_separate_arrays(self):
         # the same bits as rng.standard_normal(shape) * sqrt(2 / fan_in) per layer

@@ -32,31 +32,31 @@ class TestSchedule:
 
 class TestMomentumSgd:
     def test_zero_momentum_is_plain_sgd(self, rng):
-        p_a = [rng.standard_normal((3, 2))]
-        p_b = [p_a[0].copy()]
-        g = [rng.standard_normal((3, 2))]
+        p_a = rng.standard_normal((3, 2))
+        p_b = p_a.copy()
+        g = rng.standard_normal((3, 2))
         opt = MomentumSgd(0.0, DecaySchedule(0.1))
         opt.step(p_a, g)
-        p_b[0] -= 0.1 * g[0]
-        assert np.array_equal(p_a[0], p_b[0])
+        p_b -= 0.1 * g
+        assert np.array_equal(p_a, p_b)
 
     def test_damped_momentum_carry(self):
         # previous update 1, zero gradient, mu=0.9 -> next update 0.9
-        p = [np.array([0.0])]
+        p = np.array([0.0])
         opt = MomentumSgd(0.9, DecaySchedule(1.0))
-        opt.prev_update = [np.array([1.0])]
-        opt.step(p, [np.array([0.0])])
-        assert np.allclose(opt.prev_update[0], 0.9)
-        assert np.allclose(p[0], -0.9)
+        opt.prev_update = np.array([1.0])
+        opt.step(p, np.array([0.0]))
+        assert np.allclose(opt.prev_update, 0.9)
+        assert np.allclose(p, -0.9)
 
     def test_rate_decays_per_update(self):
         opt = MomentumSgd(0.0, DecaySchedule(1.0, 0.995, 1))
-        p = [np.array([0.0])]
-        opt.step(p, [np.array([1.0])])
-        first = -p[0][0]
-        p[0][0] = 0.0
-        opt.step(p, [np.array([1.0])])
-        assert np.isclose(-p[0][0], first * 0.995)
+        p = np.array([0.0])
+        opt.step(p, np.array([1.0]))
+        first = -p[0]
+        p[0] = 0.0
+        opt.step(p, np.array([1.0]))
+        assert np.isclose(-p[0], first * 0.995)
 
     def test_bad_momentum(self):
         with pytest.raises(ConfigError):
@@ -65,36 +65,38 @@ class TestMomentumSgd:
 
 class TestAdam:
     def test_zero_gradient_zero_update(self):
-        p = [np.array([1.0, 2.0])]
-        before = p[0].copy()
-        Adam(DecaySchedule(0.01)).step(p, [np.zeros(2)])
-        assert np.array_equal(p[0], before)
+        p = np.array([1.0, 2.0])
+        before = p.copy()
+        Adam(DecaySchedule(0.01)).step(p, np.zeros(2))
+        assert np.array_equal(p, before)
 
     def test_constant_gradient_step_magnitude(self):
         # with a constant gradient the bias-corrected step approaches the base rate
-        p = [np.array([0.0])]
+        p = np.array([0.0])
         opt = Adam(DecaySchedule(0.01))
         prev = 0.0
         for _ in range(500):
-            prev = p[0][0]
-            opt.step(p, [np.array([1.0])])
-        assert abs((prev - p[0][0]) / 0.01 - 1.0) < 1e-3
+            prev = p[0]
+            opt.step(p, np.array([1.0]))
+        assert abs((prev - p[0]) / 0.01 - 1.0) < 1e-3
 
     def test_sign_equivariance(self, rng):
-        g = [rng.standard_normal((4,))]
-        p_a = [np.zeros(4)]
-        p_b = [np.zeros(4)]
+        g = rng.standard_normal((4,))
+        p_a = np.zeros(4)
+        p_b = np.zeros(4)
         Adam(DecaySchedule(0.01)).step(p_a, g)
-        Adam(DecaySchedule(0.01)).step(p_b, [-g[0]])
-        assert np.allclose(p_a[0], -p_b[0], atol=1e-15)
+        Adam(DecaySchedule(0.01)).step(p_b, -g)
+        assert np.allclose(p_a, -p_b, atol=1e-15)
 
     def test_non_contiguous_parameter_rejected(self):
         # the blocked update writes through a flat view, which a transposed
-        # array does not have
-        p = [np.zeros((3, 4)).T]
+        # array does not have; nothing moves before the check
+        p = np.zeros((3, 4)).T
+        opt = Adam(DecaySchedule(0.01))
         with pytest.raises(UsageError):
-            Adam(DecaySchedule(0.01)).step(p, [np.ones((4, 3))])
-        assert np.all(p[0] == 0.0)
+            opt.step(p, np.ones((4, 3)))
+        assert np.all(p == 0.0)
+        assert opt.step_count == 0 and opt.m is None and opt.v is None
 
     def test_validation_schedule_values(self):
         # base rate 0.002 decaying x0.9 every 500 updates
@@ -104,77 +106,50 @@ class TestAdam:
 
 
 def _state(opt):
-    """step_count and copies of the optimizer's arrays (None before the first step)."""
-    if isinstance(opt, MomentumSgd):
-        arrays = opt.prev_update
-    else:
-        arrays = None if opt.m is None else opt.m + opt.v
-    return opt.step_count, None if arrays is None else [a.copy() for a in arrays]
-
-
-def _unchanged(before, after):
-    (count_a, arrays_a), (count_b, arrays_b) = before, after
-    if count_a != count_b or (arrays_a is None) != (arrays_b is None):
-        return False
-    return arrays_a is None or all(np.array_equal(a, b) for a, b in zip(arrays_a, arrays_b))
+    """step_count and the values of the optimizer's arrays (None before the first step)."""
+    arrays = [opt.prev_update] if isinstance(opt, MomentumSgd) else [opt.m, opt.v]
+    return opt.step_count, [None if a is None else a.tolist() for a in arrays]
 
 
 @pytest.mark.parametrize("make", [lambda: MomentumSgd(0.9, DecaySchedule(0.1)),
                                   lambda: Adam(DecaySchedule(0.1))], ids=["sgd", "adam"])
 @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "after-a-step"])
-@pytest.mark.parametrize("n_grads", [3, 2], ids=["bad-third-shape", "bad-count"])
-def test_bad_gradients_leave_everything_unchanged(make, warm, n_grads):
-    # every gradient is validated before the first parameter moves, so a bad
-    # last gradient cannot leave a partially applied update behind
+def test_bad_gradients_leave_everything_unchanged(make, warm):
+    # the gradient's shape is checked before anything moves
     opt = make()
-    params = [np.zeros(3), np.zeros(3), np.zeros(2)]
+    params = np.zeros(8)
     if warm:
-        opt.step(params, [np.ones(3), np.ones(3), np.ones(2)])
-    before = [p.copy() for p in params], _state(opt)
+        opt.step(params, np.ones(8))
+    before = params.copy(), _state(opt)
     with pytest.raises(DimensionError):
-        opt.step(params, [np.ones(3)] * n_grads)
-    assert all(np.array_equal(p, q) for p, q in zip(params, before[0]))
-    assert _unchanged(before[1], _state(opt))
-
-
-def test_adam_checks_every_layout_before_moving_anything():
-    opt = Adam(DecaySchedule(0.1))
-    params = [np.zeros(3), np.zeros((3, 2)).T]
-    with pytest.raises(UsageError):
-        opt.step(params, [np.ones(3), np.ones((2, 3))])
-    assert np.all(params[0] == 0.0)
-    assert opt.step_count == 0 and opt.m is None and opt.v is None
+        opt.step(params, np.ones(7))
+    assert np.array_equal(params, before[0])
+    assert _state(opt) == before[1]
 
 
 def test_in_place_updates_match_textbook_expressions(rng):
     # the optimizers update their state in place; each must round exactly
     # like the update written out as plain expressions
-    shapes = [(3, 2), (2,), (131, 257)]  # the last spans three ADAM blocks
-    params = {name: [rng.standard_normal(s) for s in shapes] for name in ("sgd", "adam")}
-    ref = {name: [p.copy() for p in ps] for name, ps in params.items()}
+    size = 131 * 257  # spans three ADAM blocks
+    params = {name: rng.standard_normal(size) for name in ("sgd", "adam")}
+    ref = {name: p.copy() for name, p in params.items()}
     sgd = MomentumSgd(0.9, DecaySchedule(0.5, 0.99, 2))
     adam = Adam(DecaySchedule(0.01, 0.9, 3))
-    delta = [np.zeros(s) for s in shapes]
-    m = [np.zeros(s) for s in shapes]
-    v = [np.zeros(s) for s in shapes]
+    delta, m, v = np.zeros(size), np.zeros(size), np.zeros(size)
     for t in range(1, 6):
-        grads = [rng.standard_normal(s) for s in shapes]
-        sgd.step(params["sgd"], grads)
-        adam.step(params["adam"], grads)
+        g = rng.standard_normal(size)
+        sgd.step(params["sgd"], g)
+        adam.step(params["adam"], g)
         gamma = 0.5 * 0.99 ** ((t - 1) // 2)
         rate = 0.01 * 0.9 ** ((t - 1) // 3)
-        for i, g in enumerate(grads):
-            delta[i] = 0.9 * delta[i] + (1.0 - 0.9) * gamma * g
-            ref["sgd"][i] = ref["sgd"][i] - delta[i]
-            m[i] = 0.9 * m[i] + (1.0 - 0.9) * g
-            v[i] = 0.999 * v[i] + (1.0 - 0.999) * g * g
-            m_hat = m[i] / (1.0 - 0.9 ** t)
-            v_hat = v[i] / (1.0 - 0.999 ** t)
-            ref["adam"][i] = ref["adam"][i] - rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+        delta = 0.9 * delta + (1.0 - 0.9) * gamma * g
+        ref["sgd"] = ref["sgd"] - delta
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * g * g
+        m_hat = m / (1.0 - 0.9 ** t)
+        v_hat = v / (1.0 - 0.999 ** t)
+        ref["adam"] = ref["adam"] - rate * m_hat / (np.sqrt(v_hat) + 1e-8)
         for name in ("sgd", "adam"):
-            for got, want in zip(params[name], ref[name]):
-                assert np.array_equal(got, want), (name, t)
-        for got, want in zip(sgd.prev_update, delta):
-            assert np.array_equal(got, want)
-        for got_m, got_v, want_m, want_v in zip(adam.m, adam.v, m, v):
-            assert np.array_equal(got_m, want_m) and np.array_equal(got_v, want_v)
+            assert np.array_equal(params[name], ref[name]), (name, t)
+        assert np.array_equal(sgd.prev_update, delta)
+        assert np.array_equal(adam.m, m) and np.array_equal(adam.v, v)

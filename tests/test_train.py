@@ -25,11 +25,11 @@ PENALIZED = {
 
 
 class Probe:
-    """Optimizer stand-in that records the gradients of the last step."""
+    """Optimizer stand-in that records the gradient of the last step."""
     grads = None
 
     def step(self, params, grads):
-        self.grads = [g.copy() for g in grads]
+        self.grads = grads.copy()
 
 
 def small_config(reg=MLE, **kwargs):
@@ -84,8 +84,7 @@ class TestSupervisedStep:
         probe = Probe()
         supervised_step(net, x, y, reg, probe, make_rng(99))
         # the optimizer sees one gradient vector, in parameters() order
-        (got,) = probe.grads
-        assert np.array_equal(got, np.concatenate([g.ravel() for g in expected]))
+        assert np.array_equal(probe.grads, np.concatenate([g.ravel() for g in expected]))
 
     @pytest.mark.parametrize("kind, counts", [
         ("none", (1, 1)), ("l2_decay", (1, 1)), ("dropout", (1, 1)),
@@ -119,8 +118,8 @@ class TestSupervisedStep:
 
 def _state(net, opt) -> list:
     """Copies of the parameters and the optimizer's state arrays, and its step count."""
-    arrays = opt.prev_update if isinstance(opt, MomentumSgd) else opt.m + opt.v
-    return [a.copy() for a in net.parameters() + arrays] + [opt.step_count]
+    arrays = [opt.prev_update] if isinstance(opt, MomentumSgd) else [opt.m, opt.v]
+    return [a.copy() for a in [net.parameter_vector] + arrays] + [opt.step_count]
 
 
 def _same_state(a, b) -> bool:
@@ -281,9 +280,7 @@ class TestSemisupStep:
         logits, cache = nn.forward(net, x)
         _, d_logits = nn.nll_loss(logits, y)
         expected = nn.backward(net, cache, d_logits)
-        (got,) = probe.grads
-        assert np.array_equal(got, np.concatenate([g.ravel()
-                                                   for g in expected.parameter_grads()]))
+        assert np.array_equal(probe.grads, expected.vector)
 
     def test_l2_decay_applies(self, rng):
         # weight decay needs no labels, so the semi-supervised loop keeps it

@@ -14,7 +14,6 @@ class TestVatConfig:
         {"epsilon": 0.0},
         {"epsilon": 1.0, "xi": 0.0},
         {"epsilon": 1.0, "power_iterations": 0},
-        {"epsilon": 1.0, "weight": -0.5},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
@@ -172,14 +171,6 @@ class TestCostAudit:
         counts = vat.vat_step_cost_audit(net, x, cfg, rng)
         assert counts["forward"] == 4
         assert counts["backward"] == 3
-
-    def test_zero_weight_short_circuits(self, rng):
-        net = random_small_net(rng, [8, 6, 3])
-        x = rng.standard_normal((4, 8))
-        cfg = vat.VatConfig(epsilon=1.0, weight=0.0)
-        counts = vat.vat_step_cost_audit(net, x, cfg, rng)
-        assert counts["forward"] == 0
-        assert counts["backward"] == 0
 
 
 def test_probe_scale_direction_stability(rng):
