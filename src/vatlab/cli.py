@@ -1,9 +1,10 @@
 """Command-line interface: dataset generation, training, evaluation,
 boundary plots, hyperparameter grids, and the propagation-cost audit.
 
-Configuration comes from an optional flat key=value file plus flags; flags
-win. All output files are written atomically (temp file + rename). Exit
-codes: 0 ok, 2 config error, 3 numeric failure, 4 data/format error.
+Configuration comes from an optional flat key=value file plus flags; given
+flags win. Output paths are checked before any work, and output files are
+written atomically (temp file + rename). Exit codes: 0 ok, 2 config error,
+3 numeric failure, 4 data/format error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import functools
 import json
 import os
+import pathlib
 import sys
 import tempfile
 import warnings
@@ -55,15 +57,24 @@ SYNTH_GRIDS = {
 
 
 def _atomic_write(path: str, text: str) -> None:
-    def writer(tmp):
-        with open(tmp, "w") as fh:
-            fh.write(text)
-    _atomic_call(path, writer)
+    _atomic_call(path, lambda tmp: pathlib.Path(tmp).write_text(text))
 
 
 def _atomic_call(path: str, writer) -> None:
-    """Run writer(tmp_path) then rename tmp_path onto path. A path that
-    cannot be written (a directory, or in a missing one) is a ConfigError."""
+    """Run writer(tmp_path) then rename tmp_path onto path."""
+    tmp = _temp_file_next_to(path)
+    try:
+        writer(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _temp_file_next_to(path: str) -> str:
+    """A new empty file in path's directory. A path that cannot be written (a
+    directory, or in a missing one) is a ConfigError."""
     if os.path.isdir(path):
         raise ConfigError(f"cannot write {path}: it is a directory")
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -72,13 +83,14 @@ def _atomic_call(path: str, writer) -> None:
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
     os.close(fd)
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    return tmp
+
+
+def _check_outputs(*paths: str) -> None:
+    """Run _atomic_call's test on every output path of a command before its
+    work starts, so a bad path fails at once instead of after the work."""
+    for path in paths:
+        os.unlink(_temp_file_next_to(path))
 
 
 def _load_config_file(path: str) -> dict:
@@ -98,31 +110,32 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
-    """Overlay config-file values under explicitly supplied flags."""
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
+                  argv) -> argparse.Namespace:
+    """Overlay config-file values under the flags argv gives explicitly, even
+    where a flag's value equals its default."""
     if not getattr(args, "config", None):
         return args
     file_values = _load_config_file(args.config)
-    # look the defaults up on the active subcommand's parser, not the root one
+    # the keys are the active subcommand's flags, not the root parser's
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
-    defaults = {a.dest: a.default for a in sub.choices[args.command]._actions}
+    actions = {a.dest: a for a in sub.choices[args.command]._actions}
+    for action in actions.values():  # parsed again without defaults, argv sets only what it gives
+        action.default = argparse.SUPPRESS
+    given = vars(parser.parse_args(argv))
     for key, raw in file_values.items():
-        if key not in defaults:
+        if key not in actions:
             raise ConfigError(f"unknown config key {key!r}")
-        default = defaults[key]
+        action = actions[key]
         try:  # a malformed value is an error even where a flag overrides it
-            if isinstance(default, bool):
+            if action.nargs == 0:  # a switch such as --record-lds
                 value = raw.lower() in ("1", "true", "yes")
-            elif isinstance(default, int):
-                value = int(raw)
-            elif isinstance(default, float):
-                value = float(raw)
             else:
-                value = raw
+                value = (action.type or str)(raw)
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
-        if getattr(args, key) == default:  # flag not given: file wins
+        if key not in given:
             setattr(args, key, value)
     return args
 
@@ -135,13 +148,14 @@ def _make_regularizer(args) -> Regularizer:
                             xi=args.xi, power_iterations=args.ip)
 
 
-def _synthetic_train_config(args, reg: Regularizer, hidden_sizes: list[int]) -> TrainConfig:
+def _synthetic_train_config(args, reg: Regularizer, hidden_sizes: list[int],
+                            eval_every: int = 0) -> TrainConfig:
     return TrainConfig(
         input_dim=datamod.EMBED_DIM, hidden_sizes=hidden_sizes, n_classes=2,
         regularizer=reg, optimizer="sgd",
         schedule=DecaySchedule(1.0, 0.995, 1),
         batch_size=0, total_updates=args.updates,
-        eval_every=args.eval_every, seed=args.seed,
+        eval_every=eval_every, seed=args.seed,
     )
 
 
@@ -176,11 +190,12 @@ def _load_embedding(path: str) -> EmbeddingMap:
     try:
         with np.load(path) as npz:
             return EmbeddingMap(matrix=npz["matrix"], offset=npz["offset"])
-    except (OSError, KeyError, ValueError) as exc:
+    except (EOFError, OSError, KeyError, ValueError, TypeError, ConfigError) as exc:
         raise FormatError(f"bad embedding file {path}: {exc}") from exc
 
 
 def cmd_gen_data(args) -> int:
+    _check_outputs(args.out, args.out + ".embedding.npz")
     rng = make_rng(args.seed)
     dataset, emb = datamod.make_synthetic_dataset(
         args.task, rng, n_train_per_class=args.n_train // 2, n_test=args.n_test,
@@ -199,14 +214,18 @@ def _load_mnist(args, split: str = "train") -> Dataset:
 
 
 def cmd_train(args) -> int:
+    prefix = args.out_prefix
+    suffixes = [".ckpt.npz", ".record.csv", ".summary.json"]
+    if args.task in SYNTH_TASKS:
+        suffixes += [".embedding.npz", ".train.csv"]
+    _check_outputs(*(prefix + suffix for suffix in suffixes))
     reg = _make_regularizer(args)
     rng = make_rng(args.seed)
-    prefix = args.out_prefix
     if args.task in SYNTH_TASKS:
         dataset, emb = datamod.make_synthetic_dataset(
             args.task, rng, n_train_per_class=args.n_train // 2,
             n_test=args.n_test, n_unlabeled=args.n_unlabeled)
-        cfg = _synthetic_train_config(args, reg, args_hidden(args))
+        cfg = _synthetic_train_config(args, reg, args_hidden(args), args.eval_every)
         if args.n_unlabeled > 0:
             net, record = train_semisup(cfg, dataset, record_lds=args.record_lds)
         else:
@@ -218,13 +237,13 @@ def cmd_train(args) -> int:
         train_pts = datamod.project_2d(dataset.subset("labeled")[0], emb)
         train_dataset = Dataset(train_pts, dataset.subset("labeled")[1])
         _atomic_call(prefix + ".train.csv", lambda tmp: datamod.export_csv(train_dataset, tmp))
-    elif args.task == "mnist":
+    elif args.task == "mnist":  # the tasks are argparse choices
         full = _load_mnist(args)
         test = _load_mnist(args, "t10k")
         cfg = _mnist_train_config(args, reg, semisup=False)
         net, record = train_supervised(cfg, full.inputs, full.labels,
                                        test.inputs, test.labels)
-    elif args.task == "mnist-semisup":
+    else:  # mnist-semisup
         full = _load_mnist(args)
         tagged = datamod.make_semisup_split(full, args.n_labeled, args.n_validation, rng)
         test = _load_mnist(args, "t10k")
@@ -233,8 +252,6 @@ def cmd_train(args) -> int:
         split = np.concatenate([tagged.split, np.full(test.n, "test")])
         cfg = _mnist_train_config(args, reg, semisup=True)
         net, record = train_semisup(cfg, Dataset(inputs, labels, split))
-    else:
-        raise ConfigError(f"unknown task {args.task!r}")
 
     final = record.final  # every update checked its losses (NumericError, exit 3)
     _atomic_call(prefix + ".ckpt.npz", lambda tmp: nn.save_checkpoint(net, tmp))
@@ -261,17 +278,16 @@ def cmd_eval(args) -> int:
         dataset, _ = datamod.make_synthetic_dataset(
             args.task, rng, n_test=args.n_test, emb=_load_embedding(args.embedding))
         x, y = dataset.subset("test")
-    elif args.task == "mnist":
+    else:  # mnist, the tasks being argparse choices
         test = _load_mnist(args, "t10k")
         x, y = test.inputs, test.labels
-    else:
-        raise ConfigError(f"unknown task {args.task!r}")
     out = trainmod.evaluate(net, x, y, rng=rng)
     print(json.dumps(out))
     return 0
 
 
 def cmd_boundary(args) -> int:
+    _check_outputs(args.out + ".svg", args.out + ".csv")
     net = nn.load_checkpoint(args.checkpoint)
     if net.input_dim != datamod.EMBED_DIM:
         raise UsageError("boundary plots need a synthetic-task checkpoint")
@@ -318,6 +334,8 @@ def cmd_grid(args) -> int:
         raise ConfigError(f"unknown grid methods: {sorted(unknown)}")
     if args.reps < 1:
         raise ConfigError(f"--reps must be >= 1, got {args.reps}")
+    if args.out:
+        _check_outputs(args.out)
 
     def make_data(seed, n_eval):
         dataset, _ = datamod.make_synthetic_dataset(
@@ -427,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-reps", type=int, default=5)
     p.add_argument("--reps", type=int, default=50)
     p.add_argument("--updates", type=int, default=1000)
-    p.add_argument("--eval-every", type=int, default=0)
     p.add_argument("--ip", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_grid)
@@ -444,7 +461,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args, parser)
+        args = _merge_config(args, parser, argv)
         return args.func(args)
     except (ConfigError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,8 +36,7 @@ _MERGE_TOL = 1e-9   # _merge_segments joins endpoints equal at this grain
 
 def lattice_bounds(points: Tensor) -> tuple[float, float, float, float]:
     points = as_tensor(points)
-    lo = points.min(axis=0)
-    hi = points.max(axis=0)
+    lo, hi = points.min(axis=0), points.max(axis=0)
     pad = LATTICE_PAD * (hi - lo)
     return lo[0] - pad[0], hi[0] + pad[0], lo[1] - pad[1], hi[1] + pad[1]
 
@@ -138,25 +137,20 @@ def _merge_segments(segments) -> list[list[tuple[float, float]]]:
     def key(p):
         return (round(p[0] / _MERGE_TOL), round(p[1] / _MERGE_TOL))
 
-    remaining = list(segments)
+    starting_at: dict = {}  # endpoint key -> indices of the segments starting there
+    for i, seg in enumerate(segments):
+        starting_at.setdefault(key(seg[0]), []).append(i)
+    used = [False] * len(segments)
     polylines = []
-    by_end: dict = {}
-    for seg in remaining:
-        by_end.setdefault(key(seg[0]), []).append(seg)
-    used = [False] * len(remaining)
-    index = {id(seg): i for i, seg in enumerate(remaining)}
-    for i, seg in enumerate(remaining):
+    for i, seg in enumerate(segments):
         if used[i]:
             continue
         used[i] = True
         line = [seg[0], seg[1]]
-        while True:
-            candidates = by_end.get(key(line[-1]), [])
-            nxt = next((s for s in candidates if not used[index[id(s)]]), None)
-            if nxt is None:
-                break
-            used[index[id(nxt)]] = True
-            line.append(nxt[1])
+        while (nxt := next((k for k in starting_at.get(key(line[-1]), ()) if not used[k]),
+                           None)) is not None:
+            used[nxt] = True
+            line.append(segments[nxt][1])
         polylines.append(line)
     return polylines
 

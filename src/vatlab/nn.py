@@ -36,8 +36,7 @@ _counts = {"forward": 0, "backward": 0}
 
 
 def reset_propagation_counts() -> None:
-    _counts["forward"] = 0
-    _counts["backward"] = 0
+    _counts.update(forward=0, backward=0)
 
 
 def propagation_counts() -> tuple[int, int]:
@@ -74,6 +73,11 @@ class MlpNetwork:
                                         compare=False)
 
     def __post_init__(self):
+        for layer in self.layers:
+            w_shape, b_shape = np.shape(layer.weights), np.shape(layer.biases)
+            if len(w_shape) != 2 or b_shape != w_shape[1:]:
+                raise DimensionError(f"a layer needs 2-D weights and one bias per output, "
+                                     f"got shapes {w_shape} and {b_shape}")
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if prev.weights.shape[1] != nxt.weights.shape[0]:
                 raise DimensionError("consecutive layer dimensions do not chain")
@@ -90,21 +94,13 @@ class MlpNetwork:
         return self.layers[0].weights.shape[0]
 
     @property
-    def output_classes(self) -> int:
-        return self.layers[-1].weights.shape[1]
-
-    @property
     def parameter_vector(self) -> Tensor:
         """The one vector every parameter array is a view of."""
         return self._vector
 
     def parameters(self) -> list[Tensor]:
         """Flat list of parameter arrays (views, not copies)."""
-        params = []
-        for layer in self.layers:
-            params.append(layer.weights)
-            params.append(layer.biases)
-        return params
+        return [p for layer in self.layers for p in (layer.weights, layer.biases)]
 
     def check_views(self) -> None:
         """Raise UsageError unless every layer array is still the view of the
@@ -166,11 +162,7 @@ class GradientBundle:
     vector: Tensor | None = None
 
     def parameter_grads(self) -> list[Tensor]:
-        grads = []
-        for dw, db in zip(self.d_weights, self.d_biases):
-            grads.append(dw)
-            grads.append(db)
-        return grads
+        return [g for pair in zip(self.d_weights, self.d_biases) for g in pair]
 
 
 def init_mlp(layer_sizes: list[int], rng: np.random.Generator) -> MlpNetwork:
@@ -299,6 +291,8 @@ def save_checkpoint(net: MlpNetwork, path) -> None:
 
 
 def load_checkpoint(path) -> MlpNetwork:
+    """The network a save_checkpoint file holds; FormatError for a malformed one
+    (a missing or 0-d entry, a non-float array, a bad activation or shape)."""
     try:
         with np.load(path, allow_pickle=False) as data:
             if int(data["version"][0]) != _CHECKPOINT_VERSION:
@@ -306,5 +300,6 @@ def load_checkpoint(path) -> MlpNetwork:
             acts = [str(a) for a in data["activations"]]
             return MlpNetwork([Layer(data[f"w{i}"], data[f"b{i}"], act)
                                for i, act in enumerate(acts)])
-    except (EOFError, KeyError, OSError, ValueError) as exc:
+    except (EOFError, KeyError, OSError, ValueError, IndexError, TypeError,
+            ConfigError, DimensionError) as exc:
         raise FormatError(f"bad checkpoint file {path}: {exc}") from exc

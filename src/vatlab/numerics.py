@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, NumericError
+from .errors import ConfigError, DimensionError, NumericError
 
 # Floor applied to probabilities before they enter a logarithm outside of
 # log-sum-exp; keeps KL finite for near-degenerate distributions.
@@ -26,7 +26,10 @@ Tensor = np.ndarray
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Seeded generator; equal seeds give bitwise-identical streams."""
+    """Seeded generator; equal seeds give bitwise-identical streams. A seed
+    is a non-negative integer."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed)
 
 

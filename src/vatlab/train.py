@@ -15,10 +15,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import baselines, divergence, nn, vat
+from . import baselines, nn, vat
 from .baselines import Regularizer
 from .data import Dataset
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, NumericError
 from .numerics import Tensor, make_rng
 from .optim import Adam, DecaySchedule, MomentumSgd
 from .vat import VatConfig
@@ -64,13 +64,6 @@ class TrainRecord:
 
     FIELDS = ("update", "train_err", "test_err", "train_lds", "test_lds", "nll", "reg")
 
-    def append(self, **row) -> None:
-        for err_key in ("train_err", "test_err"):
-            if err_key in row and row[err_key] is not None:
-                if not 0.0 <= row[err_key] <= 1.0:
-                    raise DataError(f"{err_key} outside [0, 1]")
-        self.rows.append(row)
-
     @property
     def final(self) -> dict:
         return self.rows[-1]
@@ -89,54 +82,6 @@ def make_optimizer(cfg: TrainConfig):
     return Adam(cfg.schedule)
 
 
-def _base(net, x: Tensor, clean):
-    """Output distribution at x, taken from the clean pass when given."""
-    if clean is None:
-        return divergence.base_distribution(net, x)
-    return clean[0]
-
-
-def _vat_penalty(net, reg, x, y, rng, clean, out) -> tuple:
-    base = _base(net, x, clean)
-    r = vat.gen_vap(net, x, reg.vat, rng, base=base)
-    return vat.vat_backward(net, x, r, base=base, out=out)[0], reg.weight
-
-
-def _random_penalty(net, reg, x, y, rng, clean, out) -> tuple:
-    base = _base(net, x, clean)
-    r = baselines.random_perturbation(x, reg.epsilon, rng)
-    return vat.vat_backward(net, x, r, base=base, out=out)[0], reg.weight
-
-
-def _adversarial_penalty(norm: str):
-    def penalty(net, reg, x, y, rng, clean, out) -> tuple:
-        # label-requiring kinds never see a separate batch, so clean is set
-        r = baselines.adv_perturbation(net, x, y, reg.epsilon, norm, grad=clean[1])
-        return baselines.adv_loss_term(net, x, y, r, out=out)[0], reg.weight
-    return penalty
-
-
-def _l2_penalty(net, reg, x, y, rng, clean, out) -> tuple:
-    return baselines.l2_penalty(net, reg.weight, out=out)[0], 1.0  # already weighted
-
-
-# kind -> penalty(net, reg, x_reg, y, rng, clean, out) returning the penalty
-# value and the scale its gradients enter the update with; the gradients go
-# into out, the bundle of every parameter's penalty gradient. clean is
-# (softmax probabilities, input gradient) of the step's likelihood pass when
-# that pass ran on x_reg, else None. Kinds without an entry add no penalty
-# term.
-_PENALTIES = {
-    "vat": _vat_penalty,
-    "random_perturbation": _random_penalty,
-    "adversarial_linf": _adversarial_penalty("linf"),
-    "adversarial_l2": _adversarial_penalty("l2"),
-    "l2_decay": _l2_penalty,
-}
-# kinds whose penalty reads the likelihood pass's input gradient
-_READS_INPUT_GRAD = ("adversarial_linf", "adversarial_l2")
-
-
 def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
                     optimizer, rng: np.random.Generator,
                     x_reg: Tensor | None = None) -> dict:
@@ -146,7 +91,9 @@ def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
     x_reg is None. In that case the penalty reuses the likelihood pass: its
     probabilities are the base distribution and its input gradient the
     adversarial direction. x_reg may hold unlabeled rows, so label-requiring
-    methods reject it.
+    methods reject it. The regularizer's baselines.KINDS entry, looked up
+    once, says whether the likelihood inputs are dropped out, whether that
+    pass computes its input gradient, and which penalty runs.
 
     The gradients go into the two bundles of net.gradient_buffers(), which
     the first update of a training run allocates, after checking that no
@@ -158,21 +105,20 @@ def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
     when the NLL or the penalty value is not finite: a non-finite value in any
     pass of the update reaches one of the two.
     """
-    if x_reg is not None and reg.needs_labels:
+    kind = baselines.KINDS[reg.kind]
+    if x_reg is not None and kind.needs_labels:
         raise ConfigError(f"{reg.kind} needs labels and cannot regularize unlabeled data")
     lik_out, penalty_out = net.gradient_buffers()
-    x_lik = nn.apply_dropout(x, reg.keep_prob, rng) if reg.kind == "dropout" else x
+    x_lik = nn.apply_dropout(x, reg.keep_prob, rng) if kind.drops_inputs else x
     logits, cache = nn.forward(net, x_lik)
     nll_value, d_logits, proba = nn._nll_loss_and_proba(logits, y)
-    grads = nn.backward(net, cache, d_logits, input_grad=reg.kind in _READS_INPUT_GRAD,
-                        out=lik_out)
+    grads = nn.backward(net, cache, d_logits, input_grad=kind.reads_input_grad, out=lik_out)
 
     reg_value = 0.0
-    penalty = _PENALTIES.get(reg.kind)
-    if penalty is not None and reg.weight > 0:
+    if kind.penalty is not None and reg.weight > 0:
         clean = (proba, grads.d_input) if x_reg is None else None
-        reg_value, scale = penalty(net, reg, x if x_reg is None else x_reg,
-                                   y, rng, clean, penalty_out)
+        reg_value, scale = kind.penalty(net, reg, x if x_reg is None else x_reg,
+                                        y, rng, clean, penalty_out)
         pen = penalty_out.vector
         pen *= scale  # rounds like lik += scale * pen, without the temporary
         lik_out.vector += pen
@@ -251,9 +197,8 @@ def _train(cfg: TrainConfig, x: Tensor, y: np.ndarray, pool_x: Tensor | None,
         losses = supervised_step(net, x[idx], y[idx], cfg.regularizer, optimizer, rng,
                                  x_reg=x_reg)
         if (cfg.eval_every and update % cfg.eval_every == 0) or update == cfg.total_updates:
-            record.append(update=update,
-                          **_eval_row(net, x, y, test_x, test_y, record_lds, eval_rng),
-                          **losses)
+            row = _eval_row(net, x, y, test_x, test_y, record_lds, eval_rng)
+            record.rows.append({"update": update, **row, **losses})
     net.release_gradient_buffers()
     return net, record
 
@@ -266,20 +211,16 @@ def _eval_rng(seed: int) -> np.random.Generator:
 
 def _eval_row(net, train_x, train_y, test_x, test_y, record_lds, rng) -> dict:
     row = {}
-    tr = evaluate(net, train_x, train_y, rng=rng, with_lds=record_lds)
-    row["train_err"] = tr["error"]
-    row["train_lds"] = tr.get("mean_lds")
-    if test_x is not None:
-        te = evaluate(net, test_x, test_y, rng=rng, with_lds=record_lds)
-        row["test_err"] = te["error"]
-        row["test_lds"] = te.get("mean_lds")
+    for split, x, y in (("train", train_x, train_y), ("test", test_x, test_y)):
+        if x is not None:
+            result = evaluate(net, x, y, rng=rng, with_lds=record_lds)
+            row[f"{split}_err"], row[f"{split}_lds"] = result["error"], result.get("mean_lds")
     return row
 
 
 @dataclass
 class GridResult:
     best_config: TrainConfig
-    best_validation_error: float
     table: list[dict]            # one row per config: mean/sd validation error
 
 
@@ -316,9 +257,8 @@ def grid_search(configs: list[TrainConfig], make_data, repetitions: int,
     for ci, cfg in enumerate(configs):
         data_seeds = range(base_seed, base_seed + repetitions)
         errors = run_errors(cfg, make_data, [(s, s * 1000 + ci) for s in data_seeds])
-        mean = float(np.mean(errors))
-        sd = float(np.std(errors))
+        mean, sd = float(np.mean(errors)), float(np.std(errors))
         table.append({"config": _config_summary(cfg), "mean_error": mean, "sd_error": sd})
         if best is None or mean < best[0]:
             best = (mean, cfg)
-    return GridResult(best_config=best[1], best_validation_error=best[0], table=table)
+    return GridResult(best_config=best[1], table=table)

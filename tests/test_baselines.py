@@ -174,9 +174,9 @@ def test_random_direction_hurts_less_than_searched(rng):
     assert kl_rand < kl_vadv
 
 
-@pytest.mark.parametrize("kind", baselines.REGULARIZER_KINDS)
+@pytest.mark.parametrize("kind", baselines.KINDS)
 def test_hyperparameters_are_the_ones_make_regularizer_keeps(kind):
     given = {"epsilon": 2.0, "keep_prob": 0.7, "xi": 1e-5, "power_iterations": 3}
     reg = baselines.make_regularizer(kind, weight=0.3, **given)
     assert reg.hyperparameters() == {name: given[name]
-                                     for name in baselines.HYPERPARAMETERS.get(kind, ())}
+                                     for name in baselines.KINDS[kind].hyperparameters}

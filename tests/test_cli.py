@@ -6,7 +6,7 @@ import pytest
 from conftest import require_env
 from test_data import _write_idx_images, _write_idx_labels
 
-from vatlab import nn
+from vatlab import data as datamod, nn, train as trainmod
 from vatlab.cli import main
 from vatlab.numerics import make_rng
 
@@ -158,11 +158,43 @@ class TestConfigFile:
         assert summary["task"] == "circles"  # flag wins
         assert summary["seed"] == 9          # file fills the gap
 
+    def test_flags_win_even_at_their_default_values(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("reg = vat\nseed = 5\nupdates = 3\n")
+        prefix = str(tmp_path / "out")
+        code = run_cli("train", "--config", str(cfg), "--task", "moons", "--reg", "mle",
+                       "--seed", "0", "--updates", "1000", "--n-test", "10",
+                       "--out-prefix", prefix)
+        assert code == 0
+        summary = json.load(open(prefix + ".summary.json"))
+        assert (summary["method"], summary["seed"], summary["final"]["update"]) == \
+            ("mle", 0, 1000)
+
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus = 1\n")
         assert run_cli("train", "--config", str(cfg), "--task", "moons",
                        "--out-prefix", str(tmp_path / "x")) == 2
+
+
+# checkpoints of a 100-3-2 network, each malformed in one way
+BAD_CHECKPOINTS = {
+    "tanh": {"activations": ["tanh", "identity"]},
+    "unchained": {"w1": np.zeros((4, 2))},
+    "short-bias": {"b0": np.zeros(2)},
+    "flat-weights": {"w1": np.zeros(3)},
+    "text-weights": {"w0": np.full((100, 3), "a")},
+    "scalar-activations": {"activations": "identity"},
+}
+
+
+def _write_bad_checkpoints(directory):
+    w0, b0, w1, b1 = nn.init_mlp([100, 3, 2], make_rng(0)).parameters()
+    good = {"version": [1], "w0": w0, "b0": b0, "w1": w1, "b1": b1,
+            "activations": ["relu", "identity"]}
+    for name, change in BAD_CHECKPOINTS.items():
+        arrays = {key: np.asarray(value) for key, value in {**good, **change}.items()}
+        np.savez(directory / f"{name}.ckpt.npz", **arrays)
 
 
 TRAIN = ["train", "--task", "moons", "--updates", "2", "--out-prefix", "{tmp}/x"]
@@ -223,6 +255,9 @@ POINTS_CSV = {"header.csv": "x0,x1,label\n",
       "--n-validation=-10", "--updates", "1", "--hidden", "8", "--out-prefix", "{tmp}/x"], 2),
     (GRID[:4] + [","], 2),
     (GRID[:4] + [""], 2),
+    # malformed checkpoints
+    *[(["eval", "--task", "moons", "--checkpoint", f"{{tmp}}/{name}.ckpt.npz",
+        "--embedding", "{tmp}/emb.npz"], 4) for name in BAD_CHECKPOINTS],
 ])
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
     # every malformed invocation exits with its documented code, never a traceback
@@ -233,6 +268,7 @@ def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
     np.savez(tmp_path / "emb.npz", matrix=np.eye(2, 100), offset=np.zeros(100))
     for name, text in POINTS_CSV.items():
         (tmp_path / name).write_text(text)
+    _write_bad_checkpoints(tmp_path)
     (tmp_path / "mnist").mkdir()
     for split in ("train", "t10k"):  # 40 random 28x28 images
         _write_idx_images(tmp_path / "mnist" / f"{split}-images-idx3-ubyte",
@@ -241,3 +277,18 @@ def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
                           [i % 10 for i in range(40)])
     assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, module, work", [
+    (["gen-data", "--task", "moons", "--out", "{tmp}/missing/d.csv"],
+     datamod, "make_synthetic_dataset"),
+    (TRAIN[:-1] + ["{tmp}/missing/x"], trainmod, "_train"),
+    (GRID + ["--out", "{tmp}/missing/table.csv"], trainmod, "_train"),
+    (BOUNDARY + ["{tmp}/two-rows.csv", "--out", "{tmp}/missing/plot"], nn, "load_checkpoint"),
+])
+def test_output_paths_are_checked_before_any_work(tmp_path, monkeypatch, argv, module, work):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the output paths were checked")
+
+    monkeypatch.setattr(module, work, fail)
+    assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == 2

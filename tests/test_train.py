@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import random_small_net
 
-from vatlab import data as dm, nn, train as tm
+from vatlab import baselines, data as dm, nn, train as tm
 from vatlab.baselines import Regularizer
 from vatlab.errors import ConfigError, NumericError, UsageError
 from vatlab.numerics import make_rng, softmax
@@ -240,6 +240,54 @@ class TestGradientBuffers:
         finally:
             tracemalloc.stop()
         assert peak < net.layers[0].weights.nbytes / 2
+
+
+class TestKindsTable:
+    """baselines.KINDS holds every per-kind decision of a training update."""
+
+    def test_a_new_row_is_all_a_new_kind_needs(self, monkeypatch, rng):
+        # L2 decay of strength epsilon, weighted by the regularizer's weight,
+        # that asks for the likelihood pass's input gradient and for labels
+        seen = []
+
+        def penalty(net, reg, x, y, rng, clean, out):
+            seen.append(clean[1].shape)
+            return baselines.l2_penalty(net, reg.epsilon, out=out)[0], reg.weight
+
+        monkeypatch.setitem(baselines.KINDS, "scaled_l2", baselines.Kind(
+            ("epsilon",), needs_labels=True, reads_input_grad=True, penalty=penalty))
+        reg = baselines.make_regularizer("scaled_l2", weight=0.5, epsilon=0.2, keep_prob=0.7)
+        assert reg == Regularizer(kind="scaled_l2", weight=0.5, epsilon=0.2)
+        assert reg.hyperparameters() == {"epsilon": 0.2} and reg.needs_labels
+        with pytest.raises(ConfigError):
+            Regularizer(kind="scaled_l2", epsilon=0.0)
+
+        x, y = toy_batch(rng)
+        net = random_small_net(rng, [4, 8, 3])
+        logits, cache = nn.forward(net, x)
+        _, d_logits = nn.nll_loss(logits, y)
+        nll_grads = nn.backward(net, cache, d_logits).vector
+        decay, decay_grads = baselines.l2_penalty(net, 0.2)
+        probe = Probe()
+        losses = supervised_step(net, x, y, reg, probe, make_rng(0))
+        assert seen == [x.shape]
+        assert losses["reg"] == decay
+        assert np.array_equal(probe.grads, nll_grads + decay_grads.vector * 0.5)
+        with pytest.raises(ConfigError):
+            supervised_step(net, x, y, reg, probe, make_rng(0), x_reg=x)
+
+        _, record = tm.train_supervised(small_config(reg, total_updates=3), x, y)
+        assert len(seen) == 4 and record.final["reg"] > 0
+
+    @pytest.mark.parametrize("kind", sorted(baselines.KINDS))
+    def test_a_copied_row_trains_like_its_original(self, kind, monkeypatch, rng):
+        # nothing outside the table tells one kind from another
+        monkeypatch.setitem(baselines.KINDS, "copy", baselines.KINDS[kind])
+        given = dict(weight=0.3, epsilon=0.5, keep_prob=0.7)
+        x, y = toy_batch(rng)
+        nets = [tm.train_supervised(small_config(baselines.make_regularizer(name, **given)),
+                                    x, y)[0] for name in (kind, "copy")]
+        assert np.array_equal(nets[0].parameter_vector, nets[1].parameter_vector)
 
 
 class TestSemisupStep:
