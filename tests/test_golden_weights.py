@@ -10,13 +10,16 @@ whose penalty batch has 216 rows, do not, so GOLDEN_ONE_THREAD pins them at
 1 thread, set at run time through OpenBLAS's own set_num_threads (the tests
 skip when the library has none). GOLDEN_MNIST_SIZE pins four short
 784-1200-600-10 ADAM runs on random MNIST-shaped inputs at 1 thread too.
+GOLDEN_EVALUATION pins the exact error and mean LDS that train.evaluate
+reports for the 14 supervised SGD runs on their test split, the same at 1
+and at 2 OpenBLAS threads.
 
-A change that alters the weights on purpose prints the new table with
+A change that alters the weights on purpose prints the new tables with
 
     PYTHONPATH=src python tests/test_golden_weights.py
 
-and replaces GOLDEN, GOLDEN_ONE_THREAD and GOLDEN_MNIST_SIZE below with them; the tables are
-never rewritten by a test.
+and replaces GOLDEN, GOLDEN_ONE_THREAD, GOLDEN_MNIST_SIZE and GOLDEN_EVALUATION below
+with them; the tables are never rewritten by a test.
 """
 
 import functools
@@ -31,7 +34,7 @@ from vatlab import data as dm
 from vatlab.baselines import make_regularizer
 from vatlab.numerics import make_rng
 from vatlab.optim import DecaySchedule
-from vatlab.train import TrainConfig, train_semisup, train_supervised
+from vatlab.train import TrainConfig, evaluate, train_semisup, train_supervised
 
 NUMPY = "2.4.6"
 OPENBLAS = "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64"
@@ -76,6 +79,25 @@ GOLDEN_MNIST_SIZE = {
     "mnist-size-l2_decay": ("c9b9c6e9", 2.8278453005933994, 0.17610730990710483),
 }
 
+# task-kind run -> (error, mean LDS) of evaluate(net, test_x, test_y,
+# rng=make_rng(99)) on the 1000 test rows of its data seed 0
+GOLDEN_EVALUATION = {
+    "circles-adversarial_l2": (0.026, -3.901392687083608),
+    "circles-adversarial_linf": (0.129, -2.973939616040129),
+    "circles-dropout": (0.103, -2.381130662603531),
+    "circles-l2_decay": (0.167, -2.569373501802331),
+    "circles-none": (0.167, -2.616751156177782),
+    "circles-random_perturbation": (0.1, -1.5755511941511127),
+    "circles-vat": (0.041, -2.099528753387235),
+    "moons-adversarial_l2": (0.0, -0.21937280106965426),
+    "moons-adversarial_linf": (0.0, -0.372349170462659),
+    "moons-dropout": (0.01, -1.0891530782445584),
+    "moons-l2_decay": (0.019, -0.8583823322771359),
+    "moons-none": (0.023, -1.0542882124514896),
+    "moons-random_perturbation": (0.0, -0.3382070852327452),
+    "moons-vat": (0.0, -0.19856979094311986),
+}
+
 
 @functools.cache
 def _dataset(task, seed, n_unlabeled=0):
@@ -88,8 +110,9 @@ def _config(task, kind, **kwargs):
                        regularizer=reg, **kwargs)
 
 
+@functools.cache
 def train_run(name):
-    """(net, record) of one pinned run.
+    """(net, record) of one pinned run, made once per session.
 
     task-kind: data seed 0, 1000 SGD updates, train seed 7, acceptance settings;
     task-semisup-kind: data seed 1 with 200 unlabeled rows, 200 updates, seed 8;
@@ -150,6 +173,13 @@ def fingerprint(name):
     return _digest(*train_run(name))
 
 
+def evaluation(name):
+    net, _ = train_run(name)
+    test_x, test_y = _dataset(name.partition("-")[0], 0).subset("test")
+    result = evaluate(net, test_x, test_y, rng=make_rng(99))
+    return result["error"], result["mean_lds"]
+
+
 def fingerprint_one_thread(name):
     with blas_threads(1):
         return fingerprint(name)
@@ -178,11 +208,17 @@ def test_mnist_size_weights_match_golden(name):
     assert fingerprint_mnist_size(name) == GOLDEN_MNIST_SIZE[name]
 
 
-def _print_table(title, table, fingerprint_fn):
+@pytest.mark.parametrize("name", sorted(GOLDEN_EVALUATION))
+def test_evaluation_matches_golden(name):
+    require_env(NUMPY, OPENBLAS, "evaluations")
+    assert evaluation(name) == GOLDEN_EVALUATION[name]
+
+
+def _print_table(title, table, row_fn):
     print(f"{title} = {{")
     for run in table:
-        digest, nll, reg = fingerprint_fn(run)
-        print(f'    "{run}": ("{digest}", {nll!r}, {reg!r}),')
+        values = ", ".join(f'"{v}"' if isinstance(v, str) else repr(v) for v in row_fn(run))
+        print(f'    "{run}": ({values}),')
     print("}")
 
 
@@ -198,3 +234,7 @@ if __name__ == "__main__":
     print()
     print("# the same, for the 784-1200-600-10 runs, made at 1 OpenBLAS thread")
     _print_table("GOLDEN_MNIST_SIZE", GOLDEN_MNIST_SIZE, fingerprint_mnist_size)
+    print()
+    print("# task-kind run -> (error, mean LDS) of evaluate(net, test_x, test_y,")
+    print("# rng=make_rng(99)) on the 1000 test rows of its data seed 0")
+    _print_table("GOLDEN_EVALUATION", GOLDEN_EVALUATION, evaluation)
