@@ -10,7 +10,6 @@ written atomically (temp file + rename). Exit codes: 0 ok, 2 config error,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import pathlib
@@ -337,34 +336,35 @@ def cmd_grid(args) -> int:
     if args.out:
         _check_outputs(args.out)
 
-    def make_data(seed, n_eval):
-        dataset, _ = datamod.make_synthetic_dataset(
-            args.task, make_rng(seed), n_train_per_class=args.n_train // 2, n_test=n_eval)
-        return (*dataset.subset("labeled"), *dataset.subset("test"))
-
     def run_method(method):
         kind = METHOD_NAMES[method]
         configs = [_synthetic_train_config(
             args, make_regularizer(kind, power_iterations=args.ip, **params), [100])
             for params in SYNTH_GRIDS[method]]
-        result = grid_search(configs, functools.partial(make_data, n_eval=args.n_val),
-                             repetitions=args.grid_reps, base_seed=args.seed)
+        best = grid_search(configs, datamod.SyntheticSplits(args.task, args.n_train, args.n_val),
+                           repetitions=args.grid_reps, base_seed=args.seed)
         # final protocol: retrain the winner on fresh data, report test error
         seeds = range(args.seed + 10_000, args.seed + 10_000 + args.reps)
-        errors = run_errors(result.best_config, functools.partial(make_data, n_eval=args.n_test),
+        errors = run_errors(best, datamod.SyntheticSplits(args.task, args.n_train, args.n_test),
                             [(s, s) for s in seeds])
-        return method, result, float(np.mean(errors)), float(np.std(errors))
+        return method, best, float(np.mean(errors)), float(np.std(errors))
 
     rows = [run_method(m) for m in methods]
 
     lines = ["method,mean_test_error,sd_test_error,best_hyperparameters"]
-    for method, result, mean, sd in rows:
-        best = json.dumps(trainmod._config_summary(result.best_config), sort_keys=True)
+    for method, cfg, mean, sd in rows:
+        best = json.dumps(_config_summary(cfg), sort_keys=True)
         lines.append(f'{method},{mean!r},{sd!r},"{best}"')
         print(f"{method:10s} {mean:.4f} +/- {sd:.4f}  {best}")
     if args.out:
         _atomic_write(args.out, "\n".join(lines) + "\n")
     return 0
+
+
+def _config_summary(cfg: TrainConfig) -> dict:
+    reg = cfg.regularizer
+    return {"regularizer": reg.kind, "weight": reg.weight, **reg.hyperparameters(),
+            "optimizer": cfg.optimizer, "total_updates": cfg.total_updates}
 
 
 def cmd_audit_cost(args) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError
-from .numerics import Tensor, as_tensor
+from .numerics import Tensor, as_tensor, make_rng
 
 SPLIT_TAGS = ("labeled", "unlabeled", "validation", "test")
 
@@ -164,6 +164,22 @@ def make_synthetic_dataset(task: str, rng: np.random.Generator,
     labels = np.concatenate([y for _, y, _ in parts])
     split = np.concatenate([s for _, _, s in parts])
     return Dataset(embed_100d(points, emb), labels, split), emb
+
+
+@dataclass(frozen=True)
+class SyntheticSplits:
+    """Picklable make_data for train.run_errors and train.grid_search: called
+    with a seed, one make_synthetic_dataset repetition of n_train labeled rows
+    (n_train // 2 per class) and n_eval held-out ones, as (train_x, train_y,
+    eval_x, eval_y)."""
+    task: str
+    n_train: int
+    n_eval: int
+
+    def __call__(self, seed: int) -> tuple:
+        dataset, _ = make_synthetic_dataset(self.task, make_rng(seed), self.n_train // 2,
+                                            self.n_eval)
+        return (*dataset.subset("labeled"), *dataset.subset("test"))
 
 
 def find_mnist_file(directory, prefix: str) -> str:

@@ -15,8 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
-from .numerics import (PROB_FLOOR, Tensor, as_tensor, log_softmax,
-                       log_softmax_unchecked, softmax)
+from .numerics import PROB_FLOOR, Tensor, as_tensor, log_softmax, log_softmax_unchecked
 from . import nn
 
 
@@ -48,8 +47,7 @@ def base_distribution(model, x: Tensor):
     """
     if hasattr(model, "base_distribution"):
         return model.base_distribution(x)
-    logits, _ = nn.forward(model, x)
-    return softmax(logits)
+    return nn.predict_proba(model, x)
 
 
 def delta_kl(model, x: Tensor, r: Tensor, base) -> Tensor:

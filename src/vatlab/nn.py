@@ -9,8 +9,8 @@ Each network copies the arrays it is built from into one float64 vector and
 makes every layer's weights and biases views of it, so an optimizer updates
 the network in one call. Every parameter gradient is laid out the same way: a
 GradientBundle's weight and bias gradients are views of one vector. Backward
-writes into a new bundle, or into a caller's; the network keeps two bundles,
-so a steady-state training update allocates no parameter-sized array and
+writes into a new bundle, or into a caller's; the training loop makes two
+bundles once, so a steady-state update allocates no parameter-sized array and
 combines its likelihood and penalty gradients in two calls. The negative
 log-likelihood's gradient starts from the softmax probabilities, which the
 training step also takes as the penalty's base distribution instead of
@@ -66,11 +66,6 @@ class MlpNetwork:
     layers: list[Layer]
     _vector: Tensor = field(init=False, repr=False, compare=False)
     _views: list[Tensor] = field(init=False, repr=False, compare=False)
-    # (likelihood, penalty) bundles the training step writes its gradients
-    # into: made by the first update, reused after, dropped when a training
-    # loop ends, never copied or saved
-    _grad_buffers: tuple | None = field(default=None, init=False, repr=False,
-                                        compare=False)
 
     def __post_init__(self):
         for layer in self.layers:
@@ -111,22 +106,11 @@ class MlpNetwork:
 
     def zero_gradients(self) -> "GradientBundle":
         """A new bundle of zero parameter gradients, views of one vector laid
-        out like the parameter vector."""
+        out like the parameter vector, after check_views()."""
+        self.check_views()
         vector = np.zeros(self._vector.size)
         views = _views(vector, [view.shape for view in self._views])
         return GradientBundle(views[::2], views[1::2], None, vector)
-
-    def gradient_buffers(self) -> tuple["GradientBundle", "GradientBundle"]:
-        """Two reusable zero_gradients() bundles for backward(..., out=). The
-        first call makes them, after check_views()."""
-        if self._grad_buffers is None:
-            self.check_views()
-            self._grad_buffers = (self.zero_gradients(), self.zero_gradients())
-        return self._grad_buffers
-
-    def release_gradient_buffers(self) -> None:
-        """Drop the gradient buffers, which hold as much memory as the parameters."""
-        self._grad_buffers = None
 
     def copy(self) -> "MlpNetwork":
         """A network on a copy of the parameter vector, after check_views()."""
@@ -148,8 +132,7 @@ def _views(vector: Tensor, shapes) -> list[Tensor]:
 class ForwardCache:
     net_id: int
     x: Tensor
-    pre_activations: list[Tensor]
-    activations: list[Tensor]  # post-activation outputs per layer
+    activations: list[Tensor]  # per layer: ReLU outputs (> 0 where z > 0), then the logits
 
 
 @dataclass(slots=True)
@@ -191,14 +174,13 @@ def forward(net: MlpNetwork, x: Tensor) -> tuple[Tensor, ForwardCache]:
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise DimensionError(f"input shape {x.shape} does not match input_dim {net.input_dim}")
     _counts["forward"] += 1
-    pre, post = [], []
+    post = []
     h = x
     for layer in net.layers:
         z = h @ layer.weights + layer.biases
-        pre.append(z)
         h = np.maximum(z, 0.0) if layer.activation == "relu" else z
         post.append(h)
-    return h, ForwardCache(net_id=id(net), x=x, pre_activations=pre, activations=post)
+    return h, ForwardCache(net_id=id(net), x=x, activations=post)
 
 
 def backward(net: MlpNetwork, cache: ForwardCache, d_logits: Tensor,
@@ -212,10 +194,10 @@ def backward(net: MlpNetwork, cache: ForwardCache, d_logits: Tensor,
     only d_input. The parameter gradients go into out's arrays, and out is
     returned; without out, into a new net.zero_gradients() bundle.
     """
-    if cache.net_id != id(net) or len(cache.pre_activations) != len(net.layers):
+    if cache.net_id != id(net) or len(cache.activations) != len(net.layers):
         raise UsageError("cache does not belong to this network")
     d_logits = as_tensor(d_logits)
-    if d_logits.shape != cache.pre_activations[-1].shape:
+    if d_logits.shape != cache.activations[-1].shape:
         raise DimensionError("d_logits shape does not match the forward logits")
     _counts["backward"] += 1
     if out is None:
@@ -225,7 +207,7 @@ def backward(net: MlpNetwork, cache: ForwardCache, d_logits: Tensor,
         layer = net.layers[i]
         if layer.activation == "relu":
             # the output layer is identity, so delta is this pass's own product
-            delta *= cache.pre_activations[i] > 0
+            delta *= cache.activations[i] > 0
         if param_grads:
             below = cache.x if i == 0 else cache.activations[i - 1]
             np.matmul(below.T, delta, out=out.d_weights[i])
@@ -292,14 +274,18 @@ def save_checkpoint(net: MlpNetwork, path) -> None:
 
 def load_checkpoint(path) -> MlpNetwork:
     """The network a save_checkpoint file holds; FormatError for a malformed one
-    (a missing or 0-d entry, a non-float array, a bad activation or shape)."""
+    (a missing or 0-d entry, a non-float array, a bad activation or shape, a
+    non-finite weight or bias)."""
     try:
         with np.load(path, allow_pickle=False) as data:
             if int(data["version"][0]) != _CHECKPOINT_VERSION:
                 raise FormatError(f"unsupported checkpoint version in {path}")
             acts = [str(a) for a in data["activations"]]
-            return MlpNetwork([Layer(data[f"w{i}"], data[f"b{i}"], act)
-                               for i, act in enumerate(acts)])
+            net = MlpNetwork([Layer(data[f"w{i}"], data[f"b{i}"], act)
+                              for i, act in enumerate(acts)])
     except (EOFError, KeyError, OSError, ValueError, IndexError, TypeError,
             ConfigError, DimensionError) as exc:
         raise FormatError(f"bad checkpoint file {path}: {exc}") from exc
+    if not np.isfinite(net.parameter_vector).all():
+        raise FormatError(f"bad checkpoint file {path}: a weight or bias is not finite")
+    return net

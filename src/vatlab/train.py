@@ -84,7 +84,8 @@ def make_optimizer(cfg: TrainConfig):
 
 def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
                     optimizer, rng: np.random.Generator,
-                    x_reg: Tensor | None = None) -> dict:
+                    x_reg: Tensor | None = None, *,
+                    out: tuple[nn.GradientBundle, nn.GradientBundle] | None = None) -> dict:
     """One update; returns the loss components.
 
     The likelihood runs on (x, y) and the penalty on x_reg, or on x when
@@ -95,11 +96,11 @@ def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
     once, says whether the likelihood inputs are dropped out, whether that
     pass computes its input gradient, and which penalty runs.
 
-    The gradients go into the two bundles of net.gradient_buffers(), which
-    the first update of a training run allocates, after checking that no
-    layer array was rebound, and later updates overwrite. The penalty's
-    vector is added into the likelihood's in one call, and the optimizer
-    moves the parameter vector in one call.
+    The likelihood and penalty gradients go into the two bundles of out,
+    which the training loop makes once with net.zero_gradients() and every
+    update overwrites; without out, into two new ones. The penalty's vector
+    is added into the likelihood's in one call, and the optimizer moves the
+    parameter vector in one call.
 
     Raises NumericError, before the parameters or the optimizer state change,
     when the NLL or the penalty value is not finite: a non-finite value in any
@@ -108,7 +109,7 @@ def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
     kind = baselines.KINDS[reg.kind]
     if x_reg is not None and kind.needs_labels:
         raise ConfigError(f"{reg.kind} needs labels and cannot regularize unlabeled data")
-    lik_out, penalty_out = net.gradient_buffers()
+    lik_out, penalty_out = out or (net.zero_gradients(), net.zero_gradients())
     x_lik = nn.apply_dropout(x, reg.keep_prob, rng) if kind.drops_inputs else x
     logits, cache = nn.forward(net, x_lik)
     nll_value, d_logits, proba = nn._nll_loss_and_proba(logits, y)
@@ -133,15 +134,16 @@ def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
 def evaluate(net, x: Tensor, y: np.ndarray | None,
              rng: np.random.Generator | None = None, with_lds: bool = True) -> dict:
     """Error rate (argmax mismatches) and mean smoothness estimate, probed
-    with EVAL_VAT, on a split."""
+    with EVAL_VAT, on a split. The predicted probabilities are the
+    smoothness estimate's base distribution."""
     out = {}
     proba = nn.predict_proba(net, x)
     if y is not None:
         out["error"] = float((proba.argmax(axis=1) != y).mean())
     if with_lds:
         rng = rng if rng is not None else make_rng(0)
-        result = vat.generate(net, x, EVAL_VAT, rng)
-        out["mean_lds"] = float(result.lds_estimate.mean())
+        r_vadv = vat.gen_vap(net, x, EVAL_VAT, rng, base=proba)
+        out["mean_lds"] = float(vat.lds_estimate(net, x, r_vadv, base=proba).mean())
     return out
 
 
@@ -159,13 +161,12 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 
 def train_supervised(cfg: TrainConfig, train_x: Tensor, train_y: np.ndarray,
                      test_x: Tensor | None = None, test_y: np.ndarray | None = None,
-                     net=None, record_lds: bool = False) -> tuple:
+                     record_lds: bool = False) -> tuple:
     """Train on labeled data only; returns (net, TrainRecord)."""
-    return _train(cfg, train_x, train_y, None, test_x, test_y, net, record_lds)
+    return _train(cfg, train_x, train_y, None, test_x, test_y, record_lds)
 
 
-def train_semisup(cfg: TrainConfig, dataset: Dataset,
-                  net=None, record_lds: bool = False) -> tuple:
+def train_semisup(cfg: TrainConfig, dataset: Dataset, record_lds: bool = False) -> tuple:
     """Two-minibatch semi-supervised training over a tagged dataset.
 
     The likelihood batch comes from labeled rows; the regularizer batch is
@@ -175,17 +176,18 @@ def train_semisup(cfg: TrainConfig, dataset: Dataset,
     pool_x = dataset.inputs[np.isin(dataset.split, ("labeled", "unlabeled"))]
     test_x, test_y = (dataset.subset("test") if "test" in dataset.split
                       else (None, None))
-    return _train(cfg, lab_x, lab_y, pool_x, test_x, test_y, net, record_lds)
+    return _train(cfg, lab_x, lab_y, pool_x, test_x, test_y, record_lds)
 
 
 def _train(cfg: TrainConfig, x: Tensor, y: np.ndarray, pool_x: Tensor | None,
-           test_x: Tensor | None, test_y: np.ndarray | None, net, record_lds: bool) -> tuple:
+           test_x: Tensor | None, test_y: np.ndarray | None, record_lds: bool) -> tuple:
     """The training loop. Each update draws a likelihood batch of (x, y), then
     a regularizer batch of pool_x; with no pool (supervised training) the
-    penalty reuses the likelihood batch."""
+    penalty reuses the likelihood batch. Every update writes its gradients
+    into the same two bundles."""
     rng, eval_rng = make_rng(cfg.seed), _eval_rng(cfg.seed)
-    if net is None:
-        net = nn.init_mlp(cfg.layer_sizes(), rng)
+    net = nn.init_mlp(cfg.layer_sizes(), rng)
+    grads = (net.zero_gradients(), net.zero_gradients())
     optimizer = make_optimizer(cfg)
     record = TrainRecord()
     batches = _batches(x.shape[0], cfg.batch_size, rng)
@@ -195,11 +197,10 @@ def _train(cfg: TrainConfig, x: Tensor, y: np.ndarray, pool_x: Tensor | None,
         idx = next(batches)
         x_reg = None if pool_x is None else pool_x[next(reg_batches)]
         losses = supervised_step(net, x[idx], y[idx], cfg.regularizer, optimizer, rng,
-                                 x_reg=x_reg)
+                                 x_reg=x_reg, out=grads)
         if (cfg.eval_every and update % cfg.eval_every == 0) or update == cfg.total_updates:
             row = _eval_row(net, x, y, test_x, test_y, record_lds, eval_rng)
             record.rows.append({"update": update, **row, **losses})
-    net.release_gradient_buffers()
     return net, record
 
 
@@ -218,18 +219,6 @@ def _eval_row(net, train_x, train_y, test_x, test_y, record_lds, rng) -> dict:
     return row
 
 
-@dataclass
-class GridResult:
-    best_config: TrainConfig
-    table: list[dict]            # one row per config: mean/sd validation error
-
-
-def _config_summary(cfg: TrainConfig) -> dict:
-    reg = cfg.regularizer
-    return {"regularizer": reg.kind, "weight": reg.weight, **reg.hyperparameters(),
-            "optimizer": cfg.optimizer, "total_updates": cfg.total_updates}
-
-
 def run_errors(cfg: TrainConfig, make_data, seeds) -> list[float]:
     """Held-out error of one supervised run of cfg per (data seed, training
     seed) pair; make_data(data_seed) returns (train_x, train_y, eval_x, eval_y)."""
@@ -242,8 +231,8 @@ def run_errors(cfg: TrainConfig, make_data, seeds) -> list[float]:
 
 
 def grid_search(configs: list[TrainConfig], make_data, repetitions: int,
-                base_seed: int = 0) -> GridResult:
-    """Pick the config with the lowest mean validation error.
+                base_seed: int = 0) -> TrainConfig:
+    """The config with the lowest mean validation error, the first on a tie.
 
     make_data(seed) must return (train_x, train_y, val_x, val_y). Each config
     is trained `repetitions` times on freshly drawn data/seeds.
@@ -252,13 +241,7 @@ def grid_search(configs: list[TrainConfig], make_data, repetitions: int,
         raise ConfigError("empty hyperparameter grid")
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
-    table = []
-    best = None
-    for ci, cfg in enumerate(configs):
-        data_seeds = range(base_seed, base_seed + repetitions)
-        errors = run_errors(cfg, make_data, [(s, s * 1000 + ci) for s in data_seeds])
-        mean, sd = float(np.mean(errors)), float(np.std(errors))
-        table.append({"config": _config_summary(cfg), "mean_error": mean, "sd_error": sd})
-        if best is None or mean < best[0]:
-            best = (mean, cfg)
-    return GridResult(best_config=best[1], table=table)
+    data_seeds = range(base_seed, base_seed + repetitions)
+    means = [np.mean(run_errors(cfg, make_data, [(s, s * 1000 + ci) for s in data_seeds]))
+             for ci, cfg in enumerate(configs)]
+    return configs[means.index(min(means))]

@@ -44,12 +44,6 @@ class VatConfig:
             raise ConfigError(f"power_iterations must be >= 1, got {self.power_iterations}")
 
 
-@dataclass
-class VapResult:
-    r_vadv: Tensor          # (batch, I), each row of norm epsilon
-    lds_estimate: Tensor    # (batch,), always <= 0
-
-
 def gen_vap(model, x: Tensor, cfg: VatConfig, rng: np.random.Generator,
             base=None) -> Tensor:
     """Approximate per-row worst-case perturbations of norm cfg.epsilon.
@@ -84,13 +78,6 @@ def lds_estimate(model, x: Tensor, r_vadv: Tensor, base=None) -> Tensor:
     if base is None:
         base = divergence.base_distribution(model, x)
     return -divergence.delta_kl(model, x, r_vadv, base)
-
-
-def generate(model, x: Tensor, cfg: VatConfig, rng: np.random.Generator) -> VapResult:
-    """gen_vap plus the smoothness estimate at the resulting perturbation."""
-    base = divergence.base_distribution(model, x)
-    r = gen_vap(model, x, cfg, rng, base=base)
-    return VapResult(r_vadv=r, lds_estimate=lds_estimate(model, x, r, base=base))
 
 
 def vat_backward(net, x: Tensor, r_vadv: Tensor, base=None, *,

@@ -185,6 +185,8 @@ BAD_CHECKPOINTS = {
     "flat-weights": {"w1": np.zeros(3)},
     "text-weights": {"w0": np.full((100, 3), "a")},
     "scalar-activations": {"activations": "identity"},
+    "nan-weight": {"w1": np.array([[np.nan, 0.0], [0.0, 1.0], [1.0, 0.0]])},
+    "inf-bias": {"b0": np.array([0.0, np.inf, 0.0])},
 }
 
 
@@ -258,6 +260,8 @@ POINTS_CSV = {"header.csv": "x0,x1,label\n",
     # malformed checkpoints
     *[(["eval", "--task", "moons", "--checkpoint", f"{{tmp}}/{name}.ckpt.npz",
         "--embedding", "{tmp}/emb.npz"], 4) for name in BAD_CHECKPOINTS],
+    (["boundary", "--checkpoint", "{tmp}/nan-weight.ckpt.npz", "--embedding", "{tmp}/emb.npz",
+      "--resolution", "5", "--out", "{tmp}/plot", "--train-csv", "{tmp}/two-rows.csv"], 4),
 ])
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
     # every malformed invocation exits with its documented code, never a traceback

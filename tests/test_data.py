@@ -1,4 +1,5 @@
 import gzip
+import pickle
 import struct
 
 import numpy as np
@@ -190,6 +191,22 @@ class TestSemisupSplit:
         a = dm.make_semisup_split(ds, 50, 100, make_rng(5))
         b = dm.make_semisup_split(ds, 50, 100, make_rng(5))
         assert np.array_equal(a.split, b.split)
+
+
+class TestSyntheticSplits:
+    def test_draws_one_repetition(self):
+        ds, _ = dm.make_synthetic_dataset("circles", make_rng(4), n_train_per_class=3, n_test=9)
+        got = dm.SyntheticSplits("circles", n_train=6, n_eval=9)(4)
+        want = (*ds.subset("labeled"), *ds.subset("test"))
+        assert [a.shape for a in got] == [(6, 100), (6,), (9, 100), (9,)]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_pickle_round_trip(self):
+        # worker processes receive the factory by pickling it
+        splits = dm.SyntheticSplits("moons", n_train=16, n_eval=50)
+        copy = pickle.loads(pickle.dumps(splits))
+        assert copy == splits
+        assert all(np.array_equal(a, b) for a, b in zip(copy(3), splits(3)))
 
 
 def test_dataset_tag_validation(rng):

@@ -263,6 +263,6 @@ class TestParameterVector:
         with pytest.raises(UsageError):
             net.check_views()
         with pytest.raises(UsageError):
-            net.gradient_buffers()
+            net.zero_gradients()
         with pytest.raises(UsageError):
             net.copy()

@@ -170,45 +170,47 @@ def _optimizer(name):
             else Adam(DecaySchedule(0.01)))
 
 
+def _buffers(net):
+    return net.zero_gradients(), net.zero_gradients()
+
+
 class TestGradientBuffers:
-    """The step writes its gradients into buffers the network keeps."""
+    """The step writes its gradients into the bundles the caller passes as out."""
 
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
     @pytest.mark.parametrize("kind", [*sorted(PENALIZED), "vat-semisup"])
     def test_reused_buffers_match_fresh_ones(self, kind, optimizer, rng):
-        # three steps on one net equal, bit for bit, the same steps on a copy
-        # of the net made before each one, whose buffers are new
+        # three steps writing into one pair of bundles equal, bit for bit,
+        # the same steps writing into new bundles each time
         x, y = toy_batch(rng)
         x_reg = rng.standard_normal((6, 4)) if kind == "vat-semisup" else None
         reg = PENALIZED["vat" if kind == "vat-semisup" else kind]
         start = random_small_net(rng, [4, 8, 3])
 
-        def run(fresh):
+        def run(reuse):
             net, opt, step_rng = start.copy(), _optimizer(optimizer), make_rng(5)
+            out = _buffers(net) if reuse else None
             for _ in range(3):
-                if fresh:
-                    net = net.copy()
-                supervised_step(net, x, y, reg, opt, step_rng, x_reg=x_reg)
+                supervised_step(net, x, y, reg, opt, step_rng, x_reg=x_reg, out=out)
             return net
 
-        reused, fresh = run(False), run(True)
-        for a, b in zip(reused.parameters(), fresh.parameters()):
-            assert np.array_equal(a, b)
+        reused, fresh = run(True), run(False)
+        assert np.array_equal(reused.parameter_vector, fresh.parameter_vector)
 
-    def test_buffers_persist_across_updates_but_not_copies(self, rng):
+    def test_the_optimizer_reads_the_likelihood_bundle(self, rng):
+        # the penalty's vector is added into the likelihood's, which the
+        # optimizer receives
         x, y = toy_batch(rng)
         net = random_small_net(rng, [4, 8, 3])
-        opt = _optimizer("adam")
-        supervised_step(net, x, y, PENALIZED["vat"], opt, make_rng(0))
-        vectors = [bundle.vector for bundle in net.gradient_buffers()]
-        supervised_step(net, x, y, PENALIZED["vat"], opt, make_rng(1))
-        bundles = net.gradient_buffers()
-        assert all(b.vector is v for b, v in zip(bundles, vectors))
-        assert all(g.base is b.vector for b in bundles for g in b.parameter_grads())
-        assert net.copy()._grad_buffers is None
-        # a finished training loop hands back a network without them
-        trained, _ = tm.train_supervised(small_config(PENALIZED["vat"], total_updates=2), x, y)
-        assert trained._grad_buffers is None
+        out, seen = _buffers(net), []
+
+        class Recorder:
+            def step(self, params, grads):
+                seen.append(grads)
+
+        supervised_step(net, x, y, PENALIZED["vat"], Recorder(), make_rng(0), out=out)
+        assert len(seen) == 1 and seen[0] is out[0].vector
+        assert np.any(out[1].vector != 0)
 
     def test_training_rejects_a_rebound_layer_array(self, rng):
         # the optimizer moves the parameter vector, which a rebound array has left
@@ -216,7 +218,7 @@ class TestGradientBuffers:
         net = random_small_net(rng, [4, 8, 3])
         net.layers[0].weights = net.layers[0].weights.copy()
         with pytest.raises(UsageError):
-            tm.train_supervised(small_config(), x, y, net=net)
+            supervised_step(net, x, y, MLE, _optimizer("sgd"), make_rng(0))
 
     @pytest.mark.parametrize("kind, optimizer", [
         *[pytest.param(kind, "adam", id=kind) for kind in ALLOCATION_KINDS],
@@ -230,12 +232,12 @@ class TestGradientBuffers:
         x_reg = rng.standard_normal((4, 200)) if kind == "vat-semisup" else None
         reg = PENALIZED["vat" if kind == "vat-semisup" else kind]
         net = nn.init_mlp([200, 300, 10], rng)
-        opt, step_rng = _optimizer(optimizer), make_rng(0)
+        opt, step_rng, out = _optimizer(optimizer), make_rng(0), _buffers(net)
         for _ in range(2):
-            supervised_step(net, x, y, reg, opt, step_rng, x_reg=x_reg)
+            supervised_step(net, x, y, reg, opt, step_rng, x_reg=x_reg, out=out)
         tracemalloc.start()
         try:
-            supervised_step(net, x, y, reg, opt, step_rng, x_reg=x_reg)
+            supervised_step(net, x, y, reg, opt, step_rng, x_reg=x_reg, out=out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -367,6 +369,15 @@ class TestEvaluate:
         out = evaluate(net, rng.standard_normal((5, 4)), None, rng=rng)
         assert out["mean_lds"] == 0.0
 
+    def test_lds_reuses_the_prediction_pass(self, rng):
+        # one pass predicts and is the smoothness estimate's base; then 5
+        # power iterations of a forward/backward pair and one final forward
+        net = random_small_net(rng, [4, 8, 3])
+        x, y = toy_batch(rng)
+        nn.reset_propagation_counts()
+        evaluate(net, x, y, rng=make_rng(0))
+        assert nn.propagation_counts() == (7, 5)
+
 
 class TestTrainingLoops:
     def test_determinism(self, rng):
@@ -448,9 +459,7 @@ class TestGridSearch:
 
     def test_singleton_grid(self):
         cfg = small_config(total_updates=5)
-        result = grid_search([cfg], self._make_data, repetitions=2)
-        assert result.best_config.regularizer.kind == "none"
-        assert len(result.table) == 1
+        assert grid_search([cfg], self._make_data, repetitions=2) is cfg
 
     def test_selects_lower_validation_error(self):
         # a config that cannot learn (zero updates worth of rate) vs a normal one
@@ -465,8 +474,7 @@ class TestGridSearch:
             vy = (vx[:, 0] > 0).astype(int)
             return x, y, vx, np.where(vy < 2, vy, 0)
 
-        result = grid_search([bad, good], separable, repetitions=3)
-        assert result.best_config.total_updates == 30
+        assert grid_search([bad, good], separable, repetitions=3) is good
 
 
 def test_config_rejects_negative_eval_every():

@@ -80,9 +80,10 @@ class TestLdsEstimate:
         model = LinearGaussianModel(theta=np.array([1.0, 2.0, 2.0]), sigma2=0.5)
         rng = make_rng(5)
         eps = 0.7
-        result = vat.generate(model, np.zeros((1, 3)), vat.VatConfig(epsilon=eps), rng)
+        x = np.zeros((1, 3))
+        r = vat.gen_vap(model, x, vat.VatConfig(epsilon=eps), rng)
         expected = -eps ** 2 * 9.0 / (2 * 0.5)
-        assert abs(result.lds_estimate[0] - expected) < 1e-9
+        assert abs(vat.lds_estimate(model, x, r)[0] - expected) < 1e-9
 
     def test_logistic_second_order_value(self):
         # two-class net with logit columns [theta, 0] equals a logistic model;
@@ -98,8 +99,8 @@ class TestLdsEstimate:
     def test_never_positive(self, rng):
         net = random_small_net(rng)
         x = rng.standard_normal((6, 4))
-        result = vat.generate(net, x, vat.VatConfig(epsilon=0.5), rng)
-        assert np.all(result.lds_estimate <= 1e-12)
+        r = vat.gen_vap(net, x, vat.VatConfig(epsilon=0.5), rng)
+        assert np.all(vat.lds_estimate(net, x, r) <= 1e-12)
 
 
 class TestVatBackward:
