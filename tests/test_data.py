@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import pickle
 import struct
 
@@ -180,6 +181,11 @@ class TestSemisupSplit:
         labeled = tagged.labels[tagged.split == "labeled"]
         per_class = np.bincount(labeled, minlength=10)
         assert per_class.max() - per_class.min() <= 1
+
+    def test_split_is_pinned_where_no_class_runs_out(self):
+        tagged = dm.make_semisup_split(self._fake(6000), 100, 500, make_rng(2))
+        digest = hashlib.sha256("\n".join(tagged.split).encode()).hexdigest()
+        assert digest[:16] == "1e6f94156b9c7aa4"
 
     def test_insufficient_samples(self):
         ds = self._fake(50)
