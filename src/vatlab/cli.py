@@ -21,15 +21,13 @@ import numpy as np
 
 from . import contour, data as datamod, nn, train as trainmod, vat
 from .baselines import Regularizer, make_regularizer
-from .data import Dataset, EmbeddingMap
+from .data import SYNTH_TASKS, Dataset, EmbeddingMap
 from .errors import (ConfigError, DataError, FormatError, NumericError,
                      UsageError)
 from .numerics import make_rng
 from .optim import DecaySchedule
 from .train import TrainConfig, grid_search, run_errors, train_semisup, train_supervised
 from .vat import VatConfig
-
-SYNTH_TASKS = ("moons", "circles")
 
 # CLI name -> regularizer kind
 METHOD_NAMES = {
@@ -95,7 +93,7 @@ def _check_outputs(*paths: str) -> None:
 def _load_config_file(path: str) -> dict:
     values = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -104,7 +102,7 @@ def _load_config_file(path: str) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected key=value")
                 key, _, value = line.partition("=")
                 values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
 
@@ -181,15 +179,20 @@ def args_hidden(args) -> list[int]:
 def _save_embedding(path: str, emb: EmbeddingMap) -> None:
     def writer(tmp):
         with open(tmp, "wb") as fh:  # handle avoids savez appending .npz
-            np.savez(fh, matrix=emb.matrix, offset=emb.offset)
+            np.savez(fh, matrix=emb.matrix, offset=np.zeros(datamod.EMBED_DIM))
     _atomic_call(path, writer)
 
 
 def _load_embedding(path: str) -> EmbeddingMap:
+    """The map an embedding file holds. The file's offset entry, written as
+    zeros so that older readers can read it, must be zero."""
     try:
         with np.load(path) as npz:
-            return EmbeddingMap(matrix=npz["matrix"], offset=npz["offset"])
-    except (EOFError, OSError, KeyError, ValueError, TypeError, ConfigError) as exc:
+            if not np.array_equal(npz["offset"], np.zeros(datamod.EMBED_DIM)):
+                raise FormatError("the offset is not zero")
+            return EmbeddingMap(matrix=npz["matrix"])
+    except (EOFError, OSError, KeyError, ValueError, TypeError, ConfigError,
+            FormatError) as exc:
         raise FormatError(f"bad embedding file {path}: {exc}") from exc
 
 
@@ -197,7 +200,7 @@ def cmd_gen_data(args) -> int:
     _check_outputs(args.out, args.out + ".embedding.npz")
     rng = make_rng(args.seed)
     dataset, emb = datamod.make_synthetic_dataset(
-        args.task, rng, n_train_per_class=args.n_train // 2, n_test=args.n_test,
+        args.task, rng, n_train=args.n_train, n_test=args.n_test,
         n_unlabeled=args.n_unlabeled)
     _atomic_call(args.out, lambda tmp: datamod.export_csv(dataset, tmp))
     _save_embedding(args.out + ".embedding.npz", emb)
@@ -222,7 +225,7 @@ def cmd_train(args) -> int:
     rng = make_rng(args.seed)
     if args.task in SYNTH_TASKS:
         dataset, emb = datamod.make_synthetic_dataset(
-            args.task, rng, n_train_per_class=args.n_train // 2,
+            args.task, rng, n_train=args.n_train,
             n_test=args.n_test, n_unlabeled=args.n_unlabeled)
         cfg = _synthetic_train_config(args, reg, args_hidden(args), args.eval_every)
         if args.n_unlabeled > 0:

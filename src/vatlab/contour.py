@@ -81,6 +81,9 @@ def probe_grid(net, emb: EmbeddingMap, bounds: tuple[float, float, float, float]
         plane = np.column_stack([gx.ravel(), gy.ravel()])
         proba = nn.predict_proba(net, embed_100d(plane, emb))[:, 1]
         values[rows] = proba.reshape(len(rows), resolution)
+        # freed before the next block allocates, so that its arrays can take
+        # this block's place on the heap instead of growing it
+        del gx, gy, plane, proba
     return BoundaryGrid(xs=xs, ys=ys, values=values)
 
 

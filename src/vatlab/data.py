@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import csv
 import gzip
+import math
 import os
 import struct
-from dataclasses import dataclass, field
+import zlib
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +72,6 @@ class Dataset:
 class EmbeddingMap:
     """Isometric linear map from the 2-D plane into EMBED_DIM dimensions."""
     matrix: Tensor               # (2, EMBED_DIM), orthonormal rows
-    offset: Tensor = field(default=None)
 
     def __post_init__(self):
         self.matrix = as_tensor(self.matrix)
@@ -79,11 +80,6 @@ class EmbeddingMap:
         gram = self.matrix @ self.matrix.T
         if not np.allclose(gram, np.eye(2), atol=1e-10):
             raise ConfigError("embedding rows must be orthonormal")
-        if self.offset is None:
-            self.offset = np.zeros(EMBED_DIM)
-        self.offset = as_tensor(self.offset)
-        if self.offset.shape != (EMBED_DIM,):
-            raise ConfigError(f"offset must have length {EMBED_DIM}")
 
 
 def make_embedding(rng: np.random.Generator) -> EmbeddingMap:
@@ -93,91 +89,73 @@ def make_embedding(rng: np.random.Generator) -> EmbeddingMap:
 
 
 def embed_100d(points: Tensor, emb: EmbeddingMap) -> Tensor:
-    points = as_tensor(points)
-    return points @ emb.matrix + emb.offset
+    return as_tensor(points) @ emb.matrix
 
 
 def project_2d(inputs: Tensor, emb: EmbeddingMap) -> Tensor:
     """Inverse of embed_100d on the embedded plane."""
-    return (as_tensor(inputs) - emb.offset) @ emb.matrix.T
+    return as_tensor(inputs) @ emb.matrix.T
 
 
-def gen_moons(rng: np.random.Generator, n_per_class: int) -> tuple[Tensor, np.ndarray]:
-    """Two interleaved crescents, points uniform in arc angle, no noise.
-
-    Class 0: (cos t, sin t); class 1: (1 - cos t, -sin t + 0.5), t in [0, pi].
-    """
-    if n_per_class < 1:
-        raise ConfigError("n_per_class must be >= 1")
-    t0 = rng.uniform(0.0, np.pi, n_per_class)
-    t1 = rng.uniform(0.0, np.pi, n_per_class)
-    c0 = np.column_stack([np.cos(t0), np.sin(t0)])
-    c1 = np.column_stack([1.0 - np.cos(t1), -np.sin(t1) + 0.5])
-    points = np.vstack([c0, c1])
-    labels = np.concatenate([np.zeros(n_per_class, dtype=np.int64),
-                             np.ones(n_per_class, dtype=np.int64)])
-    return points, labels
+# task -> (largest angle, class-0 curve, class-1 curve); angles are uniform
+# on [0, largest angle]
+_CURVES = {
+    # two interleaved crescents
+    "moons": (np.pi, lambda t: (np.cos(t), np.sin(t)),
+              lambda t: (1.0 - np.cos(t), -np.sin(t) + 0.5)),
+    # two concentric circles of radii 1.0 and 0.5
+    "circles": (2 * np.pi, lambda t: (np.cos(t), np.sin(t)),
+                lambda t: (0.5 * np.cos(t), 0.5 * np.sin(t))),
+}
+SYNTH_TASKS = tuple(_CURVES)
 
 
-def gen_circles(rng: np.random.Generator, n_per_class: int) -> tuple[Tensor, np.ndarray]:
-    """Two concentric circles of radii 1.0 (class 0) and 0.5 (class 1)."""
-    if n_per_class < 1:
-        raise ConfigError("n_per_class must be >= 1")
-    a0 = rng.uniform(0.0, 2 * np.pi, n_per_class)
-    a1 = rng.uniform(0.0, 2 * np.pi, n_per_class)
-    c0 = np.column_stack([np.cos(a0), np.sin(a0)])
-    c1 = 0.5 * np.column_stack([np.cos(a1), np.sin(a1)])
-    points = np.vstack([c0, c1])
-    labels = np.concatenate([np.zeros(n_per_class, dtype=np.int64),
-                             np.ones(n_per_class, dtype=np.int64)])
-    return points, labels
-
-
-_GENERATORS = {"moons": gen_moons, "circles": gen_circles}
+def gen_points(task: str, rng: np.random.Generator, n: int) -> tuple[Tensor, np.ndarray]:
+    """n points of a synthetic task and their labels: (n + 1) // 2 angles per
+    class, class 0's drawn first, and the first n points kept, so an odd n
+    has one more class-0 point."""
+    largest, *curves = _CURVES[task]
+    per_class = (n + 1) // 2
+    points = np.vstack([np.column_stack(curve(rng.uniform(0.0, largest, per_class)))
+                        for curve in curves])
+    labels = np.repeat(np.arange(2, dtype=np.int64), per_class)
+    return points[:n], labels[:n]
 
 
 def make_synthetic_dataset(task: str, rng: np.random.Generator,
-                           n_train_per_class: int = 8, n_test: int = 1000,
+                           n_train: int = 16, n_test: int = 1000,
                            n_unlabeled: int = 0,
                            emb: EmbeddingMap | None = None) -> tuple[Dataset, EmbeddingMap]:
     """Embedded train/test (plus optional unlabeled pool) for one repetition."""
-    if task not in _GENERATORS:
+    if task not in _CURVES:
         raise ConfigError(f"unknown synthetic task {task!r}")
-    if n_unlabeled < 0:
-        raise ConfigError(f"n_unlabeled must be >= 0, got {n_unlabeled}")
-    gen = _GENERATORS[task]
+    for name, count, least in (("n_train", n_train, 1), ("n_test", n_test, 1),
+                               ("n_unlabeled", n_unlabeled, 0)):
+        if count < least:
+            raise ConfigError(f"{name} must be >= {least}, got {count}")
     if emb is None:
         emb = make_embedding(rng)
-    train_pts, train_y = gen(rng, n_train_per_class)
-    test_pts, test_y = gen(rng, (n_test + 1) // 2)
-    test_pts, test_y = test_pts[:n_test], test_y[:n_test]
-    parts = [
-        (train_pts, train_y, np.full(len(train_y), "labeled")),
-        (test_pts, test_y, np.full(len(test_y), "test")),
-    ]
-    if n_unlabeled > 0:
-        ul_pts, ul_y = gen(rng, (n_unlabeled + 1) // 2)
-        ul_pts = ul_pts[:n_unlabeled]
-        parts.append((ul_pts, np.full(n_unlabeled, -1, dtype=np.int64),
-                      np.full(n_unlabeled, "unlabeled")))
-    points = np.vstack([p for p, _, _ in parts])
-    labels = np.concatenate([y for _, y, _ in parts])
-    split = np.concatenate([s for _, _, s in parts])
-    return Dataset(embed_100d(points, emb), labels, split), emb
+    points, labels, split = [], [], []
+    for tag, n in (("labeled", n_train), ("test", n_test), ("unlabeled", n_unlabeled)):
+        pts, y = gen_points(task, rng, n)  # an empty pool draws nothing
+        points.append(pts)
+        labels.append(np.full(n, -1) if tag == "unlabeled" else y)
+        split.append(np.full(n, tag))
+    return Dataset(embed_100d(np.vstack(points), emb), np.concatenate(labels),
+                   np.concatenate(split)), emb
 
 
 @dataclass(frozen=True)
 class SyntheticSplits:
     """Picklable make_data for train.run_errors and train.grid_search: called
     with a seed, one make_synthetic_dataset repetition of n_train labeled rows
-    (n_train // 2 per class) and n_eval held-out ones, as (train_x, train_y,
-    eval_x, eval_y)."""
+    and n_eval held-out ones, as (train_x, train_y, eval_x, eval_y)."""
     task: str
     n_train: int
     n_eval: int
 
     def __call__(self, seed: int) -> tuple:
-        dataset, _ = make_synthetic_dataset(self.task, make_rng(seed), self.n_train // 2,
+        dataset, _ = make_synthetic_dataset(self.task, make_rng(seed), self.n_train,
                                             self.n_eval)
         return (*dataset.subset("labeled"), *dataset.subset("test"))
 
@@ -201,42 +179,49 @@ def _open_maybe_gzip(path):
 
 
 def _read_idx(path, expected_magic: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    with _open_maybe_gzip(path) as fh:
-        header = fh.read(4)
-        if len(header) < 4:
-            raise FormatError(f"{path}: truncated magic at byte 0")
-        (magic,) = struct.unpack(">i", header)
-        if magic != expected_magic:
-            raise FormatError(
-                f"{path}: bad magic 0x{magic:08x} at byte 0, expected 0x{expected_magic:08x}")
-        ndim = magic & 0xFF
-        dims = []
-        for i in range(ndim):
-            raw = fh.read(4)
-            if len(raw) < 4:
-                raise FormatError(f"{path}: truncated dimension at byte {4 + 4 * i}")
-            dims.append(struct.unpack(">i", raw)[0])
-        count = int(np.prod(dims))
-        payload = fh.read(count)
-        if len(payload) < count:
-            raise FormatError(
-                f"{path}: truncated payload at byte {4 + 4 * ndim + len(payload)}")
-        return np.frombuffer(payload, dtype=np.uint8), tuple(dims)
+    try:
+        with _open_maybe_gzip(path) as fh:
+            blob = fh.read()
+    except (OSError, EOFError, zlib.error) as exc:  # also a gzip stream that does not decompress
+        raise FormatError(f"{path}: cannot read: {exc}") from exc
+    if len(blob) < 4:
+        raise FormatError(f"{path}: truncated magic at byte 0")
+    (magic,) = struct.unpack_from(">i", blob)
+    if magic != expected_magic:
+        raise FormatError(
+            f"{path}: bad magic 0x{magic:08x} at byte 0, expected 0x{expected_magic:08x}")
+    ndim = magic & 0xFF
+    dims = []
+    for at in range(4, 4 + 4 * ndim, 4):
+        if len(blob) < at + 4:
+            raise FormatError(f"{path}: truncated dimension at byte {at}")
+        (dim,) = struct.unpack_from(">i", blob, at)
+        if dim < 0:
+            raise FormatError(f"{path}: negative dimension {dim} at byte {at}")
+        dims.append(dim)
+    start = 4 + 4 * ndim
+    count = math.prod(dims)  # a Python int: a huge header cannot wrap round
+    if len(blob) < start + count:
+        raise FormatError(f"{path}: truncated payload at byte {len(blob)}")
+    return np.frombuffer(blob, dtype=np.uint8, count=count, offset=start), tuple(dims)
 
 
 def load_mnist_idx(images_path, labels_path) -> Dataset:
     """Digit images and labels from IDX files (optionally gzipped).
 
-    Pixels are scaled to [0, 1]; images flatten to 784-dimensional rows.
+    Images must be 28x28; pixels are scaled to [0, 1] and each image
+    flattens to a 784-dimensional row.
     """
     pixels, img_dims = _read_idx(images_path, _IDX_IMAGES_MAGIC)
     labels, lab_dims = _read_idx(labels_path, _IDX_LABELS_MAGIC)
     if len(img_dims) != 3:
         raise FormatError(f"{images_path}: expected 3 dimensions, got {len(img_dims)}")
     n, rows, cols = img_dims
+    if (rows, cols) != (28, 28):
+        raise FormatError(f"{images_path}: {rows}x{cols} images, expected 28x28")
     if lab_dims != (n,):
         raise FormatError(f"{labels_path}: {lab_dims[0]} labels for {n} images")
-    inputs = pixels.astype(np.float64).reshape(n, rows * cols) / 255.0
+    inputs = pixels.astype(np.float64).reshape(n, MNIST_DIM) / 255.0
     labels = labels.astype(np.int64)
     if labels.size and (labels.min() < 0 or labels.max() > 9):
         raise FormatError(f"{labels_path}: label outside 0..9")
@@ -247,8 +232,10 @@ def make_semisup_split(dataset: Dataset, n_labeled: int, n_validation: int,
                        rng: np.random.Generator) -> Dataset:
     """Tag rows as labeled/validation/unlabeled with stratified label selection.
 
-    Labeled rows are drawn near-uniformly per class (counts differ by at most
-    one where the class sizes allow); the remainder becomes the unlabeled pool.
+    Labels are picked round-robin by class: each pool row is ranked within
+    its class in draw order, and the n_labeled rows of lowest (rank, class)
+    are labeled. So the counts of the classes that still have rows differ by
+    at most one. The remainder becomes the unlabeled pool.
     """
     if n_labeled < 1:
         raise ConfigError(f"n_labeled must be >= 1, got {n_labeled}")
@@ -261,28 +248,15 @@ def make_semisup_split(dataset: Dataset, n_labeled: int, n_validation: int,
         raise DataError("n_labeled + n_validation exceeds the dataset size")
     order = rng.permutation(n)
     split = np.full(n, "unlabeled", dtype=object)
-    val_idx = order[:n_validation]
-    split[val_idx] = "validation"
+    split[order[:n_validation]] = "validation"
     pool = order[n_validation:]
-    classes = np.unique(dataset.labels[pool])
-    members = {cls: pool[dataset.labels[pool] == cls] for cls in classes}
-    taken = {cls: 0 for cls in classes}
-    remaining = n_labeled
-    # hand out labels as evenly as the class sizes allow; classes that run
-    # out pass their leftover quota to the ones that still have candidates
-    while remaining > 0:
-        open_classes = [c for c in classes if taken[c] < len(members[c])]
-        if not open_classes:
-            raise DataError(f"only {n_labeled - remaining} candidates available "
-                            f"for {n_labeled} labels")
-        base, extra = divmod(remaining, len(open_classes))
-        for k, cls in enumerate(open_classes):
-            want = base + (1 if k < extra else 0)
-            take = min(want, len(members[cls]) - taken[cls])
-            taken[cls] += take
-            remaining -= take
-    chosen = [members[cls][:taken[cls]] for cls in classes]
-    split[np.concatenate(chosen)] = "labeled"
+    pool_labels = dataset.labels[pool]
+    rank = np.empty(len(pool), dtype=np.int64)
+    for cls in np.unique(pool_labels):
+        members = pool_labels == cls
+        rank[members] = np.arange(np.count_nonzero(members))
+    by_rank = np.lexsort((pool_labels, rank))  # by rank, then by class
+    split[pool[by_rank[:n_labeled]]] = "labeled"
     return Dataset(dataset.inputs, dataset.labels, split.astype(str))
 
 

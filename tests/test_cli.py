@@ -1,5 +1,7 @@
+import gzip
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -29,6 +31,19 @@ class TestGenData:
         run_cli("gen-data", "--task", "circles", "--out", a, "--seed", "5")
         run_cli("gen-data", "--task", "circles", "--out", b, "--seed", "5")
         assert open(a).read() == open(b).read()
+
+    def test_odd_n_train_gives_class_zero_the_extra_row(self, tmp_path):
+        out = str(tmp_path / "moons.csv")
+        assert run_cli("gen-data", "--task", "moons", "--n-train", "15", "--n-test", "3",
+                       "--out", out) == 0
+        labels = np.genfromtxt(out, delimiter=",", skip_header=1)[:, -1]
+        # 15 training rows, 8 of them class 0, then the 3 test rows
+        assert list(labels) == [0] * 8 + [1] * 7 + [0, 0, 1]
+
+    def test_zero_n_train_exits_2_naming_it(self, tmp_path, capsys):
+        assert run_cli("gen-data", "--task", "moons", "--n-train", "0",
+                       "--out", str(tmp_path / "d.csv")) == 2
+        assert "n_train" in capsys.readouterr().err
 
 
 class TestTrainCommand:
@@ -199,6 +214,32 @@ def _write_bad_checkpoints(directory):
         np.savez(directory / f"{name}.ckpt.npz", **arrays)
 
 
+# train-images files, each malformed in one way: 10x10 images, a gzip magic
+# followed by garbage, a gzip stream cut short, a gzip stream with a corrupt
+# block, a negative dimension, and dimensions whose product overflows 64 bits
+_GZIPPED = gzip.compress(struct.pack(">iiii", 0x803, 40, 28, 28) + bytes(40 * 784))
+BAD_IMAGES = {
+    "small-images": struct.pack(">iiii", 0x803, 40, 10, 10) + bytes(40 * 100),
+    "gzip-garbage": b"\x1f\x8b" + bytes(range(2, 66)),
+    "gzip-truncated": _GZIPPED[:len(_GZIPPED) // 2],
+    "gzip-corrupt": _GZIPPED[:10] + b"\xff" * 50 + _GZIPPED[60:],
+    "negative-dim": struct.pack(">iiii", 0x803, 40, -1, 28) + bytes(40 * 784),
+    "huge-dims": struct.pack(">iiii", 0x803, *[2**31 - 1] * 3) + bytes(16),
+}
+
+
+def _write_bad_images(directory):
+    # each directory holds a malformed train-images file and a valid t10k pair
+    for name, blob in BAD_IMAGES.items():
+        (directory / name).mkdir()
+        (directory / name / "train-images-idx3-ubyte").write_bytes(blob)
+        _write_idx_images(directory / name / "t10k-images-idx3-ubyte",
+                          np.zeros((40, 28, 28), dtype=np.uint8))
+        for split in ("train", "t10k"):
+            _write_idx_labels(directory / name / f"{split}-labels-idx1-ubyte",
+                              [i % 10 for i in range(40)])
+
+
 TRAIN = ["train", "--task", "moons", "--updates", "2", "--out-prefix", "{tmp}/x"]
 GRID = ["grid", "--task", "moons", "--methods", "mle", "--updates", "2", "--n-val", "10",
         "--n-test", "10", "--grid-reps", "1", "--reps", "1"]
@@ -262,17 +303,28 @@ POINTS_CSV = {"header.csv": "x0,x1,label\n",
         "--embedding", "{tmp}/emb.npz"], 4) for name in BAD_CHECKPOINTS],
     (["boundary", "--checkpoint", "{tmp}/nan-weight.ckpt.npz", "--embedding", "{tmp}/emb.npz",
       "--resolution", "5", "--out", "{tmp}/plot", "--train-csv", "{tmp}/two-rows.csv"], 4),
+    # malformed IDX files
+    *[(["train", "--task", "mnist", "--mnist-dir", f"{{tmp}}/{name}", "--hidden", "8",
+        "--updates", "1", "--out-prefix", "{tmp}/x"], 4) for name in BAD_IMAGES],
+    # a config file that is not UTF-8 text
+    (["audit-cost", "--config", "{tmp}/binary.cfg"], 2),
+    # an embedding with a non-zero offset
+    (["eval", "--task", "moons", "--checkpoint", "{tmp}/net.ckpt.npz",
+      "--embedding", "{tmp}/offset-emb.npz", "--n-test", "10"], 4),
 ])
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
     # every malformed invocation exits with its documented code, never a traceback
     (tmp_path / "empty.npz").write_bytes(b"")
     (tmp_path / "bad.cfg").write_text("updates = ten\n")
+    (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe\xfa\x00=1")
     nn.save_checkpoint(nn.init_mlp([100, 3, 2], make_rng(0)), tmp_path / "net.ckpt.npz")
     nn.save_checkpoint(nn.init_mlp([784, 3, 10], make_rng(0)), tmp_path / "mnist.ckpt.npz")
     np.savez(tmp_path / "emb.npz", matrix=np.eye(2, 100), offset=np.zeros(100))
+    np.savez(tmp_path / "offset-emb.npz", matrix=np.eye(2, 100), offset=np.ones(100))
     for name, text in POINTS_CSV.items():
         (tmp_path / name).write_text(text)
     _write_bad_checkpoints(tmp_path)
+    _write_bad_images(tmp_path)
     (tmp_path / "mnist").mkdir()
     for split in ("train", "t10k"):  # 40 random 28x28 images
         _write_idx_images(tmp_path / "mnist" / f"{split}-images-idx3-ubyte",

@@ -23,8 +23,11 @@ SIZES = ["2", "2", "2", "1", "1", "0", "-1", "nan"]
 FLOATS = ["0.5", "1", "2", "0", "-1", "nan", "inf", "-inf", "1e308"]
 NUMBERS = {"size": SIZES, "int": INTS, "float": FLOATS}
 # path kinds: the flag's valid file, a directory, a file in a missing
-# directory, or an empty file
-PATH_KINDS = ["valid", "valid", "dir", "missing", "empty"]
+# directory, or one of the FILES
+PATH_KINDS = ["valid", "valid", "dir", "missing", "empty", "binary"]
+# an empty file, and bytes that are neither UTF-8 text nor any vatlab format;
+# each is written afresh for every draw, since an output flag may overwrite it
+FILES = {"empty": b"", "binary": b"\xff\xfe\xfa\x00=1\n\x80\x1f\x8b"}
 
 # command -> {flag: "size" | "int" | "float" | a valid file name | a list of
 # choices}
@@ -61,7 +64,6 @@ ALWAYS = {"--task", "--checkpoint", "--embedding", "--train-csv", "--out", "--ou
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("contract")
-    (root / "empty").write_bytes(b"")
     (root / "seed.cfg").write_text("seed = 1\n")
     nn.save_checkpoint(nn.init_mlp([100, 3, 2], make_rng(0)), root / "net.ckpt.npz")
     np.savez(root / "emb.npz", matrix=np.eye(2, 100), offset=np.zeros(100))
@@ -97,8 +99,10 @@ def _resolve(arg, root) -> str:
     if isinstance(arg, str):
         return arg
     valid, kind = arg
-    return str({"dir": root, "missing": root / "missing" / valid,
-                "empty": root / "empty", "valid": root / valid}[kind])
+    if kind in FILES:
+        (root / kind).write_bytes(FILES[kind])
+    return str({"dir": root, "missing": root / "missing" / valid, "empty": root / "empty",
+                "binary": root / "binary", "valid": root / valid}[kind])
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)

@@ -13,19 +13,19 @@ from vatlab.numerics import make_rng
 
 class TestMoons:
     def test_sixteen_sample_regime(self, rng):
-        points, labels = dm.gen_moons(rng, 8)
+        points, labels = dm.gen_points("moons", rng, 16)
         assert points.shape == (16, 2)
         assert labels.sum() == 8
 
     def test_class_zero_on_unit_circle(self, rng):
-        points, labels = dm.gen_moons(rng, 500)
+        points, labels = dm.gen_points("moons", rng, 1000)
         c0 = points[labels == 0]
         assert np.max(np.abs((c0 ** 2).sum(axis=1) - 1.0)) < 1e-9
         assert np.all(c0[:, 1] >= -1e-12)
 
     def test_arc_length_uniformity(self):
         rng = make_rng(1)
-        points, labels = dm.gen_moons(rng, 10_000)
+        points, labels = dm.gen_points("moons", rng, 20_000)
         angles = np.arctan2(points[labels == 0][:, 1], points[labels == 0][:, 0])
         # KS statistic against uniform on [0, pi]
         sorted_u = np.sort(angles / np.pi)
@@ -36,20 +36,19 @@ class TestMoons:
 
 class TestCircles:
     def test_radii_ratio(self, rng):
-        points, labels = dm.gen_circles(rng, 200)
+        points, labels = dm.gen_points("circles", rng, 400)
         r0 = np.linalg.norm(points[labels == 0], axis=1)
         r1 = np.linalg.norm(points[labels == 1], axis=1)
         assert np.allclose(r0, 1.0, atol=1e-12)
         assert np.allclose(r1, 0.5, atol=1e-12)
 
     def test_dataset_sizing(self, rng):
-        dataset, _ = dm.make_synthetic_dataset("circles", rng, n_train_per_class=8,
-                                               n_test=1000)
+        dataset, _ = dm.make_synthetic_dataset("circles", rng, n_train=16, n_test=1000)
         assert dataset.subset("labeled")[0].shape[0] == 16
         assert dataset.subset("test")[0].shape[0] == 1000
 
     def test_not_linearly_separable(self, rng):
-        points, labels = dm.gen_circles(rng, 100)
+        points, labels = dm.gen_points("circles", rng, 200)
         for deg in range(360):
             a = np.deg2rad(deg)
             proj = points @ np.array([np.cos(a), np.sin(a)])
@@ -66,12 +65,6 @@ class TestEmbedding:
         da = np.linalg.norm(a - b, axis=1)
         de = np.linalg.norm(dm.embed_100d(a, emb) - dm.embed_100d(b, emb), axis=1)
         assert np.max(np.abs(da - de)) < 1e-10
-
-    def test_zero_maps_to_offset(self, rng):
-        emb = dm.EmbeddingMap(matrix=dm.make_embedding(rng).matrix,
-                              offset=np.arange(100.0))
-        out = dm.embed_100d(np.zeros((1, 2)), emb)
-        assert np.array_equal(out[0], np.arange(100.0))
 
     def test_embedded_rank_two(self, rng):
         emb = dm.make_embedding(rng)
@@ -109,20 +102,20 @@ def _write_idx_labels(path, labels, compress=False):
 
 class TestIdxLoading:
     def test_fixture_roundtrip(self, tmp_path):
-        images = np.zeros((2, 3, 3), dtype=np.uint8)
+        images = np.zeros((2, 28, 28), dtype=np.uint8)
         images[1, 0, 0] = 255
-        images[1, 2, 2] = 51
+        images[1, 27, 27] = 51
         _write_idx_images(tmp_path / "img", images)
         _write_idx_labels(tmp_path / "lab", [7, 2])
         ds = dm.load_mnist_idx(tmp_path / "img", tmp_path / "lab")
-        assert ds.inputs.shape == (2, 9)
+        assert ds.inputs.shape == (2, 784)
         assert np.all(ds.inputs[0] == 0.0)
         assert ds.inputs[1, 0] == 1.0
-        assert abs(ds.inputs[1, 8] - 0.2) < 1e-12
+        assert abs(ds.inputs[1, 783] - 0.2) < 1e-12
         assert list(ds.labels) == [7, 2]
 
     def test_gzip_detection(self, tmp_path):
-        images = np.full((1, 2, 2), 128, dtype=np.uint8)
+        images = np.full((1, 28, 28), 128, dtype=np.uint8)
         _write_idx_images(tmp_path / "img.gz", images, compress=True)
         _write_idx_labels(tmp_path / "lab.gz", [3], compress=True)
         ds = dm.load_mnist_idx(tmp_path / "img.gz", tmp_path / "lab.gz")
@@ -143,9 +136,9 @@ class TestIdxLoading:
             dm.load_mnist_idx(tmp_path / "img", tmp_path / "lab")
 
     def test_count_mismatch(self, tmp_path):
-        _write_idx_images(tmp_path / "img", np.zeros((2, 2, 2), dtype=np.uint8))
+        _write_idx_images(tmp_path / "img", np.zeros((2, 28, 28), dtype=np.uint8))
         _write_idx_labels(tmp_path / "lab", [1])
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="1 labels for 2 images"):
             dm.load_mnist_idx(tmp_path / "img", tmp_path / "lab")
 
     def test_find_file_prefers_ubyte_then_gzip(self, tmp_path):
@@ -187,6 +180,13 @@ class TestSemisupSplit:
         digest = hashlib.sha256("\n".join(tagged.split).encode()).hexdigest()
         assert digest[:16] == "1e6f94156b9c7aa4"
 
+    def test_classes_that_still_have_rows_stay_within_one(self):
+        # class 0 runs out after two labels; the other eight labels alternate
+        labels = np.array([0, 0] + [1, 2] * 5)
+        ds = dm.Dataset(np.zeros((12, 3)), labels)
+        tagged = dm.make_semisup_split(ds, 8, 0, make_rng(0))
+        assert list(np.bincount(labels[tagged.split == "labeled"])) == [2, 3, 3]
+
     def test_insufficient_samples(self):
         ds = self._fake(50)
         with pytest.raises(DataError):
@@ -201,7 +201,7 @@ class TestSemisupSplit:
 
 class TestSyntheticSplits:
     def test_draws_one_repetition(self):
-        ds, _ = dm.make_synthetic_dataset("circles", make_rng(4), n_train_per_class=3, n_test=9)
+        ds, _ = dm.make_synthetic_dataset("circles", make_rng(4), n_train=6, n_test=9)
         got = dm.SyntheticSplits("circles", n_train=6, n_eval=9)(4)
         want = (*ds.subset("labeled"), *ds.subset("test"))
         assert [a.shape for a in got] == [(6, 100), (6,), (9, 100), (9,)]
@@ -222,7 +222,7 @@ def test_dataset_tag_validation(rng):
 
 
 def test_export_csv_header_and_labels(tmp_path, rng):
-    ds, _ = dm.make_synthetic_dataset("moons", rng, n_train_per_class=2, n_test=2)
+    ds, _ = dm.make_synthetic_dataset("moons", rng, n_train=4, n_test=2)
     path = tmp_path / "out.csv"
     dm.export_csv(ds, path)
     lines = path.read_text().strip().split("\n")

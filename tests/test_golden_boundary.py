@@ -56,7 +56,7 @@ def fingerprint(name):
                          "--updates", "300", "--out-prefix", prefix]) == 0
         net = nn.load_checkpoint(prefix + ".ckpt.npz")
         with np.load(prefix + ".embedding.npz") as npz:
-            emb = dm.EmbeddingMap(matrix=npz["matrix"], offset=npz["offset"])
+            emb = dm.EmbeddingMap(matrix=npz["matrix"])
         points = np.genfromtxt(prefix + ".train.csv", delimiter=",", skip_header=1)[:, :2]
         for resolution in RESOLUTIONS:
             plot = os.path.join(tmp, f"plot{resolution}")
