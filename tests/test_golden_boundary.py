@@ -4,7 +4,8 @@ Each run trains a synthetic model through `vatlab train` and draws its
 decision boundary through `vatlab boundary`. The table pins SHA-256
 prefixes of the SVG bytes and of the probed lattice's `values.tobytes()`
 at resolutions 200 and 137; neither digest depends on the CSV text
-format. Like the golden weights, the digests are tied to the numpy
+format, so GOLDEN_CSV pins the whole SHA-256 of one run's CSV bytes at
+resolution 200. Like the golden weights, the digests are tied to the numpy
 version and the OpenBLAS kernels, so in any other environment the tests
 skip and name both.
 
@@ -12,7 +13,8 @@ A change that alters the plots on purpose prints the new table with
 
     PYTHONPATH=src python tests/test_golden_boundary.py
 
-and replaces GOLDEN below with it; the table is never rewritten by a test.
+and replaces GOLDEN and GOLDEN_CSV below with it; the tables are never
+rewritten by a test.
 """
 
 import contextlib
@@ -76,6 +78,31 @@ def test_boundary_matches_golden(name):
     assert fingerprint(name) == GOLDEN[name]
 
 
+# SHA-256 of the boundary CSV bytes of the moons-vat run at resolution 200
+GOLDEN_CSV = "0d2e78a3129a0787ce9ec83c6b60cf946b62709571409a7090e3c20be982c490"
+
+
+def csv_digest():
+    """SHA-256 of the CSV `vatlab boundary` writes for moons-vat (seed 5, 300
+    updates) at resolution 200."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        prefix = os.path.join(tmp, "run")
+        assert cli.main(["train", "--task", "moons", "--reg", "vat", "--seed", "5",
+                         "--updates", "300", "--out-prefix", prefix]) == 0
+        plot = os.path.join(tmp, "plot")
+        assert cli.main(["boundary", "--checkpoint", prefix + ".ckpt.npz",
+                         "--embedding", prefix + ".embedding.npz",
+                         "--train-csv", prefix + ".train.csv",
+                         "--resolution", "200", "--out", plot]) == 0
+        with open(plot + ".csv", "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_boundary_csv_matches_golden():
+    require_env(NUMPY, OPENBLAS, "boundaries")
+    assert csv_digest() == GOLDEN_CSV
+
+
 if __name__ == "__main__":
     print(f'NUMPY = "{np.__version__}"')
     print(f'OPENBLAS = "{openblas_config()}"')
@@ -85,3 +112,6 @@ if __name__ == "__main__":
     for run in GOLDEN:
         print(f'    "{run}": {fingerprint(run)!r},')
     print("}")
+    print()
+    print("# SHA-256 of the boundary CSV bytes of the moons-vat run at resolution 200")
+    print(f'GOLDEN_CSV = "{csv_digest()}"')
