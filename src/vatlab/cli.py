@@ -3,8 +3,9 @@ boundary plots, hyperparameter grids, and the propagation-cost audit.
 
 Configuration comes from an optional flat key=value file plus flags; given
 flags win. Output paths are checked before any work, and output files are
-written atomically (temp file + rename). Exit codes: 0 ok, 2 config error,
-3 numeric failure, 4 data/format error.
+written atomically (temp file + rename). Exit codes: 0 ok, 2 config error
+(a request too large for memory included), 3 numeric failure, 4 data/format
+error.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .baselines import Regularizer, make_regularizer
 from .data import SYNTH_TASKS, Dataset, EmbeddingMap
 from .errors import (ConfigError, DataError, FormatError, NumericError,
                      UsageError)
-from .numerics import make_rng
+from .numerics import environment, make_rng
 from .optim import DecaySchedule
 from .train import TrainConfig, grid_search, run_errors, train_semisup, train_supervised
 from .vat import VatConfig
@@ -258,7 +259,8 @@ def cmd_train(args) -> int:
     final = record.final  # every update checked its losses (NumericError, exit 3)
     _atomic_call(prefix + ".ckpt.npz", lambda tmp: nn.save_checkpoint(net, tmp))
     _atomic_call(prefix + ".record.csv", lambda tmp: record.to_csv(tmp))
-    summary = {"task": args.task, "method": args.reg, "seed": args.seed, "final": final}
+    summary = {"task": args.task, "method": args.reg, "seed": args.seed, "final": final,
+               "env": environment()}
     _atomic_write(prefix + ".summary.json", json.dumps(summary, indent=2))
     print(json.dumps(summary["final"]))
     return 0
@@ -301,7 +303,7 @@ def cmd_boundary(args) -> int:
     embedded = datamod.embed_100d(points, emb)
     mean_lds = trainmod.evaluate(net, embedded, None, rng=rng)["mean_lds"]
     _atomic_write(args.out + ".svg", contour.boundary_svg(grid, points, labels, mean_lds))
-    _atomic_write(args.out + ".csv", contour.grid_csv(grid))
+    _atomic_call(args.out + ".csv", lambda tmp: contour.grid_csv(grid, tmp))
     print(f"wrote {args.out}.svg and {args.out}.csv (mean LDS {mean_lds:.4f})")
     return 0
 
@@ -475,6 +477,9 @@ def main(argv=None) -> int:
     except (DataError, FormatError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:  # numpy's names the allocation that failed
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

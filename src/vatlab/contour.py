@@ -2,8 +2,12 @@
 
 The boundary grid probes p(y=1|x) over a 2-D lattice in the pre-embedding
 plane (each lattice point is pushed through the embedding before the
-network). Contours at a level are extracted cell by cell with linear
-interpolation along the crossed edges; no plotting dependency.
+network), in as many row blocks as OpenBLAS's small-matrix rule allows, so
+that the memory a plot takes beyond its result grid does not grow with the
+resolution. Contours at a level are extracted cell by cell with linear
+interpolation along the crossed edges, and only the cells the level crosses
+are read out of the lattice; the grid CSV is written one lattice row at a
+time. No plotting dependency.
 """
 
 from __future__ import annotations
@@ -41,9 +45,6 @@ def lattice_bounds(points: Tensor) -> tuple[float, float, float, float]:
     return lo[0] - pad[0], hi[0] + pad[0], lo[1] - pad[1], hi[1] + pad[1]
 
 
-# Lattice points per probe block, so that memory beyond the result grid stays
-# bounded as the resolution grows; the lattice rows are split near-equally.
-PROBE_BLOCK = 16_384
 # OpenBLAS (0.3.31, SkylakeX kernels) sends a product with M*N*K at most this
 # to a small-matrix kernel that rounds differently, so a block must not fall
 # under it for a product that over the whole lattice does not, or p would
@@ -53,15 +54,16 @@ _SMALL_GEMM = 1_000_000
 
 def _probe_blocks(resolution: int, per_point: list[int]) -> int:
     """Row blocks for a resolution x resolution probe whose products take
-    per_point (N*K) multiply-adds per lattice point each: one per PROBE_BLOCK
-    points, fewer while the smallest block would send a product to the
-    small-matrix kernel that the whole lattice does not, down to one."""
-    points = resolution * resolution
-    large = [nk for nk in per_point if points * nk > _SMALL_GEMM]
-    n = -(-points // PROBE_BLOCK)
-    while n > 1 and large and (resolution // n) * resolution * min(large) <= _SMALL_GEMM:
-        n -= 1
-    return n
+    per_point (N*K) multiply-adds per lattice point each: the most blocks
+    whose smallest still keeps every product above the small-matrix
+    threshold that the whole lattice's is above, or one block when no
+    product over the whole lattice is."""
+    large = [nk for nk in per_point if resolution * resolution * nk > _SMALL_GEMM]
+    if not large:
+        return 1
+    # fewest lattice rows whose product with the smallest large N*K is above it
+    rows = _SMALL_GEMM // (resolution * min(large)) + 1
+    return resolution // rows
 
 
 def probe_grid(net, emb: EmbeddingMap, bounds: tuple[float, float, float, float],
@@ -106,21 +108,24 @@ def marching_squares(grid: BoundaryGrid, level: float = 0.5) -> list[list[tuple[
     cell-center value. Cells are visited row by row; only those the level
     crosses reach the Python loop.
     """
-    xs, ys, v = grid.xs.tolist(), grid.ys.tolist(), grid.values.tolist()
-    above = (grid.values >= level).astype(np.uint8)
+    xs, ys, v = grid.xs.tolist(), grid.ys.tolist(), grid.values
+    above = (v >= level).astype(np.uint8)
     cases = (above[:-1, :-1] | above[:-1, 1:] << 1
              | above[1:, 1:] << 2 | above[1:, :-1] << 3)
     rows, cols = np.nonzero((cases != 0) & (cases != 15))
+    # the corner values of the crossing cells, counter-clockwise from (j, i)
+    corner_values = np.column_stack([v[rows, cols], v[rows, cols + 1],
+                                     v[rows + 1, cols + 1], v[rows + 1, cols]]).tolist()
     segments = []
 
     def interp(pa, pb, fa, fb):
         t = 0.5 if fb == fa else (level - fa) / (fb - fa)
         return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
 
-    for j, i, case in zip(rows.tolist(), cols.tolist(), cases[rows, cols].tolist()):
+    for j, i, case, f in zip(rows.tolist(), cols.tolist(), cases[rows, cols].tolist(),
+                             corner_values):
         corners = [(xs[i], ys[j]), (xs[i + 1], ys[j]),
                    (xs[i + 1], ys[j + 1]), (xs[i], ys[j + 1])]
-        f = [v[j][i], v[j][i + 1], v[j + 1][i + 1], v[j + 1][i]]
         if case in (5, 10):
             center = np.mean(f)
             if case == 5:
@@ -211,12 +216,12 @@ def boundary_svg(grid: BoundaryGrid, points: Tensor, labels: np.ndarray,
     return "\n".join(parts)
 
 
-def grid_csv(grid: BoundaryGrid) -> str:
-    """x,y,p rows for the probed lattice, each value its shortest round-trip
-    decimal."""
+def grid_csv(grid: BoundaryGrid, path) -> None:
+    """Write x,y,p rows for the probed lattice to path, one lattice row at a
+    time, each value its shortest round-trip decimal."""
     x_text = [repr(x) for x in grid.xs.tolist()]
-    lines = ["x,y,p"]
-    for y, row in zip(grid.ys.tolist(), grid.values.tolist()):
-        y_text = repr(y)
-        lines += [f"{x},{y_text},{p!r}" for x, p in zip(x_text, row)]
-    return "\n".join(lines) + "\n"
+    with open(path, "w") as fh:
+        fh.write("x,y,p\n")
+        for y, row in zip(grid.ys.tolist(), grid.values):
+            y_text = repr(y)
+            fh.write("".join(f"{x},{y_text},{p!r}\n" for x, p in zip(x_text, row.tolist())))

@@ -261,11 +261,14 @@ def make_semisup_split(dataset: Dataset, n_labeled: int, n_validation: int,
 
 
 def export_csv(dataset: Dataset, path) -> None:
-    """Write rows as x0..x{I-1},label (label -1 for unlabeled rows)."""
+    """Write rows as x0..x{I-1},label (label -1 for unlabeled rows), followed
+    by a split column of the row's tag when the dataset carries tags."""
     dim = dataset.inputs.shape[1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(dim)] + ["label"])
+        tagged = dataset.split is not None
+        writer.writerow([f"x{i}" for i in range(dim)] + ["label"] + ["split"] * tagged)
         labels = dataset.labels if dataset.labels is not None else np.full(dataset.n, -1)
-        for row, label in zip(dataset.inputs, labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        tags = dataset.split.tolist() if tagged else [None] * dataset.n
+        for row, label, tag in zip(dataset.inputs, labels, tags):
+            writer.writerow([repr(float(v)) for v in row] + [int(label)] + [tag] * tagged)

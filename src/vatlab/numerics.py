@@ -104,3 +104,54 @@ def normalize_rows(t: Tensor) -> Tensor:
     if degenerate.any():
         out[degenerate[:, 0]] = 0.0
     return out
+
+
+def openblas_function(name: str):
+    """OpenBLAS's `name` function (get_config, set_num_threads, ...) in the
+    library numpy loaded, untyped, or None when numpy uses another BLAS."""
+    import ctypes  # imported here, as only these probes use it
+    import glob
+    import os
+
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                fn = getattr(lib, f"{prefix}_{name}{suffix}", None)
+                if fn is not None:
+                    return fn
+    return None
+
+
+def openblas_config() -> str | None:
+    """Runtime configuration string of the OpenBLAS numpy loaded, or None."""
+    import ctypes
+
+    config = openblas_function("get_config")
+    if config is None:
+        return None
+    config.argtypes, config.restype = [], ctypes.c_char_p
+    return config().decode()
+
+
+def openblas_threads() -> int | None:
+    """Thread count of the OpenBLAS numpy loaded, or None."""
+    import ctypes
+
+    threads = openblas_function("get_num_threads")
+    if threads is None:
+        return None
+    threads.argtypes, threads.restype = [], ctypes.c_int
+    return threads()
+
+
+def environment() -> dict:
+    """What trained weights depend on besides the seed and the settings: the
+    Python and numpy versions, and the configuration and thread count of the
+    OpenBLAS numpy loaded (None under another BLAS), whose larger matrix
+    products round differently at different thread counts."""
+    import platform
+
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"config": openblas_config(), "threads": openblas_threads()}}

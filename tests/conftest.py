@@ -1,16 +1,15 @@
 """Shared helpers: finite-difference gradient oracles, small random nets, and
-the OpenBLAS probes the golden tests gate on."""
+the OpenBLAS checks the golden tests gate on, built on vatlab.numerics's
+probes of the library numpy loaded."""
 
 import contextlib
 import ctypes
-import glob
-import os
 
 import numpy as np
 import pytest
 
 from vatlab import nn
-from vatlab.numerics import make_rng
+from vatlab.numerics import make_rng, openblas_config, openblas_function, openblas_threads
 
 
 def numeric_grad(f, arr, step=1e-5):
@@ -48,29 +47,6 @@ def rng():
     return make_rng(12345)
 
 
-def _openblas_function(name):
-    """OpenBLAS's `name` function (get_config, set_num_threads, ...) in the
-    library numpy loaded, or None."""
-    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libdir, "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                fn = getattr(lib, f"{prefix}_{name}{suffix}", None)
-                if fn is not None:
-                    return fn
-    return None
-
-
-def openblas_config():
-    """Runtime configuration string of the OpenBLAS numpy loaded, or None."""
-    config = _openblas_function("get_config")
-    if config is None:
-        return None
-    config.argtypes, config.restype = [], ctypes.c_char_p
-    return config().decode()
-
-
 def require_env(numpy_version, openblas, what):
     """Skip, naming both environments, unless numpy and OpenBLAS are the ones
     the golden `what` were made with."""
@@ -84,13 +60,11 @@ def require_env(numpy_version, openblas, what):
 def blas_threads(n):
     """Run the body with OpenBLAS at n threads, set through the library's own
     set_num_threads and restored afterwards; skip when it has none."""
-    set_threads = _openblas_function("set_num_threads")
-    get_threads = _openblas_function("get_num_threads")
-    if set_threads is None or get_threads is None:
+    set_threads = openblas_function("set_num_threads")
+    before = openblas_threads()
+    if set_threads is None or before is None:
         pytest.skip("the OpenBLAS numpy loaded exports no set_num_threads/get_num_threads")
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    before = get_threads()
     set_threads(n)
     try:
         yield

@@ -1,11 +1,14 @@
+import csv
 import gzip
 import json
 import os
+import platform
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import require_env
+from conftest import blas_threads, openblas_config, require_env
 from test_data import _write_idx_images, _write_idx_labels
 
 from vatlab import data as datamod, nn, train as trainmod
@@ -24,7 +27,7 @@ class TestGenData:
         assert os.path.exists(out)
         assert os.path.exists(out + ".embedding.npz")
         header = open(out).readline().strip()
-        assert header.startswith("x0,") and header.endswith("label")
+        assert header.startswith("x0,") and header.endswith("label,split")
 
     def test_deterministic_under_seed(self, tmp_path):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -36,9 +39,13 @@ class TestGenData:
         out = str(tmp_path / "moons.csv")
         assert run_cli("gen-data", "--task", "moons", "--n-train", "15", "--n-test", "3",
                        "--out", out) == 0
-        labels = np.genfromtxt(out, delimiter=",", skip_header=1)[:, -1]
-        # 15 training rows, 8 of them class 0, then the 3 test rows
-        assert list(labels) == [0] * 8 + [1] * 7 + [0, 0, 1]
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        labels = {tag: sorted(int(row["label"]) for row in rows if row["split"] == tag)
+                  for tag in ("labeled", "test")}
+        # 15 training rows, 8 of them class 0, and 3 test rows
+        assert labels == {"labeled": [0] * 8 + [1] * 7, "test": [0, 0, 1]}
+        assert len(rows) == 18
 
     def test_zero_n_train_exits_2_naming_it(self, tmp_path, capsys):
         assert run_cli("gen-data", "--task", "moons", "--n-train", "0",
@@ -59,6 +66,17 @@ class TestTrainCommand:
         summary = json.load(open(prefix + ".summary.json"))
         assert summary["method"] == "vat"
         assert 0.0 <= summary["final"]["test_err"] <= 1.0
+        # what the weights depend on besides the seed and the flags
+        assert summary["env"] == {"python": platform.python_version(), "numpy": np.__version__,
+                                  "blas": {"config": openblas_config(),
+                                           "threads": summary["env"]["blas"]["threads"]}}
+
+    def test_summary_records_the_blas_thread_count(self, tmp_path, capsys):
+        prefix = str(tmp_path / "run")
+        with blas_threads(1):
+            assert run_cli("train", "--task", "moons", "--updates", "2",
+                           "--out-prefix", prefix) == 0
+        assert json.load(open(prefix + ".summary.json"))["env"]["blas"]["threads"] == 1
 
     def test_mle_run(self, tmp_path):
         prefix = str(tmp_path / "mle")
@@ -101,6 +119,21 @@ class TestBoundaryCommand:
         grid = open(out + ".csv").read().strip().split("\n")
         assert grid[0] == "x,y,p"
         assert len(grid) == 1 + 24 * 24
+
+    def test_memory_stays_bounded_at_resolution_600(self, tmp_path, capsys):
+        # the whole CSV built as one string took 84 MB of traced memory here
+        prefix = str(tmp_path / "run")
+        assert run_cli("train", "--task", "moons", "--updates", "2", "--out-prefix", prefix) == 0
+        tracemalloc.start()
+        try:
+            assert run_cli("boundary", "--checkpoint", prefix + ".ckpt.npz",
+                           "--embedding", prefix + ".embedding.npz",
+                           "--train-csv", prefix + ".train.csv",
+                           "--resolution", "600", "--out", str(tmp_path / "plot")) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6
 
 
 class TestEvalCommand:
@@ -311,6 +344,11 @@ POINTS_CSV = {"header.csv": "x0,x1,label\n",
     # an embedding with a non-zero offset
     (["eval", "--task", "moons", "--checkpoint", "{tmp}/net.ckpt.npz",
       "--embedding", "{tmp}/offset-emb.npz", "--n-test", "10"], 4),
+    # requests whose first allocation exceeds 2^57 bytes, the largest user
+    # address space: 800 PiB of first-layer weights, 1 EiB of test angles
+    (TRAIN + ["--hidden", "1125899906842624"], 2),
+    (["gen-data", "--task", "moons", "--n-test", "288230376151711744",
+      "--out", "{tmp}/d.csv"], 2),
 ])
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
     # every malformed invocation exits with its documented code, never a traceback

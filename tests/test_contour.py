@@ -1,4 +1,3 @@
-import io
 import tracemalloc
 
 import numpy as np
@@ -117,28 +116,34 @@ class TestProbeGrid:
         assert np.allclose(grid.values, 0.5)
         assert marching_squares(grid, 0.5) == []
 
-    def test_memory_stays_bounded(self, rng):
-        # one product over the 200^2 lattice peaked at 94 MB
+    @pytest.mark.parametrize("resolution", [200, 600])
+    def test_memory_stays_bounded(self, rng, resolution):
+        # one product over the 200^2 lattice peaked at 94 MB, blocks of 16,384
+        # points at 33 MB there and 44 MB at 600^2; blocks at the small-matrix
+        # floor take 15 and 18 MB, the 600^2 result grid 2.9 MB of them
         net = nn.init_mlp([100, 100, 2], rng)
         emb = dm.make_embedding(rng)
         tracemalloc.start()
         try:
-            probe_grid(net, emb, (-1, 1, -1, 1), resolution=200)
+            probe_grid(net, emb, (-1, 1, -1, 1), resolution=resolution)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40e6
+        assert peak < 20e6
 
-    def test_blocks_match_one_product_over_the_lattice(self, rng):
-        # fails if a block drops below OpenBLAS's small-matrix threshold
-        assert_matches_one_product(nn.init_mlp([100, 100, 2], rng), dm.make_embedding(rng), 200)
+    @pytest.mark.parametrize("resolution", [200, 300])
+    def test_blocks_match_one_product_over_the_lattice(self, rng, resolution):
+        # fails if a block drops below OpenBLAS's small-matrix threshold; 7 and
+        # 17 blocks
+        assert_matches_one_product(nn.init_mlp([100, 100, 2], rng), dm.make_embedding(rng),
+                                   resolution)
 
     def test_narrow_hidden_layer_matches_one_product(self, rng):
         # 2 blocks of 137^2 would put the 50->2 layer under the threshold
         assert_matches_one_product(nn.init_mlp([100, 50, 2], rng), dm.make_embedding(rng), 137)
 
     @pytest.mark.parametrize("hidden, resolution, blocks", [
-        (100, 200, 3), (50, 137, 1), (50, 200, 3), (7, 137, 2),
+        (100, 200, 7), (50, 137, 1), (50, 200, 3), (7, 137, 3), (100, 1000, 166),
     ])
     def test_block_count(self, hidden, resolution, blocks):
         per_point = [2 * 100, 100 * hidden, hidden * 2]
@@ -161,17 +166,20 @@ def test_svg_structure(rng):
     assert "mean LDS = -0.2500" in svg
 
 
-def test_grid_csv_row_count():
-    grid = linear_field_grid(5)
-    lines = contour.grid_csv(grid).strip().split("\n")
+def test_grid_csv_row_count(tmp_path):
+    path = tmp_path / "grid.csv"
+    contour.grid_csv(linear_field_grid(5), path)
+    lines = path.read_text().strip().split("\n")
     assert lines[0] == "x,y,p"
     assert len(lines) == 1 + 25
 
 
-def test_grid_csv_round_trips(rng):
+def test_grid_csv_round_trips(rng, tmp_path):
     grid = BoundaryGrid(xs=np.linspace(-1.3, 2.7, 7), ys=np.linspace(-0.4, 0.9, 5),
                         values=rng.random((5, 7)) ** 9)
-    table = np.genfromtxt(io.StringIO(contour.grid_csv(grid)), delimiter=",", skip_header=1)
+    path = tmp_path / "grid.csv"
+    contour.grid_csv(grid, path)
+    table = np.genfromtxt(path, delimiter=",", skip_header=1)
     gx, gy = np.meshgrid(grid.xs, grid.ys)
     for column, expected in zip(table.T, (gx, gy, grid.values)):
         assert column.tobytes() == expected.ravel().tobytes()

@@ -226,5 +226,10 @@ def test_export_csv_header_and_labels(tmp_path, rng):
     path = tmp_path / "out.csv"
     dm.export_csv(ds, path)
     lines = path.read_text().strip().split("\n")
-    assert lines[0].startswith("x0,") and lines[0].endswith("x99,label")
+    assert lines[0].startswith("x0,") and lines[0].endswith("x99,label,split")
     assert len(lines) == 1 + ds.n
+    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ds.split.tolist()
+    # a dataset without tags has no split column
+    dm.export_csv(dm.Dataset(ds.inputs, ds.labels), path)
+    lines = path.read_text().strip().split("\n")
+    assert lines[0].endswith("x99,label") and len(lines) == 1 + ds.n
