@@ -67,9 +67,9 @@ class TestTrainCommand:
         assert summary["method"] == "vat"
         assert 0.0 <= summary["final"]["test_err"] <= 1.0
         # what the weights depend on besides the seed and the flags
-        assert summary["env"] == {"python": platform.python_version(), "numpy": np.__version__,
-                                  "blas": {"config": openblas_config(),
-                                           "threads": summary["env"]["blas"]["threads"]}}
+        env = summary["env"]
+        assert (env["python"], env["numpy"], env["blas"]["config"]) == \
+            (platform.python_version(), np.__version__, openblas_config())
 
     def test_summary_records_the_blas_thread_count(self, tmp_path, capsys):
         prefix = str(tmp_path / "run")

@@ -116,27 +116,27 @@ class TestProbeGrid:
         assert np.allclose(grid.values, 0.5)
         assert marching_squares(grid, 0.5) == []
 
-    @pytest.mark.parametrize("resolution", [200, 600])
-    def test_memory_stays_bounded(self, rng, resolution):
+    def test_memory_stays_bounded(self, rng):
         # one product over the 200^2 lattice peaked at 94 MB, blocks of 16,384
         # points at 33 MB there and 44 MB at 600^2; blocks at the small-matrix
         # floor take 15 and 18 MB, the 600^2 result grid 2.9 MB of them
         net = nn.init_mlp([100, 100, 2], rng)
         emb = dm.make_embedding(rng)
-        tracemalloc.start()
-        try:
-            probe_grid(net, emb, (-1, 1, -1, 1), resolution=resolution)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20e6
+        for resolution in (200, 600):
+            tracemalloc.start()
+            try:
+                probe_grid(net, emb, (-1, 1, -1, 1), resolution=resolution)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 20e6, resolution
 
-    @pytest.mark.parametrize("resolution", [200, 300])
-    def test_blocks_match_one_product_over_the_lattice(self, rng, resolution):
-        # fails if a block drops below OpenBLAS's small-matrix threshold; 7 and
-        # 17 blocks
-        assert_matches_one_product(nn.init_mlp([100, 100, 2], rng), dm.make_embedding(rng),
-                                   resolution)
+    def test_blocks_match_one_product_over_the_lattice(self, rng):
+        # fails if a block drops below OpenBLAS's small-matrix threshold; 7
+        # blocks at 200^2 and 17 at 300^2
+        net, emb = nn.init_mlp([100, 100, 2], rng), dm.make_embedding(rng)
+        for resolution in (200, 300):
+            assert_matches_one_product(net, emb, resolution)
 
     def test_narrow_hidden_layer_matches_one_product(self, rng):
         # 2 blocks of 137^2 would put the 50->2 layer under the threshold
