@@ -1,5 +1,6 @@
 import csv
 import gzip
+import hashlib
 import json
 import os
 import platform
@@ -194,6 +195,47 @@ class TestGridCommand:
         assert run_cli("grid", "--task", "moons", "--methods", "nope") == 2
 
 
+def _write_random_mnist(directory):
+    """A train and a t10k IDX pair of 40 random 28x28 images, labels 0-9 in turn."""
+    directory.mkdir()
+    for split in ("train", "t10k"):
+        _write_idx_images(directory / f"{split}-images-idx3-ubyte",
+                          make_rng(0).integers(0, 256, (40, 28, 28), dtype=np.uint8))
+        _write_idx_labels(directory / f"{split}-labels-idx1-ubyte",
+                          [i % 10 for i in range(40)])
+
+
+# task -> (its own flags, SHA-256 prefixes of the checkpoint's parameter bytes
+# and of the .record.csv bytes), made in the grid table's environment at 1
+# OpenBLAS thread, as the golden 784-1200-600-10 runs are, whose products
+# round differently at 2
+MNIST_RUNS = {
+    "mnist": ((), ("fafd18c9", "ed77a9a5")),
+    "mnist-semisup": (("--n-labeled", "10", "--n-validation", "5"), ("01ddf124", "def7421a")),
+}
+
+
+class TestMnistTasks:
+    def _train(self, tmp_path, task, *flags):
+        _write_random_mnist(tmp_path / "mnist")
+        prefix = str(tmp_path / "run")
+        with blas_threads(1):
+            assert run_cli("train", "--task", task, "--mnist-dir", str(tmp_path / "mnist"),
+                           "--hidden", "8", "--updates", "3", "--eval-every", "1",
+                           *MNIST_RUNS[task][0], *flags, "--out-prefix", prefix) == 0
+        return prefix
+
+    @pytest.mark.parametrize("task", sorted(MNIST_RUNS))
+    def test_matches_golden(self, tmp_path, capsys, task):
+        require_env(GRID_NUMPY, GRID_OPENBLAS, "MNIST-task runs")
+        prefix = self._train(tmp_path, task)
+        params = nn.load_checkpoint(prefix + ".ckpt.npz").parameters()
+        with open(prefix + ".record.csv", "rb") as fh:
+            digests = (hashlib.sha256(b"".join(p.tobytes() for p in params)).hexdigest(),
+                       hashlib.sha256(fh.read()).hexdigest())
+        assert tuple(d[:8] for d in digests) == MNIST_RUNS[task][1]
+
+
 class TestConfigFile:
     def test_file_values_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -363,12 +405,7 @@ def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
         (tmp_path / name).write_text(text)
     _write_bad_checkpoints(tmp_path)
     _write_bad_images(tmp_path)
-    (tmp_path / "mnist").mkdir()
-    for split in ("train", "t10k"):  # 40 random 28x28 images
-        _write_idx_images(tmp_path / "mnist" / f"{split}-images-idx3-ubyte",
-                          make_rng(0).integers(0, 256, (40, 28, 28), dtype=np.uint8))
-        _write_idx_labels(tmp_path / "mnist" / f"{split}-labels-idx1-ubyte",
-                          [i % 10 for i in range(40)])
+    _write_random_mnist(tmp_path / "mnist")
     assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == code
     assert "Traceback" not in capsys.readouterr().err
 
