@@ -2,15 +2,17 @@
 boundary plots, hyperparameter grids, and the propagation-cost audit.
 
 Configuration comes from an optional flat key=value file plus flags; given
-flags win. Output paths are checked before any work, and output files are
-written atomically (temp file + rename). Exit codes: 0 ok, 2 config error
-(a request too large for memory included), 3 numeric failure, 4 data/format
-error.
+flags win. A command makes a temp file next to each output path before any
+work, writes into them, and renames them onto the paths only when it
+succeeds, so its outputs appear all together or not at all. Exit codes: 0
+ok, 2 config error (a request too large for memory included), 3 numeric
+failure, 4 data/format error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import pathlib
@@ -54,41 +56,38 @@ SYNTH_GRIDS = {
 }
 
 
-def _atomic_write(path: str, text: str) -> None:
-    _atomic_call(path, lambda tmp: pathlib.Path(tmp).write_text(text))
+# the values a config file may give a switch such as record_lds, in any case
+_SWITCH_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _atomic_call(path: str, writer) -> None:
-    """Run writer(tmp_path) then rename tmp_path onto path."""
-    tmp = _temp_file_next_to(path)
+@contextlib.contextmanager
+def _outputs(*paths: str):
+    """Yield a list of new empty temp files, one in each path's directory.
+
+    They are made on entry, so a path that cannot be written (a directory, or
+    in a missing one) is a ConfigError before any work. When the body returns,
+    each temp file is renamed onto its path; when it raises, the temp files
+    are removed and no path is touched.
+    """
+    temps = []
     try:
-        writer(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _temp_file_next_to(path: str) -> str:
-    """A new empty file in path's directory. A path that cannot be written (a
-    directory, or in a missing one) is a ConfigError."""
-    if os.path.isdir(path):
-        raise ConfigError(f"cannot write {path}: it is a directory")
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".vatlab-")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
-    os.close(fd)
-    return tmp
-
-
-def _check_outputs(*paths: str) -> None:
-    """Run _atomic_call's test on every output path of a command before its
-    work starts, so a bad path fails at once instead of after the work."""
-    for path in paths:
-        os.unlink(_temp_file_next_to(path))
+        for path in paths:
+            if os.path.isdir(path):
+                raise ConfigError(f"cannot write {path}: it is a directory")
+            try:
+                fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                           prefix=".vatlab-")
+            except OSError as exc:
+                raise ConfigError(f"cannot write {path}: {exc}") from exc
+            os.close(fd)
+            temps.append(tmp)
+        yield temps
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            with contextlib.suppress(FileNotFoundError):  # renamed onto its path
+                os.unlink(tmp)
 
 
 def _load_config_file(path: str) -> dict:
@@ -128,7 +127,9 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
         action = actions[key]
         try:  # a malformed value is an error even where a flag overrides it
             if action.nargs == 0:  # a switch such as --record-lds
-                value = raw.lower() in ("1", "true", "yes")
+                value = _SWITCH_VALUES.get(raw.lower())
+                if value is None:
+                    raise ValueError(f"{raw!r} is not one of {', '.join(_SWITCH_VALUES)}")
             else:
                 value = (action.type or str)(raw)
         except ValueError as exc:
@@ -146,25 +147,20 @@ def _make_regularizer(args) -> Regularizer:
                             xi=args.xi, power_iterations=args.ip)
 
 
-def _synthetic_train_config(args, reg: Regularizer, hidden_sizes: list[int],
-                            eval_every: int = 0) -> TrainConfig:
-    return TrainConfig(
-        input_dim=datamod.EMBED_DIM, hidden_sizes=hidden_sizes, n_classes=2,
-        regularizer=reg, optimizer="sgd",
-        schedule=DecaySchedule(1.0, 0.995, 1),
-        batch_size=0, total_updates=args.updates,
-        eval_every=eval_every, seed=args.seed,
-    )
-
-
-def _mnist_train_config(args, reg: Regularizer, semisup: bool) -> TrainConfig:
-    return TrainConfig(
-        input_dim=datamod.MNIST_DIM, hidden_sizes=args_hidden(args), n_classes=10,
-        regularizer=reg, optimizer="adam",
-        schedule=DecaySchedule(0.002, 0.9, 500),
-        batch_size=100, reg_batch_size=250 if semisup else 0,
-        total_updates=args.updates, eval_every=args.eval_every, seed=args.seed,
-    )
+def _train_config(args, reg: Regularizer, hidden: list[int], semisup: bool,
+                  eval_every: int) -> TrainConfig:
+    """A run of args.task: full-batch SGD on a synthetic task; on MNIST, ADAM
+    on minibatches of 100 labeled rows, and a semi-supervised run's penalty
+    on 250 rows of the pool."""
+    if args.task in SYNTH_TASKS:
+        family = dict(input_dim=datamod.EMBED_DIM, n_classes=2, optimizer="sgd",
+                      schedule=DecaySchedule(1.0, 0.995, 1), batch_size=0)
+    else:
+        family = dict(input_dim=datamod.MNIST_DIM, n_classes=10, optimizer="adam",
+                      schedule=DecaySchedule(0.002, 0.9, 500), batch_size=100,
+                      reg_batch_size=250 if semisup else 0)
+    return TrainConfig(hidden_sizes=hidden, regularizer=reg, total_updates=args.updates,
+                       eval_every=eval_every, seed=args.seed, **family)
 
 
 def args_hidden(args) -> list[int]:
@@ -178,10 +174,8 @@ def args_hidden(args) -> list[int]:
 
 
 def _save_embedding(path: str, emb: EmbeddingMap) -> None:
-    def writer(tmp):
-        with open(tmp, "wb") as fh:  # handle avoids savez appending .npz
-            np.savez(fh, matrix=emb.matrix, offset=np.zeros(datamod.EMBED_DIM))
-    _atomic_call(path, writer)
+    with open(path, "wb") as fh:  # handle avoids savez appending .npz
+        np.savez(fh, matrix=emb.matrix, offset=np.zeros(datamod.EMBED_DIM))
 
 
 def _load_embedding(path: str) -> EmbeddingMap:
@@ -198,13 +192,12 @@ def _load_embedding(path: str) -> EmbeddingMap:
 
 
 def cmd_gen_data(args) -> int:
-    _check_outputs(args.out, args.out + ".embedding.npz")
-    rng = make_rng(args.seed)
-    dataset, emb = datamod.make_synthetic_dataset(
-        args.task, rng, n_train=args.n_train, n_test=args.n_test,
-        n_unlabeled=args.n_unlabeled)
-    _atomic_call(args.out, lambda tmp: datamod.export_csv(dataset, tmp))
-    _save_embedding(args.out + ".embedding.npz", emb)
+    with _outputs(args.out, args.out + ".embedding.npz") as (csv_out, emb_out):
+        dataset, emb = datamod.make_synthetic_dataset(
+            args.task, make_rng(args.seed), n_train=args.n_train, n_test=args.n_test,
+            n_unlabeled=args.n_unlabeled)
+        datamod.export_csv(dataset, csv_out)
+        _save_embedding(emb_out, emb)
     print(f"wrote {dataset.n} rows to {args.out}")
     return 0
 
@@ -216,52 +209,48 @@ def _load_mnist(args, split: str = "train") -> Dataset:
         datamod.find_mnist_file(args.mnist_dir, f"{split}-labels-idx1"))
 
 
-def cmd_train(args) -> int:
-    prefix = args.out_prefix
-    suffixes = [".ckpt.npz", ".record.csv", ".summary.json"]
-    if args.task in SYNTH_TASKS:
-        suffixes += [".embedding.npz", ".train.csv"]
-    _check_outputs(*(prefix + suffix for suffix in suffixes))
-    reg = _make_regularizer(args)
-    rng = make_rng(args.seed)
+def _task_data(args, rng) -> tuple[Dataset, Dataset, bool, EmbeddingMap | None]:
+    """A run of args.task's tagged training rows, its test split, whether it
+    is semi-supervised, and the embedding of a synthetic task (None for MNIST)."""
     if args.task in SYNTH_TASKS:
         dataset, emb = datamod.make_synthetic_dataset(
             args.task, rng, n_train=args.n_train,
             n_test=args.n_test, n_unlabeled=args.n_unlabeled)
-        cfg = _synthetic_train_config(args, reg, args_hidden(args), args.eval_every)
-        if args.n_unlabeled > 0:
-            net, record = train_semisup(cfg, dataset, record_lds=args.record_lds)
-        else:
-            train_x, train_y = dataset.subset("labeled")
-            test_x, test_y = dataset.subset("test")
-            net, record = train_supervised(cfg, train_x, train_y, test_x, test_y,
-                                           record_lds=args.record_lds)
-        _save_embedding(prefix + ".embedding.npz", emb)
-        train_pts = datamod.project_2d(dataset.subset("labeled")[0], emb)
-        train_dataset = Dataset(train_pts, dataset.subset("labeled")[1])
-        _atomic_call(prefix + ".train.csv", lambda tmp: datamod.export_csv(train_dataset, tmp))
-    elif args.task == "mnist":  # the tasks are argparse choices
-        full = _load_mnist(args)
-        test = _load_mnist(args, "t10k")
-        cfg = _mnist_train_config(args, reg, semisup=False)
-        net, record = train_supervised(cfg, full.inputs, full.labels,
-                                       test.inputs, test.labels)
-    else:  # mnist-semisup
-        full = _load_mnist(args)
+        return dataset, Dataset(*dataset.subset("test")), args.n_unlabeled > 0, emb
+    full = _load_mnist(args)  # the tasks are argparse choices
+    if args.task == "mnist":
+        tagged = Dataset(full.inputs, full.labels, np.full(full.n, "labeled"))
+    else:
         tagged = datamod.make_semisup_split(full, args.n_labeled, args.n_validation, rng)
-        test = _load_mnist(args, "t10k")
-        inputs = np.vstack([tagged.inputs, test.inputs])
-        labels = np.concatenate([tagged.labels, test.labels])
-        split = np.concatenate([tagged.split, np.full(test.n, "test")])
-        cfg = _mnist_train_config(args, reg, semisup=True)
-        net, record = train_semisup(cfg, Dataset(inputs, labels, split))
+    return tagged, _load_mnist(args, "t10k"), args.task == "mnist-semisup", None
 
-    final = record.final  # every update checked its losses (NumericError, exit 3)
-    _atomic_call(prefix + ".ckpt.npz", lambda tmp: nn.save_checkpoint(net, tmp))
-    _atomic_call(prefix + ".record.csv", lambda tmp: record.to_csv(tmp))
-    summary = {"task": args.task, "method": args.reg, "seed": args.seed, "final": final,
-               "env": environment()}
-    _atomic_write(prefix + ".summary.json", json.dumps(summary, indent=2))
+
+def cmd_train(args) -> int:
+    suffixes = [".ckpt.npz", ".record.csv", ".summary.json"]
+    if args.task in SYNTH_TASKS:
+        suffixes += [".embedding.npz", ".train.csv"]
+    with _outputs(*(args.out_prefix + suffix for suffix in suffixes)) as temps:
+        out = dict(zip(suffixes, temps))
+        reg = _make_regularizer(args)
+        dataset, test, semisup, emb = _task_data(args, make_rng(args.seed))
+        cfg = _train_config(args, reg, args_hidden(args), semisup, args.eval_every)
+        if semisup:
+            net, record = train_semisup(cfg, dataset, test.inputs, test.labels,
+                                        record_lds=args.record_lds)
+        else:
+            net, record = train_supervised(cfg, *dataset.subset("labeled"), test.inputs,
+                                           test.labels, record_lds=args.record_lds)
+        if emb is not None:
+            _save_embedding(out[".embedding.npz"], emb)
+            train_x, train_y = dataset.subset("labeled")
+            datamod.export_csv(Dataset(datamod.project_2d(train_x, emb), train_y),
+                               out[".train.csv"])
+        nn.save_checkpoint(net, out[".ckpt.npz"])
+        record.to_csv(out[".record.csv"])
+        # every update checked its losses (NumericError, exit 3)
+        summary = {"task": args.task, "method": args.reg, "seed": args.seed,
+                   "final": record.final, "env": environment()}
+        pathlib.Path(out[".summary.json"]).write_text(json.dumps(summary, indent=2))
     print(json.dumps(summary["final"]))
     return 0
 
@@ -291,19 +280,19 @@ def cmd_eval(args) -> int:
 
 
 def cmd_boundary(args) -> int:
-    _check_outputs(args.out + ".svg", args.out + ".csv")
-    net = nn.load_checkpoint(args.checkpoint)
-    if net.input_dim != datamod.EMBED_DIM:
-        raise UsageError("boundary plots need a synthetic-task checkpoint")
-    emb = _load_embedding(args.embedding)
-    points, labels = _read_points_csv(args.train_csv)
-    bounds = contour.lattice_bounds(points)
-    grid = contour.probe_grid(net, emb, bounds, resolution=args.resolution)
-    rng = make_rng(args.seed)
-    embedded = datamod.embed_100d(points, emb)
-    mean_lds = trainmod.evaluate(net, embedded, None, rng=rng)["mean_lds"]
-    _atomic_write(args.out + ".svg", contour.boundary_svg(grid, points, labels, mean_lds))
-    _atomic_call(args.out + ".csv", lambda tmp: contour.grid_csv(grid, tmp))
+    with _outputs(args.out + ".svg", args.out + ".csv") as (svg_out, csv_out):
+        net = nn.load_checkpoint(args.checkpoint)
+        if net.input_dim != datamod.EMBED_DIM:
+            raise UsageError("boundary plots need a synthetic-task checkpoint")
+        emb = _load_embedding(args.embedding)
+        points, labels = _read_points_csv(args.train_csv)
+        bounds = contour.lattice_bounds(points)
+        grid = contour.probe_grid(net, emb, bounds, resolution=args.resolution)
+        rng = make_rng(args.seed)
+        embedded = datamod.embed_100d(points, emb)
+        mean_lds = trainmod.evaluate(net, embedded, None, rng=rng)["mean_lds"]
+        pathlib.Path(svg_out).write_text(contour.boundary_svg(grid, points, labels, mean_lds))
+        contour.grid_csv(grid, csv_out)
     print(f"wrote {args.out}.svg and {args.out}.csv (mean LDS {mean_lds:.4f})")
     return 0
 
@@ -338,13 +327,12 @@ def cmd_grid(args) -> int:
         raise ConfigError(f"unknown grid methods: {sorted(unknown)}")
     if args.reps < 1:
         raise ConfigError(f"--reps must be >= 1, got {args.reps}")
-    if args.out:
-        _check_outputs(args.out)
 
     def run_method(method):
         kind = METHOD_NAMES[method]
-        configs = [_synthetic_train_config(
-            args, make_regularizer(kind, power_iterations=args.ip, **params), [100])
+        configs = [_train_config(
+            args, make_regularizer(kind, power_iterations=args.ip, **params), [100],
+            semisup=False, eval_every=0)
             for params in SYNTH_GRIDS[method]]
         best = grid_search(configs, datamod.SyntheticSplits(args.task, args.n_train, args.n_val),
                            repetitions=args.grid_reps, base_seed=args.seed)
@@ -354,15 +342,15 @@ def cmd_grid(args) -> int:
                             [(s, s) for s in seeds])
         return method, best, float(np.mean(errors)), float(np.std(errors))
 
-    rows = [run_method(m) for m in methods]
-
-    lines = ["method,mean_test_error,sd_test_error,best_hyperparameters"]
-    for method, cfg, mean, sd in rows:
-        best = json.dumps(_config_summary(cfg), sort_keys=True)
-        lines.append(f'{method},{mean!r},{sd!r},"{best}"')
-        print(f"{method:10s} {mean:.4f} +/- {sd:.4f}  {best}")
-    if args.out:
-        _atomic_write(args.out, "\n".join(lines) + "\n")
+    with _outputs(*([args.out] if args.out else [])) as temps:
+        rows = [run_method(m) for m in methods]
+        lines = ["method,mean_test_error,sd_test_error,best_hyperparameters"]
+        for method, cfg, mean, sd in rows:
+            best = json.dumps(_config_summary(cfg), sort_keys=True)
+            lines.append(f'{method},{mean!r},{sd!r},"{best}"')
+            print(f"{method:10s} {mean:.4f} +/- {sd:.4f}  {best}")
+        for table in temps:  # the --out file, if given
+            pathlib.Path(table).write_text("\n".join(lines) + "\n")
     return 0
 
 

@@ -64,6 +64,8 @@ class Dataset:
         if self.split is None:
             raise DataError("dataset has no split tags")
         mask = self.split == tag
+        if mask.all():  # the arrays themselves: a copy of every row would be waste
+            return self.inputs, self.labels
         labels = self.labels[mask] if self.labels is not None else None
         return self.inputs[mask], labels
 
@@ -221,7 +223,8 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
         raise FormatError(f"{images_path}: {rows}x{cols} images, expected 28x28")
     if lab_dims != (n,):
         raise FormatError(f"{labels_path}: {lab_dims[0]} labels for {n} images")
-    inputs = pixels.astype(np.float64).reshape(n, MNIST_DIM) / 255.0
+    inputs = pixels.reshape(n, MNIST_DIM).astype(np.float64)
+    inputs /= 255.0  # in place: a second float64 copy would double the peak
     labels = labels.astype(np.int64)
     if labels.size and (labels.min() < 0 or labels.max() > 9):
         raise FormatError(f"{labels_path}: label outside 0..9")

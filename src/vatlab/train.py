@@ -166,16 +166,18 @@ def train_supervised(cfg: TrainConfig, train_x: Tensor, train_y: np.ndarray,
     return _train(cfg, train_x, train_y, None, test_x, test_y, record_lds)
 
 
-def train_semisup(cfg: TrainConfig, dataset: Dataset, record_lds: bool = False) -> tuple:
-    """Two-minibatch semi-supervised training over a tagged dataset.
+def train_semisup(cfg: TrainConfig, dataset: Dataset, test_x: Tensor | None = None,
+                  test_y: np.ndarray | None = None, record_lds: bool = False) -> tuple:
+    """Two-minibatch semi-supervised training over a tagged dataset; returns
+    (net, TrainRecord).
 
     The likelihood batch comes from labeled rows; the regularizer batch is
-    drawn uniformly from the union of labeled and unlabeled rows.
+    drawn uniformly from the union of labeled and unlabeled rows. Rows tagged
+    validation or test are not read; the test split, as in train_supervised,
+    is test_x and test_y.
     """
     lab_x, lab_y = dataset.subset("labeled")
     pool_x = dataset.inputs[np.isin(dataset.split, ("labeled", "unlabeled"))]
-    test_x, test_y = (dataset.subset("test") if "test" in dataset.split
-                      else (None, None))
     return _train(cfg, lab_x, lab_y, pool_x, test_x, test_y, record_lds)
 
 

@@ -354,11 +354,7 @@ class TestMnistSemisup:
     def test_hundred_label_run(self):
         train, test = _require_mnist()
         rng = make_rng(0)
-        tagged = dm.make_semisup_split(train, 100, 1000, rng)
-        inputs = np.vstack([tagged.inputs, test.inputs])
-        labels = np.concatenate([tagged.labels, test.labels])
-        split = np.concatenate([tagged.split, np.full(test.n, "test")])
-        ds = dm.Dataset(inputs, labels, split)
+        ds = dm.make_semisup_split(train, 100, 1000, rng)
         results = {}
         for method, reg in [
             ("none", Regularizer(kind="none", weight=0.0)),

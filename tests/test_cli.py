@@ -12,7 +12,7 @@ import pytest
 from conftest import blas_threads, openblas_config, require_env
 from test_data import _write_idx_images, _write_idx_labels
 
-from vatlab import data as datamod, nn, train as trainmod
+from vatlab import contour, data as datamod, nn, train as trainmod
 from vatlab.cli import main
 from vatlab.numerics import make_rng
 
@@ -217,8 +217,10 @@ MNIST_RUNS = {
 
 class TestMnistTasks:
     def _train(self, tmp_path, task, *flags):
-        _write_random_mnist(tmp_path / "mnist")
-        prefix = str(tmp_path / "run")
+        """The output prefix of one run of task on random IDX files."""
+        if not (tmp_path / "mnist").exists():
+            _write_random_mnist(tmp_path / "mnist")
+        prefix = str(tmp_path / ("run" + "".join(flags)))
         with blas_threads(1):
             assert run_cli("train", "--task", task, "--mnist-dir", str(tmp_path / "mnist"),
                            "--hidden", "8", "--updates", "3", "--eval-every", "1",
@@ -234,6 +236,18 @@ class TestMnistTasks:
             digests = (hashlib.sha256(b"".join(p.tobytes() for p in params)).hexdigest(),
                        hashlib.sha256(fh.read()).hexdigest())
         assert tuple(d[:8] for d in digests) == MNIST_RUNS[task][1]
+
+    @pytest.mark.parametrize("task", sorted(MNIST_RUNS))
+    def test_record_lds_leaves_weights_unchanged(self, tmp_path, capsys, task):
+        plain, recorded = (self._train(tmp_path, task, *flags) for flags in [(), ("--record-lds",)])
+        with open(recorded + ".record.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3
+        assert all(np.isfinite(float(row[f"{split}_lds"]))
+                   for row in rows for split in ("train", "test"))
+        nets = [nn.load_checkpoint(prefix + ".ckpt.npz") for prefix in (plain, recorded)]
+        for a, b in zip(*(net.parameters() for net in nets)):
+            assert np.array_equal(a, b)
 
 
 class TestConfigFile:
@@ -259,6 +273,25 @@ class TestConfigFile:
         summary = json.load(open(prefix + ".summary.json"))
         assert (summary["method"], summary["seed"], summary["final"]["update"]) == \
             ("mle", 0, 1000)
+
+    @pytest.mark.parametrize("value, recorded", [
+        ("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("No", False),
+    ])
+    def test_switch_values(self, tmp_path, capsys, value, recorded):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"record_lds = {value}\n")
+        prefix = str(tmp_path / "out")
+        assert run_cli("train", "--config", str(cfg), "--task", "moons", "--updates", "2",
+                       "--n-test", "10", "--out-prefix", prefix) == 0
+        final = json.load(open(prefix + ".summary.json"))["final"]
+        assert (final["train_lds"] is not None) == recorded
+
+    def test_malformed_switch_value_names_the_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("record_lds = ture\n")
+        assert run_cli("train", "--config", str(cfg), "--task", "moons",
+                       "--out-prefix", str(tmp_path / "x")) == 2
+        assert "record_lds" in capsys.readouterr().err
 
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -391,11 +424,16 @@ POINTS_CSV = {"header.csv": "x0,x1,label\n",
     (TRAIN + ["--hidden", "1125899906842624"], 2),
     (["gen-data", "--task", "moons", "--n-test", "288230376151711744",
       "--out", "{tmp}/d.csv"], 2),
+    # switch values outside 1/true/yes and 0/false/no
+    (TRAIN + ["--config", "{tmp}/ture.cfg"], 2),
+    (TRAIN + ["--config", "{tmp}/blank-switch.cfg"], 2),
 ])
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
     # every malformed invocation exits with its documented code, never a traceback
     (tmp_path / "empty.npz").write_bytes(b"")
     (tmp_path / "bad.cfg").write_text("updates = ten\n")
+    (tmp_path / "ture.cfg").write_text("record_lds = ture\n")
+    (tmp_path / "blank-switch.cfg").write_text("record_lds =\n")
     (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe\xfa\x00=1")
     nn.save_checkpoint(nn.init_mlp([100, 3, 2], make_rng(0)), tmp_path / "net.ckpt.npz")
     nn.save_checkpoint(nn.init_mlp([784, 3, 10], make_rng(0)), tmp_path / "mnist.ckpt.npz")
@@ -423,3 +461,26 @@ def test_output_paths_are_checked_before_any_work(tmp_path, monkeypatch, argv, m
 
     monkeypatch.setattr(module, work, fail)
     assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == 2
+
+
+@pytest.mark.parametrize("argv, owner, writer", [
+    (TRAIN, trainmod.TrainRecord, "to_csv"),
+    (["boundary", "--checkpoint", "{tmp}/x.ckpt.npz", "--embedding", "{tmp}/x.embedding.npz",
+      "--train-csv", "{tmp}/x.train.csv", "--resolution", "5", "--out", "{tmp}/plot"],
+     contour, "grid_csv"),
+])
+def test_a_failed_write_leaves_every_output_as_it_was(tmp_path, capsys, monkeypatch,
+                                                      argv, owner, writer):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert run_cli(*(a.format(tmp=tmp_path) for a in TRAIN)) == 0
+    assert run_cli(*argv) == 0
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+    def fail(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(owner, writer, fail)
+    with pytest.raises(OSError):
+        run_cli(*argv, "--seed", "1")  # a rerun that would write other bytes
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+    assert not list(tmp_path.glob(".vatlab-*"))

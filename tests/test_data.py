@@ -2,6 +2,7 @@ import gzip
 import hashlib
 import pickle
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,20 @@ class TestIdxLoading:
         _write_idx_labels(tmp_path / "lab", [1])
         with pytest.raises(FormatError, match="1 labels for 2 images"):
             dm.load_mnist_idx(tmp_path / "img", tmp_path / "lab")
+
+    def test_scaling_takes_one_float_copy(self, tmp_path):
+        # scaling into a second float64 array peaked at about twice the result
+        n = 2000
+        _write_idx_images(tmp_path / "img",
+                          make_rng(0).integers(0, 256, (n, 28, 28), dtype=np.uint8))
+        _write_idx_labels(tmp_path / "lab", [i % 10 for i in range(n)])
+        tracemalloc.start()
+        try:
+            ds = dm.load_mnist_idx(tmp_path / "img", tmp_path / "lab")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * ds.inputs.nbytes
 
     def test_find_file_prefers_ubyte_then_gzip(self, tmp_path):
         for name in ("t10k-images-idx3-ubyte.gz", "t10k-images-idx3"):
