@@ -234,15 +234,15 @@ def cmd_train(args) -> int:
         reg = _make_regularizer(args)
         dataset, test, semisup, emb = _task_data(args, make_rng(args.seed))
         cfg = _train_config(args, reg, args_hidden(args), semisup, args.eval_every)
+        train_x, train_y = dataset.subset("labeled")
         if semisup:
             net, record = train_semisup(cfg, dataset, test.inputs, test.labels,
                                         record_lds=args.record_lds)
         else:
-            net, record = train_supervised(cfg, *dataset.subset("labeled"), test.inputs,
-                                           test.labels, record_lds=args.record_lds)
+            net, record = train_supervised(cfg, train_x, train_y, test.inputs, test.labels,
+                                           record_lds=args.record_lds)
         if emb is not None:
             _save_embedding(out[".embedding.npz"], emb)
-            train_x, train_y = dataset.subset("labeled")
             datamod.export_csv(Dataset(datamod.project_2d(train_x, emb), train_y),
                                out[".train.csv"])
         nn.save_checkpoint(net, out[".ckpt.npz"])
