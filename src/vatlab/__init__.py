@@ -1,6 +1,6 @@
 """vatlab: local distributional smoothness regularization for small MLPs.
 
-Subpackages: numerics (tensors, RNG, softmax), nn (MLP forward/backward),
+Modules: numerics (tensors, RNG, softmax), nn (MLP forward/backward),
 divergence (KL sensitivity), vat (perturbation search + penalty gradient),
 baselines (adversarial / random / L2 regularizers), oracles (closed-form
 validation models), optim, data, train, contour, cli.

@@ -4,7 +4,8 @@ boundary plots, hyperparameter grids, and the propagation-cost audit.
 Configuration comes from an optional flat key=value file plus flags; given
 flags win. A command makes a temp file next to each output path before any
 work, writes into them, and renames them onto the paths only when it
-succeeds, so its outputs appear all together or not at all. Exit codes: 0
+succeeds, so its outputs appear all together or not at all, with the mode
+the umask gives a new file. Exit codes: 0
 ok, 2 config error (a request too large for memory included), 3 numeric
 failure, 4 data/format error.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import json
 import os
 import pathlib
@@ -65,10 +67,13 @@ def _outputs(*paths: str):
     """Yield a list of new empty temp files, one in each path's directory.
 
     They are made on entry, so a path that cannot be written (a directory, or
-    in a missing one) is a ConfigError before any work. When the body returns,
-    each temp file is renamed onto its path; when it raises, the temp files
-    are removed and no path is touched.
+    in a missing one) is a ConfigError before any work. mkstemp makes them
+    0600; they get the mode open() would give a new file, 0666 less the
+    umask. When the body returns, each temp file is renamed onto its path;
+    when it raises, the temp files are removed and no path is touched.
     """
+    umask = os.umask(0)
+    os.umask(umask)
     temps = []
     try:
         for path in paths:
@@ -79,8 +84,9 @@ def _outputs(*paths: str):
                                            prefix=".vatlab-")
             except OSError as exc:
                 raise ConfigError(f"cannot write {path}: {exc}") from exc
-            os.close(fd)
             temps.append(tmp)
+            os.fchmod(fd, 0o666 & ~umask)
+            os.close(fd)
         yield temps
         for tmp, path in zip(temps, paths):
             os.replace(tmp, path)
@@ -147,20 +153,40 @@ def _make_regularizer(args) -> Regularizer:
                             xi=args.xi, power_iterations=args.ip)
 
 
+# (input width, class count) of the networks of a synthetic and of an MNIST task
+SYNTH_SHAPE = (datamod.EMBED_DIM, 2)
+MNIST_SHAPE = (datamod.MNIST_DIM, 10)
+
+
+def _task_shape(task: str) -> tuple[int, int]:
+    return SYNTH_SHAPE if task in SYNTH_TASKS else MNIST_SHAPE
+
+
 def _train_config(args, reg: Regularizer, hidden: list[int], semisup: bool,
                   eval_every: int) -> TrainConfig:
     """A run of args.task: full-batch SGD on a synthetic task; on MNIST, ADAM
     on minibatches of 100 labeled rows, and a semi-supervised run's penalty
     on 250 rows of the pool."""
     if args.task in SYNTH_TASKS:
-        family = dict(input_dim=datamod.EMBED_DIM, n_classes=2, optimizer="sgd",
-                      schedule=DecaySchedule(1.0, 0.995, 1), batch_size=0)
+        family = dict(optimizer="sgd", schedule=DecaySchedule(1.0, 0.995, 1), batch_size=0)
     else:
-        family = dict(input_dim=datamod.MNIST_DIM, n_classes=10, optimizer="adam",
-                      schedule=DecaySchedule(0.002, 0.9, 500), batch_size=100,
-                      reg_batch_size=250 if semisup else 0)
-    return TrainConfig(hidden_sizes=hidden, regularizer=reg, total_updates=args.updates,
-                       eval_every=eval_every, seed=args.seed, **family)
+        family = dict(optimizer="adam", schedule=DecaySchedule(0.002, 0.9, 500),
+                      batch_size=100, reg_batch_size=250 if semisup else 0)
+    input_dim, n_classes = _task_shape(args.task)
+    return TrainConfig(input_dim=input_dim, hidden_sizes=hidden, n_classes=n_classes,
+                       regularizer=reg, total_updates=args.updates, eval_every=eval_every,
+                       seed=args.seed, **family)
+
+
+def _load_checkpoint(path: str, shape: tuple[int, int], user: str) -> nn.MlpNetwork:
+    """The network a checkpoint holds; UsageError unless it maps shape's input
+    width to its class count."""
+    net = nn.load_checkpoint(path)
+    got = (net.input_dim, net.layers[-1].weights.shape[1])
+    if got != shape:
+        raise UsageError(f"the checkpoint maps {got[0]} inputs to {got[1]} outputs, "
+                         f"{user} needs {shape[0]} inputs and {shape[1]} classes")
+    return net
 
 
 def args_hidden(args) -> list[int]:
@@ -256,11 +282,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    net = nn.load_checkpoint(args.checkpoint)
-    input_dim = datamod.EMBED_DIM if args.task in SYNTH_TASKS else datamod.MNIST_DIM
-    if net.input_dim != input_dim:
-        raise UsageError(f"the checkpoint takes {net.input_dim} inputs, task {args.task} "
-                         f"has {input_dim}")
+    net = _load_checkpoint(args.checkpoint, _task_shape(args.task), f"task {args.task}")
     rng = make_rng(args.seed)
     if args.task in SYNTH_TASKS:
         # checkpoints do not carry their embedding, and a fresh one would
@@ -281,9 +303,7 @@ def cmd_eval(args) -> int:
 
 def cmd_boundary(args) -> int:
     with _outputs(args.out + ".svg", args.out + ".csv") as (svg_out, csv_out):
-        net = nn.load_checkpoint(args.checkpoint)
-        if net.input_dim != datamod.EMBED_DIM:
-            raise UsageError("boundary plots need a synthetic-task checkpoint")
+        net = _load_checkpoint(args.checkpoint, SYNTH_SHAPE, "a boundary plot")
         emb = _load_embedding(args.embedding)
         points, labels = _read_points_csv(args.train_csv)
         bounds = contour.lattice_bounds(points)
@@ -344,13 +364,14 @@ def cmd_grid(args) -> int:
 
     with _outputs(*([args.out] if args.out else [])) as temps:
         rows = [run_method(m) for m in methods]
-        lines = ["method,mean_test_error,sd_test_error,best_hyperparameters"]
+        table = [["method", "mean_test_error", "sd_test_error", "best_hyperparameters"]]
         for method, cfg, mean, sd in rows:
             best = json.dumps(_config_summary(cfg), sort_keys=True)
-            lines.append(f'{method},{mean!r},{sd!r},"{best}"')
+            table.append([method, repr(mean), repr(sd), best])
             print(f"{method:10s} {mean:.4f} +/- {sd:.4f}  {best}")
-        for table in temps:  # the --out file, if given
-            pathlib.Path(table).write_text("\n".join(lines) + "\n")
+        for path in temps:  # the --out file, if given
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(table)
     return 0
 
 

@@ -4,7 +4,7 @@ The boundary grid probes p(y=1|x) over a 2-D lattice in the pre-embedding
 plane (each lattice point is pushed through the embedding before the
 network), in as many row blocks as OpenBLAS's small-matrix rule allows, so
 that the memory a plot takes beyond its result grid does not grow with the
-resolution. Contours at a level are extracted cell by cell with linear
+resolution. Contours at LEVEL are extracted cell by cell with linear
 interpolation along the crossed edges, and only the cells the level crosses
 are read out of the lattice; the grid CSV is written one lattice row at a
 time. No plotting dependency.
@@ -33,6 +33,7 @@ class BoundaryGrid:
             raise ConfigError("grid values must be probabilities")
 
 
+LEVEL = 0.5         # the decision boundary: the contour where p(y=1) crosses it
 LATTICE_PAD = 0.3   # lattice_bounds pads each side by this fraction of the range
 SVG_SIZE = 640      # boundary_svg's width and height in pixels
 _MERGE_TOL = 1e-9   # _merge_segments joins endpoints equal at this grain
@@ -100,8 +101,8 @@ _PAIRS = {
 _EDGE_CORNERS = ((0, 1), (1, 2), (3, 2), (0, 3))
 
 
-def marching_squares(grid: BoundaryGrid, level: float = 0.5) -> list[list[tuple[float, float]]]:
-    """Contour segments at the given level, merged into polylines.
+def marching_squares(grid: BoundaryGrid) -> list[list[tuple[float, float]]]:
+    """Contour segments at LEVEL, merged into polylines.
 
     Each lattice cell contributes 0-2 segments; endpoints are linearly
     interpolated along the crossed edges. Saddle cells are split by the
@@ -109,7 +110,7 @@ def marching_squares(grid: BoundaryGrid, level: float = 0.5) -> list[list[tuple[
     crosses reach the Python loop.
     """
     xs, ys, v = grid.xs.tolist(), grid.ys.tolist(), grid.values
-    above = (v >= level).astype(np.uint8)
+    above = (v >= LEVEL).astype(np.uint8)
     cases = (above[:-1, :-1] | above[:-1, 1:] << 1
              | above[1:, 1:] << 2 | above[1:, :-1] << 3)
     rows, cols = np.nonzero((cases != 0) & (cases != 15))
@@ -119,7 +120,7 @@ def marching_squares(grid: BoundaryGrid, level: float = 0.5) -> list[list[tuple[
     segments = []
 
     def interp(pa, pb, fa, fb):
-        t = 0.5 if fb == fa else (level - fa) / (fb - fa)
+        t = 0.5 if fb == fa else (LEVEL - fa) / (fb - fa)
         return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
 
     for j, i, case, f in zip(rows.tolist(), cols.tolist(), cases[rows, cols].tolist(),
@@ -129,9 +130,9 @@ def marching_squares(grid: BoundaryGrid, level: float = 0.5) -> list[list[tuple[
         if case in (5, 10):
             center = np.mean(f)
             if case == 5:
-                pairs = [(3, 0), (1, 2)] if center < level else [(3, 2), (1, 0)]
+                pairs = [(3, 0), (1, 2)] if center < LEVEL else [(3, 2), (1, 0)]
             else:
-                pairs = [(0, 1), (2, 3)] if center < level else [(0, 3), (2, 1)]
+                pairs = [(0, 1), (2, 3)] if center < LEVEL else [(0, 3), (2, 1)]
         else:
             pairs = _PAIRS[case]
         edges = [interp(corners[a], corners[b], f[a], f[b]) for a, b in _EDGE_CORNERS]
@@ -164,8 +165,9 @@ def _merge_segments(segments) -> list[list[tuple[float, float]]]:
 
 
 def boundary_svg(grid: BoundaryGrid, points: Tensor, labels: np.ndarray,
-                 mean_lds: float | None = None) -> str:
-    """SVG document: shaded probability field, 0.5 contour, data markers.
+                 mean_lds: float) -> str:
+    """SVG document: shaded probability field, LEVEL contour, data markers,
+    and the mean smoothness estimate as a comment and a caption.
 
     Class 1 points draw as red circles, class 0 as blue triangles.
     """
@@ -182,10 +184,9 @@ def boundary_svg(grid: BoundaryGrid, points: Tensor, labels: np.ndarray,
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<!-- mean smoothness estimate: {mean_lds:.6f} -->',
+        f'<text x="10" y="20" font-size="14">mean LDS = {mean_lds:.4f}</text>',
     ]
-    if mean_lds is not None:
-        parts.append(f'<!-- mean smoothness estimate: {mean_lds:.6f} -->')
-        parts.append(f'<text x="10" y="20" font-size="14">mean LDS = {mean_lds:.4f}</text>')
 
     # coarse shading: one rect per 4x4 block of lattice cells
     step = max(1, len(grid.xs) // 50)
@@ -201,7 +202,7 @@ def boundary_svg(grid: BoundaryGrid, points: Tensor, labels: np.ndarray,
                 f'<rect x="{px:.1f}" y="{py - ch:.1f}" width="{cw:.1f}" height="{ch:.1f}" '
                 f'fill="rgb({r},230,{b})" fill-opacity="0.35"/>')
 
-    for line in marching_squares(grid, 0.5):
+    for line in marching_squares(grid):
         coords = " ".join(f"{px:.2f},{py:.2f}" for px, py in (to_px(p) for p in line))
         parts.append(f'<polyline points="{coords}" fill="none" stroke="black" stroke-width="2"/>')
 

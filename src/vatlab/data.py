@@ -33,16 +33,15 @@ _IDX_LABELS_MAGIC = 0x00000801
 @dataclass
 class Dataset:
     inputs: Tensor                 # (N, I)
-    labels: np.ndarray | None      # (N,) int, -1 where unknown
+    labels: np.ndarray             # (N,) int, -1 where unknown
     split: np.ndarray | None = None  # (N,) strings from SPLIT_TAGS
 
     def __post_init__(self):
         self.inputs = as_tensor(self.inputs)
         n = self.inputs.shape[0]
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (n,):
-                raise DataError("labels length does not match inputs")
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.labels.shape != (n,):
+            raise DataError("labels length does not match inputs")
         if self.split is not None:
             self.split = np.asarray(self.split)
             if self.split.shape != (n,):
@@ -50,8 +49,6 @@ class Dataset:
             bad = set(self.split) - set(SPLIT_TAGS)
             if bad:
                 raise DataError(f"unknown split tags: {sorted(bad)}")
-            if self.labels is None:
-                raise DataError("tagged datasets need a label array")
             needs_label = np.isin(self.split, ("labeled", "validation", "test"))
             if np.any(self.labels[needs_label] < 0):
                 raise DataError("labeled/validation/test rows must carry labels")
@@ -66,8 +63,7 @@ class Dataset:
         mask = self.split == tag
         if mask.all():  # the arrays themselves: a copy of every row would be waste
             return self.inputs, self.labels
-        labels = self.labels[mask] if self.labels is not None else None
-        return self.inputs[mask], labels
+        return self.inputs[mask], self.labels[mask]
 
 
 @dataclass
@@ -244,8 +240,6 @@ def make_semisup_split(dataset: Dataset, n_labeled: int, n_validation: int,
         raise ConfigError(f"n_labeled must be >= 1, got {n_labeled}")
     if n_validation < 0:
         raise ConfigError(f"n_validation must be >= 0, got {n_validation}")
-    if dataset.labels is None:
-        raise DataError("semi-supervised split needs labels")
     n = dataset.n
     if n_labeled + n_validation > n:
         raise DataError("n_labeled + n_validation exceeds the dataset size")
@@ -271,7 +265,6 @@ def export_csv(dataset: Dataset, path) -> None:
         writer = csv.writer(fh)
         tagged = dataset.split is not None
         writer.writerow([f"x{i}" for i in range(dim)] + ["label"] + ["split"] * tagged)
-        labels = dataset.labels if dataset.labels is not None else np.full(dataset.n, -1)
         tags = dataset.split.tolist() if tagged else [None] * dataset.n
-        for row, label, tag in zip(dataset.inputs, labels, tags):
+        for row, label, tag in zip(dataset.inputs, dataset.labels, tags):
             writer.writerow([repr(float(v)) for v in row] + [int(label)] + [tag] * tagged)

@@ -35,24 +35,23 @@ _CHECKPOINT_VERSION = 1
 _counts = {"forward": 0, "backward": 0}
 
 
-def reset_propagation_counts() -> None:
-    _counts.update(forward=0, backward=0)
-
-
 def propagation_counts() -> tuple[int, int]:
-    """(forward calls, backward calls) since the last reset."""
+    """(forward calls, backward calls) since the process started; callers
+    read a cost as the difference of two readings."""
     return _counts["forward"], _counts["backward"]
+
+
+def _activation_names(n_layers: int) -> list[str]:
+    """The activation of each layer as checkpoints name it: ReLU for every
+    layer but the last, which is the identity."""
+    return ["relu"] * (n_layers - 1) + ["identity"]
 
 
 @dataclass
 class Layer:
+    """One affine layer; a network applies ReLU after every layer but its last."""
     weights: Tensor  # (fan_in, fan_out)
     biases: Tensor   # (fan_out,)
-    activation: str  # "relu" or "identity"
-
-    def __post_init__(self):
-        if self.activation not in ("relu", "identity"):
-            raise ConfigError(f"unknown activation {self.activation!r}")
 
 
 @dataclass
@@ -76,13 +75,10 @@ class MlpNetwork:
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if prev.weights.shape[1] != nxt.weights.shape[0]:
                 raise DimensionError("consecutive layer dimensions do not chain")
-        if self.layers and self.layers[-1].activation != "identity":
-            raise ConfigError("output layer must use the identity activation")
         arrays = self.parameters()
         self._vector = np.concatenate([a.ravel() for a in arrays], dtype=np.float64)
         self._views = _views(self._vector, [a.shape for a in arrays])
-        self.layers = [Layer(w, b, layer.activation) for layer, w, b
-                       in zip(self.layers, self._views[::2], self._views[1::2])]
+        self.layers = [Layer(w, b) for w, b in zip(self._views[::2], self._views[1::2])]
 
     @property
     def input_dim(self) -> int:
@@ -111,11 +107,6 @@ class MlpNetwork:
         vector = np.zeros(self._vector.size)
         views = _views(vector, [view.shape for view in self._views])
         return GradientBundle(views[::2], views[1::2], None, vector)
-
-    def copy(self) -> "MlpNetwork":
-        """A network on a copy of the parameter vector, after check_views()."""
-        self.check_views()
-        return MlpNetwork(self.layers)
 
 
 def _views(vector: Tensor, shapes) -> list[Tensor]:
@@ -156,9 +147,8 @@ def init_mlp(layer_sizes: list[int], rng: np.random.Generator) -> MlpNetwork:
     if len(layer_sizes) < 2:
         raise ConfigError("need at least input and output sizes")
     pairs = list(zip(layer_sizes, layer_sizes[1:]))
-    net = MlpNetwork([Layer(np.zeros((fan_in, fan_out)), np.zeros(fan_out),
-                            "identity" if i == len(pairs) - 1 else "relu")
-                      for i, (fan_in, fan_out) in enumerate(pairs)])
+    net = MlpNetwork([Layer(np.zeros((fan_in, fan_out)), np.zeros(fan_out))
+                      for fan_in, fan_out in pairs])
     for (fan_in, _), layer in zip(pairs, net.layers):
         rng.standard_normal(out=layer.weights)  # the draws of rng.standard_normal(shape)
         layer.weights *= np.sqrt(2.0 / fan_in)
@@ -176,9 +166,10 @@ def forward(net: MlpNetwork, x: Tensor) -> tuple[Tensor, ForwardCache]:
     _counts["forward"] += 1
     post = []
     h = x
-    for layer in net.layers:
+    last = len(net.layers) - 1
+    for i, layer in enumerate(net.layers):
         z = h @ layer.weights + layer.biases
-        h = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        h = np.maximum(z, 0.0) if i < last else z
         post.append(h)
     return h, ForwardCache(net_id=id(net), x=x, activations=post)
 
@@ -203,9 +194,10 @@ def backward(net: MlpNetwork, cache: ForwardCache, d_logits: Tensor,
     if out is None:
         out = net.zero_gradients() if param_grads else GradientBundle([], [], None)
     delta = d_logits
-    for i in range(len(net.layers) - 1, -1, -1):
+    last = len(net.layers) - 1
+    for i in range(last, -1, -1):
         layer = net.layers[i]
-        if layer.activation == "relu":
+        if i < last:
             # the output layer is identity, so delta is this pass's own product
             delta *= cache.activations[i] > 0
         if param_grads:
@@ -262,12 +254,10 @@ def apply_dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 
 def save_checkpoint(net: MlpNetwork, path) -> None:
     arrays = {"version": np.array([_CHECKPOINT_VERSION])}
-    acts = []
     for i, layer in enumerate(net.layers):
         arrays[f"w{i}"] = layer.weights
         arrays[f"b{i}"] = layer.biases
-        acts.append(layer.activation)
-    arrays["activations"] = np.array(acts)
+    arrays["activations"] = np.array(_activation_names(len(net.layers)))
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
@@ -281,10 +271,12 @@ def load_checkpoint(path) -> MlpNetwork:
             if int(data["version"][0]) != _CHECKPOINT_VERSION:
                 raise FormatError(f"unsupported checkpoint version in {path}")
             acts = [str(a) for a in data["activations"]]
-            net = MlpNetwork([Layer(data[f"w{i}"], data[f"b{i}"], act)
-                              for i, act in enumerate(acts)])
+            if acts != _activation_names(len(acts)):
+                raise FormatError(f"bad checkpoint file {path}: activations {acts}, expected "
+                                  "relu for every layer but the last, which is identity")
+            net = MlpNetwork([Layer(data[f"w{i}"], data[f"b{i}"]) for i in range(len(acts))])
     except (EOFError, KeyError, OSError, ValueError, IndexError, TypeError,
-            ConfigError, DimensionError) as exc:
+            DimensionError) as exc:
         raise FormatError(f"bad checkpoint file {path}: {exc}") from exc
     if not np.isfinite(net.parameter_vector).all():
         raise FormatError(f"bad checkpoint file {path}: a weight or bias is not finite")

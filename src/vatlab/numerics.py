@@ -74,24 +74,23 @@ def _row_norms(v: Tensor) -> Tensor:
     return np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, :, 0]
 
 
-def sample_unit_vector(rng: np.random.Generator, dim: int,
-                       batch: int | None = None) -> Tensor:
+def sample_unit_vector(rng: np.random.Generator, dim: int, batch: int) -> Tensor:
     """Uniform directions on the unit sphere: Gaussian draws, then normalize.
 
-    Returns one (dim,) vector, or with batch a (batch, dim) tensor drawn in a
-    single call whose rows equal `batch` successive single draws bit for bit.
-    Rows of norm <= 1e-30 are drawn again.
+    Returns a (batch, dim) tensor drawn in a single call whose rows equal
+    `batch` successive draws of one row bit for bit. Rows of norm <= 1e-30
+    are drawn again.
     """
     if dim < 1:
         raise DimensionError("sample_unit_vector needs dim >= 1")
-    v = rng.standard_normal((1 if batch is None else batch, dim))
+    v = rng.standard_normal((batch, dim))
     norms = _row_norms(v)
     while (norms <= 1e-30).any():
         redraw = norms[:, 0] <= 1e-30
         v[redraw] = rng.standard_normal((int(redraw.sum()), dim))
         norms = _row_norms(v)
     v /= norms
-    return v[0] if batch is None else v
+    return v
 
 
 def normalize_rows(t: Tensor) -> Tensor:

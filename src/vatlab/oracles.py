@@ -4,7 +4,7 @@ perturbation search and the divergence layer.
 The linear-Gaussian model has an exactly quadratic KL sensitivity with a
 rank-1 Hessian theta theta^T / sigma^2, so the smoothness value and the
 dominant direction are both known in closed form. The brute-force Hessian
-and the in-repo Jacobi eigensolver give an independent route to the
+and numpy's symmetric eigensolver give an independent route to the
 dominant eigenvector for tiny networks; they never run in training.
 """
 
@@ -19,6 +19,8 @@ from .errors import ConfigError, DataError, DimensionError
 from .numerics import Tensor, as_tensor
 
 _MAX_DENSE_DIM = 32
+GRID_ANGLES = 3600  # logistic_lds_grid's directions on the circle
+HESSIAN_STEP = 1e-4  # brute_force_hessian's finite-difference step
 
 
 @dataclass
@@ -82,12 +84,11 @@ def logistic_kl(model: LogisticModel, x: Tensor, r: Tensor) -> float:
         (1 - p) * np.log(max(1 - p, eps) / max(1 - q, eps))
 
 
-def logistic_lds_grid(model: LogisticModel, x: Tensor, epsilon: float,
-                      n_angles: int = 3600) -> float:
-    """Negative max KL over a dense grid on the 2-D epsilon-sphere."""
+def logistic_lds_grid(model: LogisticModel, x: Tensor, epsilon: float) -> float:
+    """Negative max KL over GRID_ANGLES directions on the 2-D epsilon-sphere."""
     if model.theta.shape[0] != 2:
         raise DimensionError("grid oracle is 2-D only")
-    angles = np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
+    angles = np.linspace(0.0, 2 * np.pi, GRID_ANGLES, endpoint=False)
     worst = max(
         logistic_kl(model, x, epsilon * np.array([np.cos(a), np.sin(a)]))
         for a in angles
@@ -95,8 +96,9 @@ def logistic_lds_grid(model: LogisticModel, x: Tensor, epsilon: float,
     return -worst
 
 
-def brute_force_hessian(model, x_row: Tensor, h_step: float = 1e-4) -> Tensor:
-    """Symmetric finite-difference Hessian of the KL sensitivity at r = 0.
+def brute_force_hessian(model, x_row: Tensor) -> Tensor:
+    """Symmetric finite-difference Hessian of the KL sensitivity at r = 0,
+    with step HESSIAN_STEP.
 
     x_row is a single input point; refuses dimensions above 32 since the
     stencil costs O(I^2) forward passes.
@@ -105,14 +107,12 @@ def brute_force_hessian(model, x_row: Tensor, h_step: float = 1e-4) -> Tensor:
     dim = x.shape[1]
     if dim > _MAX_DENSE_DIM:
         raise DimensionError(f"brute_force_hessian refuses I > {_MAX_DENSE_DIM}")
-    if h_step <= 0:
-        raise ConfigError("h_step must be > 0")
     base = divergence.base_distribution(model, x)
 
     def f(r_vec):
         return float(divergence.delta_kl(model, x, r_vec.reshape(1, -1), base)[0])
 
-    h = h_step
+    h = HESSIAN_STEP
     hess = np.zeros((dim, dim))
     e = np.eye(dim)
     for i in range(dim):
@@ -124,46 +124,12 @@ def brute_force_hessian(model, x_row: Tensor, h_step: float = 1e-4) -> Tensor:
     return 0.5 * (hess + hess.T)
 
 
-def jacobi_eigh(matrix: Tensor, tol: float = 1e-12,
-                max_sweeps: int = 100) -> tuple[Tensor, Tensor]:
-    """Eigendecomposition of a small symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues, eigenvectors) with eigenvectors in columns,
-    sorted by descending eigenvalue.
-    """
-    a = as_tensor(matrix).copy()
-    n = a.shape[0]
-    if a.shape != (n, n) or not np.allclose(a, a.T, atol=1e-10):
-        raise DataError("jacobi_eigh needs a symmetric square matrix")
-    if n > _MAX_DENSE_DIM:
-        raise DimensionError(f"jacobi_eigh refuses n > {_MAX_DENSE_DIM}")
-    v = np.eye(n)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) < tol * 1e-3:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / a[p, q]
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta ** 2 + 1.0)) \
-                    if theta != 0 else 1.0
-                c = 1.0 / np.sqrt(t ** 2 + 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-    eigvals = np.diag(a).copy()
-    order = np.argsort(eigvals)[::-1]
-    return eigvals[order], v[:, order]
-
-
 def dominant_eigenvector(matrix: Tensor) -> tuple[float, Tensor]:
-    """Largest-magnitude eigenpair of a small symmetric matrix."""
-    eigvals, eigvecs = jacobi_eigh(matrix)
+    """Largest-magnitude eigenpair of a small symmetric matrix; DataError for
+    a matrix that is not square and symmetric."""
+    a = as_tensor(matrix)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.allclose(a, a.T, atol=1e-10):
+        raise DataError("dominant_eigenvector needs a symmetric square matrix")
+    eigvals, eigvecs = np.linalg.eigh(a)
     idx = int(np.argmax(np.abs(eigvals)))
     return float(eigvals[idx]), eigvecs[:, idx]

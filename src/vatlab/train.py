@@ -38,7 +38,7 @@ class TrainConfig:
     optimizer: str = "sgd"                    # "sgd" or "adam"
     schedule: DecaySchedule = field(default_factory=lambda: DecaySchedule(1.0, 0.995, 1))
     batch_size: int = 0                       # 0 = full batch
-    reg_batch_size: int = 0                   # 0 = reuse the likelihood batch
+    reg_batch_size: int = 0                   # semi-supervised pool batch; 0 = the whole pool
     total_updates: int = 1000
     eval_every: int = 0                       # 0 = final evaluation only
     seed: int = 0
@@ -194,7 +194,7 @@ def _train(cfg: TrainConfig, x: Tensor, y: np.ndarray, pool_x: Tensor | None,
     record = TrainRecord()
     batches = _batches(x.shape[0], cfg.batch_size, rng)
     if pool_x is not None:
-        reg_batches = _batches(pool_x.shape[0], cfg.reg_batch_size or cfg.batch_size, rng)
+        reg_batches = _batches(pool_x.shape[0], cfg.reg_batch_size, rng)
     for update in range(1, cfg.total_updates + 1):
         idx = next(batches)
         x_reg = None if pool_x is None else pool_x[next(reg_batches)]

@@ -45,18 +45,17 @@ class VatConfig:
 
 
 def gen_vap(model, x: Tensor, cfg: VatConfig, rng: np.random.Generator,
-            base=None) -> Tensor:
+            base) -> Tensor:
     """Approximate per-row worst-case perturbations of norm cfg.epsilon.
 
-    Starts from a fresh random unit direction per row and runs
-    cfg.power_iterations rounds of normalized finite-difference
-    Hessian-vector products. Rows where the gradient collapses keep their
-    previous direction (flat model; any direction is a valid maximizer).
+    base is divergence.base_distribution(model, x), held constant. Starts
+    from a fresh random unit direction per row and runs cfg.power_iterations
+    rounds of normalized finite-difference Hessian-vector products. Rows
+    where the gradient collapses keep their previous direction (flat model;
+    any direction is a valid maximizer).
     """
     x = as_tensor(x)
     batch, dim = x.shape
-    if base is None:
-        base = divergence.base_distribution(model, x)
     d = sample_unit_vector(rng, dim, batch)
     for _ in range(cfg.power_iterations):
         grad = divergence.grad_r_delta_kl(model, x, cfg.xi * d, base)
@@ -73,26 +72,23 @@ def gen_vap(model, x: Tensor, cfg: VatConfig, rng: np.random.Generator,
     return d
 
 
-def lds_estimate(model, x: Tensor, r_vadv: Tensor, base=None) -> Tensor:
-    """Per-row negative KL sensitivity at the supplied perturbation."""
-    if base is None:
-        base = divergence.base_distribution(model, x)
+def lds_estimate(model, x: Tensor, r_vadv: Tensor, base) -> Tensor:
+    """Per-row negative KL sensitivity at the supplied perturbation, from the
+    base distribution divergence.base_distribution(model, x)."""
     return -divergence.delta_kl(model, x, r_vadv, base)
 
 
-def vat_backward(net, x: Tensor, r_vadv: Tensor, base=None, *,
+def vat_backward(net, x: Tensor, r_vadv: Tensor, base, *,
                  out: nn.GradientBundle | None = None) -> tuple[float, nn.GradientBundle]:
     """Penalty value and parameter gradient of the mean KL sensitivity.
 
     Gradient of mean_rows KL[base || p(. | x + r_vadv, theta)] with respect to
     theta, with r_vadv and base held constant: one forward/backward pair
-    through the perturbed input only. A supplied base must be softmax rows;
-    it is not checked. The bundle (out, when given) carries no input
+    through the perturbed input only. base must be softmax rows; it is not
+    checked. The bundle (out, when given) carries no input
     gradient (d_input None), and a non-finite penalty is returned, not
     raised: the training step checks it.
     """
-    if base is None:
-        base = divergence.base_distribution(net, x)
     logits, cache = nn.forward(net, x + r_vadv)
     log_q = log_softmax_unchecked(logits)
     n = x.shape[0]
@@ -111,9 +107,10 @@ def vat_step_cost_audit(net, x_reg: Tensor, cfg: VatConfig,
     propagations: one forward for the base distribution, one forward/backward
     pair inside the perturbation search, one pair for the penalty gradient.
     """
-    nn.reset_propagation_counts()
+    fwd_before, bwd_before = nn.propagation_counts()
     base = divergence.base_distribution(net, x_reg)
-    r = gen_vap(net, x_reg, cfg, rng, base=base)
-    vat_backward(net, x_reg, r, base=base)
+    r = gen_vap(net, x_reg, cfg, rng, base)
+    vat_backward(net, x_reg, r, base)
     fwd, bwd = nn.propagation_counts()
-    return {"forward": fwd, "backward": bwd, "power_iterations": cfg.power_iterations}
+    return {"forward": fwd - fwd_before, "backward": bwd - bwd_before,
+            "power_iterations": cfg.power_iterations}

@@ -60,7 +60,7 @@ class TestAdvPerturbation:
         # the l2 perturbation must align with +-theta
         theta = np.array([2.0, -1.0])
         w = np.column_stack([theta, np.zeros(2)])
-        net = nn.MlpNetwork([nn.Layer(w, np.zeros(2), "identity")])
+        net = nn.MlpNetwork([nn.Layer(w, np.zeros(2))])
         x = np.array([[0.3, 0.4]])
         r = baselines.adv_perturbation(net, x, np.array([0]), 1.0, "l2")
         cos = abs(r[0] @ theta / (np.linalg.norm(r) * np.linalg.norm(theta)))
@@ -115,7 +115,7 @@ class TestL2Penalty:
         assert np.all(grads.vector == 0)
 
     def test_single_weight_plugin(self):
-        net = nn.MlpNetwork([nn.Layer(np.array([[3.0]]), np.zeros(1), "identity")])
+        net = nn.MlpNetwork([nn.Layer(np.array([[3.0]]), np.zeros(1))])
         penalty, grads = baselines.l2_penalty(net, 2.0)
         assert penalty == 9.0
         assert grads.vector.tolist() == [6.0, 0.0]

@@ -172,8 +172,8 @@ TINY_GRID = ("grid", "--task", "moons", "--methods", "mle,vat", "--reps", "2",
              "--grid-reps", "1", "--updates", "20", "--n-val", "50", "--n-test", "50")
 GOLDEN_GRID_CSV = '''\
 method,mean_test_error,sd_test_error,best_hyperparameters
-mle,0.13,0.049999999999999996,"{"optimizer": "sgd", "regularizer": "none", "total_updates": 20, "weight": 0.0}"
-vat,0.14,0.060000000000000005,"{"epsilon": 0.1, "optimizer": "sgd", "power_iterations": 1, "regularizer": "vat", "total_updates": 20, "weight": 1.0, "xi": 1e-06}"
+mle,0.13,0.049999999999999996,"{""optimizer"": ""sgd"", ""regularizer"": ""none"", ""total_updates"": 20, ""weight"": 0.0}"
+vat,0.14,0.060000000000000005,"{""epsilon"": 0.1, ""optimizer"": ""sgd"", ""power_iterations"": 1, ""regularizer"": ""vat"", ""total_updates"": 20, ""weight"": 1.0, ""xi"": 1e-06}"
 '''
 
 
@@ -184,6 +184,16 @@ class TestGridCommand:
         lines = open(out).read().strip().split("\n")
         assert lines[0].startswith("method,")
         assert len(lines) == 3
+
+    def test_table_is_csv_with_a_json_column(self, tmp_path, capsys):
+        out = str(tmp_path / "table.csv")
+        assert run_cli(*TINY_GRID, "--out", out) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["method"] for row in rows] == ["mle", "vat"]
+        assert all(None not in row for row in rows)  # no row has extra fields
+        best = [json.loads(row["best_hyperparameters"]) for row in rows]
+        assert [b["regularizer"] for b in best] == ["none", "vat"]
 
     def test_tiny_grid_matches_golden(self, tmp_path, capsys):
         require_env(GRID_NUMPY, GRID_OPENBLAS, "grid table")
@@ -236,6 +246,14 @@ class TestMnistTasks:
             digests = (hashlib.sha256(b"".join(p.tobytes() for p in params)).hexdigest(),
                        hashlib.sha256(fh.read()).hexdigest())
         assert tuple(d[:8] for d in digests) == MNIST_RUNS[task][1]
+
+    def test_eval(self, tmp_path, capsys):
+        prefix = self._train(tmp_path, "mnist")
+        capsys.readouterr()
+        assert run_cli("eval", "--task", "mnist", "--mnist-dir", str(tmp_path / "mnist"),
+                       "--checkpoint", prefix + ".ckpt.npz") == 0
+        out = json.loads(capsys.readouterr().out)
+        assert 0.0 <= out["error"] <= 1.0 and np.isfinite(out["mean_lds"])
 
     @pytest.mark.parametrize("task", sorted(MNIST_RUNS))
     def test_record_lds_leaves_weights_unchanged(self, tmp_path, capsys, task):
@@ -292,6 +310,22 @@ class TestConfigFile:
         assert run_cli("train", "--config", str(cfg), "--task", "moons",
                        "--out-prefix", str(tmp_path / "x")) == 2
         assert "record_lds" in capsys.readouterr().err
+
+    def test_comments_and_blank_lines_are_skipped(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a comment\n\n   \nseed = 6\n  # an indented comment\nupdates = 2\n")
+        prefix = str(tmp_path / "out")
+        assert run_cli("train", "--config", str(cfg), "--task", "moons", "--n-test", "10",
+                       "--out-prefix", prefix) == 0
+        summary = json.load(open(prefix + ".summary.json"))
+        assert (summary["seed"], summary["final"]["update"]) == (6, 2)
+
+    def test_line_without_equals_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 6\nupdates 2\n")
+        assert run_cli("train", "--config", str(cfg), "--task", "moons",
+                       "--out-prefix", str(tmp_path / "x")) == 2
+        assert "run.cfg:2" in capsys.readouterr().err
 
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -427,6 +461,14 @@ POINTS_CSV = {"header.csv": "x0,x1,label\n",
     # switch values outside 1/true/yes and 0/false/no
     (TRAIN + ["--config", "{tmp}/ture.cfg"], 2),
     (TRAIN + ["--config", "{tmp}/blank-switch.cfg"], 2),
+    # a checkpoint with one output, where the synthetic tasks have two classes
+    (["eval", "--task", "moons", "--checkpoint", "{tmp}/one-output.ckpt.npz",
+      "--embedding", "{tmp}/emb.npz"], 2),
+    (["boundary", "--checkpoint", "{tmp}/one-output.ckpt.npz", "--embedding", "{tmp}/emb.npz",
+      "--resolution", "5", "--out", "{tmp}/plot", "--train-csv", "{tmp}/two-rows.csv"], 2),
+    # settings whose first update overflows
+    (TRAIN + ["--reg", "l2", "--weight", "1e308"], 3),
+    (TRAIN + ["--reg", "vat", "--epsilon", "1e300"], 3),
 ])
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
     # every malformed invocation exits with its documented code, never a traceback
@@ -437,6 +479,7 @@ def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
     (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe\xfa\x00=1")
     nn.save_checkpoint(nn.init_mlp([100, 3, 2], make_rng(0)), tmp_path / "net.ckpt.npz")
     nn.save_checkpoint(nn.init_mlp([784, 3, 10], make_rng(0)), tmp_path / "mnist.ckpt.npz")
+    nn.save_checkpoint(nn.init_mlp([100, 3, 1], make_rng(0)), tmp_path / "one-output.ckpt.npz")
     np.savez(tmp_path / "emb.npz", matrix=np.eye(2, 100), offset=np.zeros(100))
     np.savez(tmp_path / "offset-emb.npz", matrix=np.eye(2, 100), offset=np.ones(100))
     for name, text in POINTS_CSV.items():
@@ -484,3 +527,19 @@ def test_a_failed_write_leaves_every_output_as_it_was(tmp_path, capsys, monkeypa
         run_cli(*argv, "--seed", "1")  # a rerun that would write other bytes
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
     assert not list(tmp_path.glob(".vatlab-*"))
+
+
+def test_outputs_follow_the_umask(tmp_path, capsys):
+    # the temp files behind every output are made 0600; the outputs are not
+    prefix = str(tmp_path / "run")
+    old = os.umask(0o022)
+    try:
+        assert run_cli(*(a.format(tmp=tmp_path) for a in TRAIN[:-1]), prefix) == 0
+        assert run_cli("boundary", "--checkpoint", prefix + ".ckpt.npz",
+                       "--embedding", prefix + ".embedding.npz",
+                       "--train-csv", prefix + ".train.csv", "--resolution", "5",
+                       "--out", str(tmp_path / "plot")) == 0
+    finally:
+        os.umask(old)
+    modes = {path.name: path.stat().st_mode & 0o777 for path in tmp_path.iterdir()}
+    assert len(modes) == 7 and set(modes.values()) == {0o644}

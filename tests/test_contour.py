@@ -55,11 +55,11 @@ class TestMarchingSquares:
         grid = BoundaryGrid(xs=np.linspace(-1.0, 2.0, 41), ys=np.linspace(0.5, 1.5, 31),
                             values=rng.random((31, 41)))
         grid.values[3, 4] = 0.5  # a corner exactly at the level
-        expected = contour._merge_segments(reference_marching_squares(grid, 0.5))
-        assert marching_squares(grid, 0.5) == expected
+        expected = contour._merge_segments(reference_marching_squares(grid, contour.LEVEL))
+        assert marching_squares(grid) == expected
 
     def test_vertical_line_for_linear_field(self):
-        lines = marching_squares(linear_field_grid(), level=0.5)
+        lines = marching_squares(linear_field_grid())
         points = np.array([p for line in lines for p in line])
         assert np.max(np.abs(points[:, 0] - 0.5)) < 1e-9
         ys = points[:, 1]
@@ -68,7 +68,7 @@ class TestMarchingSquares:
     def test_flat_field_has_no_contour(self):
         grid = BoundaryGrid(xs=np.linspace(0, 1, 5), ys=np.linspace(0, 1, 5),
                             values=np.full((5, 5), 0.2))
-        assert marching_squares(grid, 0.5) == []
+        assert marching_squares(grid) == []
 
     def test_circle_contour_radius(self):
         n = 101
@@ -78,7 +78,7 @@ class TestMarchingSquares:
         # p crosses 0.5 on the unit circle
         values = 1.0 / (1.0 + np.exp(5 * (np.sqrt(gx ** 2 + gy ** 2) - 1.0)))
         grid = BoundaryGrid(xs=xs, ys=ys, values=values)
-        points = np.array([p for line in marching_squares(grid, 0.5) for p in line])
+        points = np.array([p for line in marching_squares(grid) for p in line])
         radii = np.linalg.norm(points, axis=1)
         assert np.max(np.abs(radii - 1.0)) < 0.05
 
@@ -114,7 +114,7 @@ class TestProbeGrid:
         emb = dm.make_embedding(rng)
         grid = probe_grid(net, emb, (-1, 1, -1, 1), resolution=8)
         assert np.allclose(grid.values, 0.5)
-        assert marching_squares(grid, 0.5) == []
+        assert marching_squares(grid) == []
 
     def test_memory_stays_bounded(self, rng):
         # one product over the 200^2 lattice peaked at 94 MB, blocks of 16,384

@@ -56,7 +56,7 @@ class TestDeltaKl:
     def test_scalar_reference_on_tiny_net(self):
         # straight-line reference: explicit softmax KL on a fixed 2-2 linear net
         w = np.array([[1.0, -0.5], [0.25, 2.0]])
-        net = nn.MlpNetwork([nn.Layer(w, np.zeros(2), "identity")])
+        net = nn.MlpNetwork([nn.Layer(w, np.zeros(2))])
         x = np.array([[0.3, -0.7]])
         r = np.array([[0.11, 0.05]])
 

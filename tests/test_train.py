@@ -97,14 +97,15 @@ class TestSupervisedStep:
         net = random_small_net(rng, [4, 8, 3])
         x_reg = rng.standard_normal((6, 4)) if kind == "vat-semisup" else None
         reg = PENALIZED["vat" if kind == "vat-semisup" else kind]
-        nn.reset_propagation_counts()
+        fwd, bwd = nn.propagation_counts()
         supervised_step(net, x, y, reg, Probe(), make_rng(0), x_reg=x_reg)
-        assert nn.propagation_counts() == counts
+        after = nn.propagation_counts()
+        assert (after[0] - fwd, after[1] - bwd) == counts
 
     def test_one_step_scalar_reference(self):
         # 2-2 linear net, one momentum-free SGD step, checked end to end
         w = np.array([[1.0, 0.0], [0.0, 1.0]])
-        net = nn.MlpNetwork([nn.Layer(w.copy(), np.zeros(2), "identity")])
+        net = nn.MlpNetwork([nn.Layer(w.copy(), np.zeros(2))])
         x = np.array([[1.0, 2.0]])
         y = np.array([0])
         from vatlab.optim import MomentumSgd
@@ -188,7 +189,7 @@ class TestGradientBuffers:
         start = random_small_net(rng, [4, 8, 3])
 
         def run(reuse):
-            net, opt, step_rng = start.copy(), _optimizer(optimizer), make_rng(5)
+            net, opt, step_rng = nn.MlpNetwork(start.layers), _optimizer(optimizer), make_rng(5)
             out = _buffers(net) if reuse else None
             for _ in range(3):
                 supervised_step(net, x, y, reg, opt, step_rng, x_reg=x_reg, out=out)
@@ -301,7 +302,7 @@ class TestSemisupStep:
         x, y = toy_batch(rng)
         reg = Regularizer(kind="vat", weight=1.0, vat=VatConfig(epsilon=0.5))
         net_a = random_small_net(make_rng(1), [4, 8, 3])
-        net_b = net_a.copy()
+        net_b = nn.MlpNetwork(net_a.layers)
         from vatlab.optim import MomentumSgd
         opt_a = MomentumSgd(0.9, DecaySchedule(0.1))
         opt_b = MomentumSgd(0.9, DecaySchedule(0.1))
@@ -347,7 +348,7 @@ class TestSemisupStep:
 class TestEvaluate:
     def test_perfect_classifier(self):
         w = np.array([[10.0, -10.0]])
-        net = nn.MlpNetwork([nn.Layer(w, np.zeros(2), "identity")])
+        net = nn.MlpNetwork([nn.Layer(w, np.zeros(2))])
         x = np.array([[1.0], [-1.0]])
         y = np.array([0, 1])
         assert evaluate(net, x, y, with_lds=False)["error"] == 0.0
@@ -356,7 +357,7 @@ class TestEvaluate:
         rng = make_rng(0)
         # fixed random logit assignment over balanced 10-class samples
         w = rng.standard_normal((20, 10))
-        net = nn.MlpNetwork([nn.Layer(w, np.zeros(10), "identity")])
+        net = nn.MlpNetwork([nn.Layer(w, np.zeros(10))])
         x = rng.standard_normal((10_000, 20))
         y = np.repeat(np.arange(10), 1000)
         err = evaluate(net, x, y, with_lds=False)["error"]
@@ -374,9 +375,10 @@ class TestEvaluate:
         # power iterations of a forward/backward pair and one final forward
         net = random_small_net(rng, [4, 8, 3])
         x, y = toy_batch(rng)
-        nn.reset_propagation_counts()
+        fwd, bwd = nn.propagation_counts()
         evaluate(net, x, y, rng=make_rng(0))
-        assert nn.propagation_counts() == (7, 5)
+        after = nn.propagation_counts()
+        assert (after[0] - fwd, after[1] - bwd) == (7, 5)
 
 
 class TestTrainingLoops:

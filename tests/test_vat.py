@@ -24,16 +24,20 @@ class TestGenVap:
     def test_output_norm_is_epsilon(self, rng):
         net = random_small_net(rng, [6, 8, 3])
         x = rng.standard_normal((5, 6))
+        base = divergence.base_distribution(net, x)
         for eps in (0.1, 0.5, 2.0):
             for ip in (1, 3):
-                r = vat.gen_vap(net, x, vat.VatConfig(epsilon=eps, power_iterations=ip), rng)
+                r = vat.gen_vap(net, x, vat.VatConfig(epsilon=eps, power_iterations=ip), rng,
+                                base)
                 assert np.allclose(np.linalg.norm(r, axis=1), eps, atol=1e-9)
 
     def test_rank_one_gaussian_alignment(self):
         # H is proportional to theta theta^T, so one iteration lands on +-theta_bar
         model = LinearGaussianModel(theta=np.array([3.0, 4.0]), sigma2=1.0)
         rng = make_rng(11)
-        r = vat.gen_vap(model, np.zeros((1, 2)), vat.VatConfig(epsilon=1.0), rng)
+        x = np.zeros((1, 2))
+        r = vat.gen_vap(model, x, vat.VatConfig(epsilon=1.0), rng,
+                        divergence.base_distribution(model, x))
         cos = abs(r[0] @ np.array([0.6, 0.8]))
         assert cos > 1 - 1e-6
 
@@ -46,10 +50,11 @@ class TestGenVap:
             x = rng.standard_normal((1, 4))
             hess = brute_force_hessian(net, x[0])
             _, u1 = dominant_eigenvector(hess)
+            base = divergence.base_distribution(net, x)
             cosines = []
             for ip in (1, 2, 3, 4, 5):
                 r = vat.gen_vap(net, x, vat.VatConfig(epsilon=1.0, power_iterations=ip),
-                                make_rng(1000 + seed))
+                                make_rng(1000 + seed), base)
                 cosines.append(abs(r[0] @ u1))
             total += 1
             if all(b >= a - 1e-6 for a, b in zip(cosines, cosines[1:])):
@@ -63,7 +68,8 @@ class TestGenVap:
             layer.weights[:] = 0.0
             layer.biases[:] = 0.0
         x = rng.standard_normal((3, 4))
-        r = vat.gen_vap(net, x, vat.VatConfig(epsilon=0.5), rng)
+        r = vat.gen_vap(net, x, vat.VatConfig(epsilon=0.5), rng,
+                        divergence.base_distribution(net, x))
         assert np.allclose(np.linalg.norm(r, axis=1), 0.5)
 
 
@@ -73,41 +79,46 @@ class TestLdsEstimate:
         for layer in net.layers:
             layer.weights[:] = 0.0
         x = rng.standard_normal((5, 4))
-        r = vat.gen_vap(net, x, vat.VatConfig(epsilon=1.0), rng)
-        assert np.max(np.abs(vat.lds_estimate(net, x, r))) < 1e-15
+        base = divergence.base_distribution(net, x)
+        r = vat.gen_vap(net, x, vat.VatConfig(epsilon=1.0), rng, base)
+        assert np.max(np.abs(vat.lds_estimate(net, x, r, base))) < 1e-15
 
     def test_gaussian_model_exact(self):
         model = LinearGaussianModel(theta=np.array([1.0, 2.0, 2.0]), sigma2=0.5)
         rng = make_rng(5)
         eps = 0.7
         x = np.zeros((1, 3))
-        r = vat.gen_vap(model, x, vat.VatConfig(epsilon=eps), rng)
+        base = divergence.base_distribution(model, x)
+        r = vat.gen_vap(model, x, vat.VatConfig(epsilon=eps), rng, base)
         expected = -eps ** 2 * 9.0 / (2 * 0.5)
-        assert abs(vat.lds_estimate(model, x, r)[0] - expected) < 1e-9
+        assert abs(vat.lds_estimate(model, x, r, base)[0] - expected) < 1e-9
 
     def test_logistic_second_order_value(self):
         # two-class net with logit columns [theta, 0] equals a logistic model;
         # at theta^T x = 0 and eps=0.5 the second-order value is -0.03125
         theta = np.array([1.0, 0.0])
         w = np.column_stack([theta, np.zeros(2)])
-        net = nn.MlpNetwork([nn.Layer(w, np.zeros(2), "identity")])
+        net = nn.MlpNetwork([nn.Layer(w, np.zeros(2))])
         x = np.zeros((1, 2))
-        r = vat.gen_vap(net, x, vat.VatConfig(epsilon=0.5), make_rng(2))
-        got = float(vat.lds_estimate(net, x, r)[0])
+        base = divergence.base_distribution(net, x)
+        r = vat.gen_vap(net, x, vat.VatConfig(epsilon=0.5), make_rng(2), base)
+        got = float(vat.lds_estimate(net, x, r, base)[0])
         assert abs(got - (-0.03125)) < 0.5 ** 3
 
     def test_never_positive(self, rng):
         net = random_small_net(rng)
         x = rng.standard_normal((6, 4))
-        r = vat.gen_vap(net, x, vat.VatConfig(epsilon=0.5), rng)
-        assert np.all(vat.lds_estimate(net, x, r) <= 1e-12)
+        base = divergence.base_distribution(net, x)
+        r = vat.gen_vap(net, x, vat.VatConfig(epsilon=0.5), rng, base)
+        assert np.all(vat.lds_estimate(net, x, r, base) <= 1e-12)
 
 
 class TestVatBackward:
     def test_zero_perturbation_zero_gradient(self, rng):
         net = random_small_net(rng)
         x = rng.standard_normal((3, 4))
-        penalty, g = vat.vat_backward(net, x, np.zeros_like(x))
+        penalty, g = vat.vat_backward(net, x, np.zeros_like(x),
+                                      divergence.base_distribution(net, x))
         assert penalty < 1e-15
         for arr in g.parameter_grads():
             assert np.max(np.abs(arr)) < 1e-12
@@ -131,7 +142,7 @@ class TestVatBackward:
     def test_full_step_scalar_reference(self):
         # total gradient on a fixed 2-2 linear net = NLL grad + weight * penalty grad
         w = np.array([[0.8, -0.3], [0.1, 1.2]])
-        net = nn.MlpNetwork([nn.Layer(w.copy(), np.zeros(2), "identity")])
+        net = nn.MlpNetwork([nn.Layer(w.copy(), np.zeros(2))])
         x = np.array([[0.5, -0.2]])
         y = np.array([1])
         r = np.array([[0.3, 0.4]])
@@ -178,10 +189,11 @@ def test_probe_scale_direction_stability(rng):
     # the searched direction should not depend on the finite-difference scale
     net = random_small_net(rng, [5, 7, 3])
     x = rng.standard_normal((2, 5))
+    base = divergence.base_distribution(net, x)
     directions = []
     for xi in (1e-6, 1e-4, 1e-2):
         cfg = vat.VatConfig(epsilon=1.0, xi=xi, power_iterations=3)
-        r = vat.gen_vap(net, x, cfg, make_rng(42))
+        r = vat.gen_vap(net, x, cfg, make_rng(42), base)
         directions.append(r / np.linalg.norm(r, axis=1, keepdims=True))
     for other in directions[1:]:
         cos = np.abs((directions[0] * other).sum(axis=1))
@@ -195,14 +207,14 @@ def test_parametrization_invariance_of_lds(rng):
     x = rng.standard_normal((3, 4))
     dup = nn.MlpNetwork([
         nn.Layer(np.hstack([net.layers[0].weights, net.layers[0].weights[:, :1]]),
-                 np.concatenate([net.layers[0].biases, net.layers[0].biases[:1]]),
-                 "relu"),
+                 np.concatenate([net.layers[0].biases, net.layers[0].biases[:1]])),
         nn.Layer(np.vstack([
             np.vstack([0.5 * net.layers[1].weights[:1], net.layers[1].weights[1:]]),
             0.5 * net.layers[1].weights[:1]]),
-            net.layers[1].biases.copy(), "identity"),
+            net.layers[1].biases.copy()),
     ])
-    r = vat.gen_vap(net, x, vat.VatConfig(epsilon=0.5), make_rng(3))
-    a = vat.lds_estimate(net, x, r)
-    b = vat.lds_estimate(dup, x, r)
+    base = divergence.base_distribution(net, x)
+    r = vat.gen_vap(net, x, vat.VatConfig(epsilon=0.5), make_rng(3), base)
+    a = vat.lds_estimate(net, x, r, base)
+    b = vat.lds_estimate(dup, x, r, divergence.base_distribution(dup, x))
     assert np.max(np.abs(a - b)) < 1e-9
