@@ -1,13 +1,13 @@
 """Command-line interface: dataset generation, training, evaluation,
 boundary plots, hyperparameter grids, and the propagation-cost audit.
 
-Configuration comes from an optional flat key=value file plus flags; given
-flags win. A command makes a temp file next to each output path before any
-work, writes into them, and renames them onto the paths only when it
-succeeds, so its outputs appear all together or not at all, with the mode
-the umask gives a new file. Exit codes: 0
-ok, 2 config error (a request too large for memory included), 3 numeric
-failure, 4 data/format error.
+The values of an optional flat key=value config file become the command's
+defaults, so a given flag wins. A command makes a temp file next to each
+output path before any work, writes into them, and renames them onto the
+paths only when it succeeds, so its outputs appear all together or not at
+all, with the mode the umask gives a new file. Exit codes: 0 ok, 2 config
+error (a request too large for memory included), 3 numeric failure, 4
+data/format error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import json
 import os
 import pathlib
 import sys
-import tempfile
 import warnings
 
 import numpy as np
@@ -67,26 +66,24 @@ def _outputs(*paths: str):
     """Yield a list of new empty temp files, one in each path's directory.
 
     They are made on entry, so a path that cannot be written (a directory, or
-    in a missing one) is a ConfigError before any work. mkstemp makes them
-    0600; they get the mode open() would give a new file, 0666 less the
-    umask. When the body returns, each temp file is renamed onto its path;
-    when it raises, the temp files are removed and no path is touched.
+    in a missing one) is a ConfigError before any work. Each is created by
+    open() under a random .vatlab- name, so it gets the mode open() gives a new
+    file, 0666 less the umask, and a name that exists already fails instead of
+    being overwritten. When the body returns, each temp file is renamed onto
+    its path; when it raises, the temp files are removed and no path is touched.
     """
-    umask = os.umask(0)
-    os.umask(umask)
     temps = []
     try:
         for path in paths:
             if os.path.isdir(path):
                 raise ConfigError(f"cannot write {path}: it is a directory")
+            tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                               f".vatlab-{os.urandom(8).hex()}")
             try:
-                fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                           prefix=".vatlab-")
+                open(tmp, "x").close()
             except OSError as exc:
                 raise ConfigError(f"cannot write {path}: {exc}") from exc
             temps.append(tmp)
-            os.fchmod(fd, 0o666 & ~umask)
-            os.close(fd)
         yield temps
         for tmp, path in zip(temps, paths):
             os.replace(tmp, path)
@@ -96,53 +93,41 @@ def _outputs(*paths: str):
                 os.unlink(tmp)
 
 
-def _load_config_file(path: str) -> dict:
-    values = {}
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """The values of the config file args.config, as defaults of args's command.
+
+    Each line is blank, a # comment or key=value, where key names one of the
+    command's flags. A switch such as record_lds takes the _SWITCH_VALUES
+    words; any other flag's value is converted to the type of the value args
+    gives it (str where that is None)."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value")
-                key, _, value = line.partition("=")
-                values[key.strip().replace("-", "_")] = value.strip()
+        with open(args.config, encoding="utf-8") as fh:
+            lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return values
-
-
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                  argv) -> argparse.Namespace:
-    """Overlay config-file values under the flags argv gives explicitly, even
-    where a flag's value equals its default."""
-    if not getattr(args, "config", None):
-        return args
-    file_values = _load_config_file(args.config)
-    # the keys are the active subcommand's flags, not the root parser's
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in sub.choices[args.command]._actions}
-    for action in actions.values():  # parsed again without defaults, argv sets only what it gives
-        action.default = argparse.SUPPRESS
-    given = vars(parser.parse_args(argv))
-    for key, raw in file_values.items():
-        if key not in actions:
+        raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+    defaults = {}
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{args.config}:{lineno}: expected key=value")
+        key, _, raw = line.partition("=")
+        key, raw = key.strip().replace("-", "_"), raw.strip()
+        if key in ("command", "func") or key not in vars(args):
             raise ConfigError(f"unknown config key {key!r}")
-        action = actions[key]
+        value = getattr(args, key)
         try:  # a malformed value is an error even where a flag overrides it
-            if action.nargs == 0:  # a switch such as --record-lds
+            if isinstance(value, bool):  # a switch
                 value = _SWITCH_VALUES.get(raw.lower())
                 if value is None:
                     raise ValueError(f"{raw!r} is not one of {', '.join(_SWITCH_VALUES)}")
             else:
-                value = (action.type or str)(raw)
+                value = (str if value is None else type(value))(raw)
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
-        if key not in given:
-            setattr(args, key, value)
-    return args
+        defaults[key] = value
+    return defaults
 
 
 def _make_regularizer(args) -> Regularizer:
@@ -391,7 +376,8 @@ def cmd_audit_cost(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The root parser and each command's parser, by command name."""
     parser = argparse.ArgumentParser(prog="vatlab")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -468,15 +454,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ip", type=int, default=1)
     p.set_defaults(func=cmd_audit_cost)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args, parser, argv)
-        return args.func(args)
+        if args.config:  # its values become the command's defaults; given flags win
+            commands[args.command].set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
+        # every non-finite value is checked, and exits 3 with a line of its own
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ConfigError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,8 @@ from .errors import ConfigError, DimensionError, NumericError
 # Floor applied to probabilities before they enter a logarithm outside of
 # log-sum-exp; keeps KL finite for near-degenerate distributions.
 PROB_FLOOR = 1e-12
-# normalize_rows turns rows of a smaller L2 norm into zeros.
+# A row of a smaller L2 norm has no direction: normalize_rows turns it into
+# zeros, and vat.gen_vap keeps its previous search direction.
 ZERO_NORM = 1e-12
 
 Tensor = np.ndarray

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -177,29 +178,37 @@ def train_semisup(cfg: TrainConfig, dataset: Dataset, test_x: Tensor | None = No
     is test_x and test_y.
     """
     lab_x, lab_y = dataset.subset("labeled")
-    pool_x = dataset.inputs[np.isin(dataset.split, ("labeled", "unlabeled"))]
-    return _train(cfg, lab_x, lab_y, pool_x, test_x, test_y, record_lds)
+    pool = np.flatnonzero(np.isin(dataset.split, ("labeled", "unlabeled")))
+    return _train(cfg, lab_x, lab_y, (dataset.inputs, pool), test_x, test_y, record_lds)
 
 
-def _train(cfg: TrainConfig, x: Tensor, y: np.ndarray, pool_x: Tensor | None,
+def _pool_batches(inputs: Tensor, rows: np.ndarray, batch_size: int,
+                  rng: np.random.Generator):
+    """Endless regularizer batches of inputs[rows], drawn as _batches draws
+    them: a minibatch gathers its own rows, the whole pool is gathered once."""
+    for idx in _batches(rows.size, batch_size, rng):
+        if isinstance(idx, slice):  # every batch is the whole pool
+            yield from repeat(inputs[rows])
+        yield inputs[rows[idx]]
+
+
+def _train(cfg: TrainConfig, x: Tensor, y: np.ndarray, pool: tuple | None,
            test_x: Tensor | None, test_y: np.ndarray | None, record_lds: bool) -> tuple:
     """The training loop. Each update draws a likelihood batch of (x, y), then
-    a regularizer batch of pool_x; with no pool (supervised training) the
-    penalty reuses the likelihood batch. Every update writes its gradients
-    into the same two bundles."""
+    a regularizer batch of pool = (inputs, rows), the given rows of inputs;
+    with no pool (supervised training) the penalty reuses the likelihood batch.
+    Every update writes its gradients into the same two bundles."""
     rng, eval_rng = make_rng(cfg.seed), _eval_rng(cfg.seed)
     net = nn.init_mlp(cfg.layer_sizes(), rng)
     grads = (net.zero_gradients(), net.zero_gradients())
     optimizer = make_optimizer(cfg)
     record = TrainRecord()
     batches = _batches(x.shape[0], cfg.batch_size, rng)
-    if pool_x is not None:
-        reg_batches = _batches(pool_x.shape[0], cfg.reg_batch_size, rng)
+    reg_batches = repeat(None) if pool is None else _pool_batches(*pool, cfg.reg_batch_size, rng)
     for update in range(1, cfg.total_updates + 1):
         idx = next(batches)
-        x_reg = None if pool_x is None else pool_x[next(reg_batches)]
         losses = supervised_step(net, x[idx], y[idx], cfg.regularizer, optimizer, rng,
-                                 x_reg=x_reg, out=grads)
+                                 x_reg=next(reg_batches), out=grads)
         if (cfg.eval_every and update % cfg.eval_every == 0) or update == cfg.total_updates:
             row = _eval_row(net, x, y, test_x, test_y, record_lds, eval_rng)
             record.rows.append({"update": update, **row, **losses})

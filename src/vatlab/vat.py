@@ -19,11 +19,9 @@ import numpy as np
 
 from . import divergence, nn
 from .errors import ConfigError
-from .numerics import Tensor, as_tensor, log_softmax_unchecked, sample_unit_vector
+from .numerics import ZERO_NORM, Tensor, as_tensor, log_softmax_unchecked, sample_unit_vector
 
 log = logging.getLogger(__name__)
-
-_DEGENERATE_TOL = 1e-12
 
 
 @dataclass
@@ -61,7 +59,7 @@ def gen_vap(model, x: Tensor, cfg: VatConfig, rng: np.random.Generator,
         grad = divergence.grad_r_delta_kl(model, x, cfg.xi * d, base)
         # what np.linalg.norm(..., axis=1) computes for real rows
         norms = np.sqrt(np.add.reduce(grad * grad, axis=1, keepdims=True))
-        degenerate = norms < _DEGENERATE_TOL
+        degenerate = norms < ZERO_NORM
         if degenerate.any():
             log.debug("gen_vap: %d degenerate rows keep their previous direction",
                       int(degenerate.sum()))

@@ -5,6 +5,8 @@ import json
 import os
 import platform
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -268,6 +270,11 @@ class TestMnistTasks:
             assert np.array_equal(a, b)
 
 
+CONFIG_TRAIN = ["train", "--task", "moons", "--reg", "vat", "--n-test", "10",
+                "--out-prefix", "{tmp}/x"]
+CONFIG_EVAL = ["eval", "--task", "moons", "--checkpoint", "{tmp}/net.ckpt.npz", "--n-test", "10"]
+
+
 class TestConfigFile:
     def test_file_values_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -326,6 +333,32 @@ class TestConfigFile:
         assert run_cli("train", "--config", str(cfg), "--task", "moons",
                        "--out-prefix", str(tmp_path / "x")) == 2
         assert "run.cfg:2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, line, flags", [
+        (CONFIG_TRAIN, "updates = 3", ["--updates", "3"]),
+        (CONFIG_TRAIN + ["--updates", "2"], "epsilon = 0.25", ["--epsilon", "0.25"]),
+        (CONFIG_TRAIN + ["--updates", "2"], "hidden = 7,7", ["--hidden", "7,7"]),
+        (CONFIG_TRAIN + ["--updates", "2"], "record_lds = yes", ["--record-lds"]),
+        # a flag whose default is None takes a string
+        (CONFIG_EVAL, "embedding = {tmp}/emb.npz", ["--embedding", "{tmp}/emb.npz"]),
+        (CONFIG_TRAIN, "func = cmd_eval", None),
+        (CONFIG_TRAIN, "command = eval", None),
+    ])
+    def test_a_value_acts_as_its_flag(self, tmp_path, capsys, argv, line, flags):
+        # each value converted to its flag's type; func and command are no flags
+        nn.save_checkpoint(nn.init_mlp([100, 3, 2], make_rng(0)), tmp_path / "net.ckpt.npz")
+        np.savez(tmp_path / "emb.npz", matrix=np.eye(2, 100), offset=np.zeros(100))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line.format(tmp=tmp_path) + "\n")
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        code = run_cli(*argv, "--config", str(cfg))
+        from_file = capsys.readouterr().out
+        if flags is None:
+            assert code == 2
+            return
+        assert code == 0
+        assert run_cli(*argv, *(f.format(tmp=tmp_path) for f in flags)) == 0
+        assert capsys.readouterr().out == from_file
 
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -489,6 +522,20 @@ def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
     _write_random_mnist(tmp_path / "mnist")
     assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_numeric_failure_prints_its_one_line(tmp_path):
+    # the second update overflows; numpy's warnings, each with its source
+    # line, would come before the failure's line
+    src = os.path.dirname(os.path.dirname(datamod.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [a.format(tmp=tmp_path) for a in TRAIN] + ["--reg", "vat", "--epsilon", "1e300"]
+    proc = subprocess.run([sys.executable, "-m", "vatlab.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("numeric failure:")
 
 
 @pytest.mark.parametrize("argv, module, work", [

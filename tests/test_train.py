@@ -421,6 +421,24 @@ class TestTrainingLoops:
         assert lines[0] == "update,train_err,test_err,train_lds,test_lds,nll,reg"
         assert len(lines) == 3  # updates 5 and 10
 
+    def test_semisup_minibatches_do_not_copy_the_pool(self):
+        # 16 labeled and 19,984 unlabeled rows of width 100, regularized 50 rows at a time
+        rng = make_rng(0)
+        n = 20_000
+        labeled = np.arange(n) < 16
+        ds = dm.Dataset(rng.standard_normal((n, 100)), np.where(labeled, np.arange(n) % 2, -1),
+                        np.where(labeled, "labeled", "unlabeled"))
+        cfg = TrainConfig(input_dim=100, hidden_sizes=[10], n_classes=2,
+                          regularizer=Regularizer(kind="vat", vat=VatConfig(epsilon=0.5)),
+                          total_updates=3, reg_batch_size=50, seed=0)
+        tracemalloc.start()
+        try:
+            tm.train_semisup(cfg, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.inputs.nbytes / 2
+
     def test_semisup_beats_plain_supervised_on_moons(self):
         # 16 labels, no regularizer vs 16 labels + 1000 unlabeled with the
         # smoothness penalty, paired over 6 seeds
