@@ -1,13 +1,14 @@
 """Command-line interface: dataset generation, training, evaluation,
 boundary plots, hyperparameter grids, and the propagation-cost audit.
 
-The values of an optional flat key=value config file become the command's
-defaults, so a given flag wins. A command makes a temp file next to each
-output path before any work, writes into them, and renames them onto the
-paths only when it succeeds, so its outputs appear all together or not at
-all, with the mode the umask gives a new file. Exit codes: 0 ok, 2 config
-error (a request too large for memory included), 3 numeric failure, 4
-data/format error.
+The lines of an optional flat key=value config file act as the command's
+flags, given ahead of the command line's own, so a given flag wins, a file
+may supply a required flag, and a value from the file meets its flag's type
+and choices. A command makes a temp file next to each output path before any
+work, writes into them, and renames them onto the paths only when it
+succeeds, so its outputs appear all together or not at all, with the mode
+the umask gives a new file. Exit codes: 0 ok, 2 config error (a request too
+large for memory included), 3 numeric failure, 4 data/format error.
 """
 
 from __future__ import annotations
@@ -93,46 +94,63 @@ def _outputs(*paths: str):
                 os.unlink(tmp)
 
 
-def _config_defaults(args: argparse.Namespace) -> dict:
-    """The values of the config file args.config, as defaults of args's command.
-
-    Each line is blank, a # comment or key=value, where key names one of the
-    command's flags. A switch such as record_lds takes the _SWITCH_VALUES
-    words; any other flag's value is converted to the type of the value args
-    gives it (str where that is None)."""
+def _config_path(argv: list[str]) -> str | None:
+    """The --config value of argv, or None; argv's errors are left to the
+    command's parser."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        return pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        return None
+
+
+def _read_config(path: str) -> dict[str, str]:
+    """The key=value lines of a config file, key -> value text. Each line is
+    blank, a # comment or key=value; a key's dashes read as underscores."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-    defaults = {}
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    values = {}
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{args.config}:{lineno}: expected key=value")
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, _, raw = line.partition("=")
-        key, raw = key.strip().replace("-", "_"), raw.strip()
+        values[key.strip().replace("-", "_")] = raw.strip()
+    return values
+
+
+def _config_flags(args: argparse.Namespace, values: dict[str, str]) -> list[str]:
+    """The config values as flags of args's command: --key=value, and for a
+    switch such as record_lds, which takes the _SWITCH_VALUES words, the bare
+    flag or nothing. A key must name one of the command's flags exactly, and
+    a value must convert to the type of the value args gives it (str where
+    that is None); argparse checks its choices."""
+    flags = []
+    for key, raw in values.items():
         if key in ("command", "func") or key not in vars(args):
             raise ConfigError(f"unknown config key {key!r}")
-        value = getattr(args, key)
+        flag, value = "--" + key.replace("_", "-"), getattr(args, key)
         try:  # a malformed value is an error even where a flag overrides it
             if isinstance(value, bool):  # a switch
-                value = _SWITCH_VALUES.get(raw.lower())
-                if value is None:
+                if raw.lower() not in _SWITCH_VALUES:
                     raise ValueError(f"{raw!r} is not one of {', '.join(_SWITCH_VALUES)}")
+                flags += [flag] if _SWITCH_VALUES[raw.lower()] else []
             else:
-                value = (str if value is None else type(value))(raw)
+                (str if value is None else type(value))(raw)
+                flags.append(f"{flag}={raw}")
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
-        defaults[key] = value
-    return defaults
+    return flags
 
 
 def _make_regularizer(args) -> Regularizer:
-    if args.reg not in METHOD_NAMES:
-        raise ConfigError(f"unknown method {args.reg!r}; choose from {sorted(METHOD_NAMES)}")
+    """The regularizer of args.reg, one of the flag's choices."""
     return make_regularizer(METHOD_NAMES[args.reg], weight=args.weight,
                             epsilon=args.epsilon, keep_prob=args.keep_prob,
                             xi=args.xi, power_iterations=args.ip)
@@ -376,10 +394,14 @@ def cmd_audit_cost(args) -> int:
     return 0
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The root parser and each command's parser, by command name."""
+def build_parser(supplied=()) -> argparse.ArgumentParser:
+    """The root parser. A flag that a config file supplies, one whose key is
+    in supplied, is not required."""
     parser = argparse.ArgumentParser(prog="vatlab")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def needed(key: str) -> bool:
+        return key not in supplied
 
     def common(p, mnist=False):
         p.add_argument("--config", default=None, help="flat key=value file; flags override")
@@ -389,16 +411,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset as CSV")
     common(p)
-    p.add_argument("--task", choices=SYNTH_TASKS, required=True)
+    p.add_argument("--task", choices=SYNTH_TASKS, required=needed("task"))
     p.add_argument("--n-train", type=int, default=16)
     p.add_argument("--n-test", type=int, default=1000)
     p.add_argument("--n-unlabeled", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=needed("out"))
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train one model and write artifacts")
     common(p, mnist=True)
-    p.add_argument("--task", required=True,
+    p.add_argument("--task", required=needed("task"),
                    choices=[*SYNTH_TASKS, "mnist", "mnist-semisup"])
     p.add_argument("--reg", default="mle", choices=sorted(METHOD_NAMES))
     p.add_argument("--epsilon", type=float, default=0.5)
@@ -420,24 +442,24 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     common(p, mnist=True)
-    p.add_argument("--task", required=True, choices=[*SYNTH_TASKS, "mnist"])
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--task", required=needed("task"), choices=[*SYNTH_TASKS, "mnist"])
+    p.add_argument("--checkpoint", required=needed("checkpoint"))
     p.add_argument("--embedding", default=None)
     p.add_argument("--n-test", type=int, default=1000)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("boundary", help="decision-boundary grid CSV + SVG contour")
     common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--embedding", required=True)
-    p.add_argument("--train-csv", required=True, help="2-D points CSV from train")
+    p.add_argument("--checkpoint", required=needed("checkpoint"))
+    p.add_argument("--embedding", required=needed("embedding"))
+    p.add_argument("--train-csv", required=needed("train_csv"), help="2-D points CSV from train")
     p.add_argument("--resolution", type=int, default=200)
-    p.add_argument("--out", required=True, help="output path prefix")
+    p.add_argument("--out", required=needed("out"), help="output path prefix")
     p.set_defaults(func=cmd_boundary)
 
     p = sub.add_parser("grid", help="per-method hyperparameter search on a synthetic task")
     common(p)
-    p.add_argument("--task", choices=SYNTH_TASKS, required=True)
+    p.add_argument("--task", choices=SYNTH_TASKS, required=needed("task"))
     p.add_argument("--methods", default="mle,l2,dropout,random,adv-linf,adv-l2,vat")
     p.add_argument("--n-train", type=int, default=16)
     p.add_argument("--n-val", type=int, default=1000)
@@ -454,16 +476,18 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--ip", type=int, default=1)
     p.set_defaults(func=cmd_audit_cost)
 
-    return parser, sub.choices
+    return parser
 
 
 def main(argv=None) -> int:
-    parser, commands = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        if args.config:  # its values become the command's defaults; given flags win
-            commands[args.command].set_defaults(**_config_defaults(args))
-            args = parser.parse_args(argv)
+        path = _config_path(argv)
+        values = _read_config(path) if path else {}
+        parser = build_parser(values)
+        args = parser.parse_args(argv)
+        if values:  # the file's flags go ahead of the given ones, which win as later flags do
+            args = parser.parse_args(argv[:1] + _config_flags(args, values) + argv[1:])
         # every non-finite value is checked, and exits 3 with a line of its own
         with np.errstate(all="ignore"):
             return args.func(args)

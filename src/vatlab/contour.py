@@ -49,7 +49,10 @@ def lattice_bounds(points: Tensor) -> tuple[float, float, float, float]:
 # OpenBLAS (0.3.31, SkylakeX kernels) sends a product with M*N*K at most this
 # to a small-matrix kernel that rounds differently, so a block must not fall
 # under it for a product that over the whole lattice does not, or p would
-# differ in its last bits from one product over the whole lattice.
+# differ in its last bits from one product over the whole lattice. Above it,
+# the rounding of a row can still depend on the block's row count for some
+# shapes (a 100-300-2 network at 200^2), so p equals one whole-lattice product
+# only where the tests pin it: 100-100-2 at 200^2 and 300^2, 100-50-2 at 137^2.
 _SMALL_GEMM = 1_000_000
 
 

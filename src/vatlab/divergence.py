@@ -68,6 +68,7 @@ def grad_r_delta_kl(model, x: Tensor, r: Tensor, base) -> Tensor:
     if hasattr(model, "grad_r_delta_kl"):
         return model.grad_r_delta_kl(x, r, base)
     logits, cache = nn.forward(model, x + r)
-    d_logits = np.exp(log_softmax_unchecked(logits))
+    d_logits = log_softmax_unchecked(logits)
+    np.exp(d_logits, out=d_logits)
     d_logits -= base
     return nn.backward(model, cache, d_logits, param_grads=False).d_input

@@ -168,8 +168,11 @@ def forward(net: MlpNetwork, x: Tensor) -> tuple[Tensor, ForwardCache]:
     h = x
     last = len(net.layers) - 1
     for i, layer in enumerate(net.layers):
-        z = h @ layer.weights + layer.biases
-        h = np.maximum(z, 0.0) if i < last else z
+        # one array per layer: the product, then the bias and ReLU in place
+        h = h @ layer.weights
+        h += layer.biases
+        if i < last:
+            np.maximum(h, 0.0, out=h)
         post.append(h)
     return h, ForwardCache(net_id=id(net), x=x, activations=post)
 
@@ -249,7 +252,9 @@ def apply_dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     if p == 1.0:
         return x
     mask = rng.random(x.shape) < p
-    return x * mask / p
+    out = x * mask
+    out /= p
+    return out
 
 
 def save_checkpoint(net: MlpNetwork, path) -> None:

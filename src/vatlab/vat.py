@@ -50,7 +50,8 @@ def gen_vap(model, x: Tensor, cfg: VatConfig, rng: np.random.Generator,
     from a fresh random unit direction per row and runs cfg.power_iterations
     rounds of normalized finite-difference Hessian-vector products. Rows
     where the gradient collapses keep their previous direction (flat model;
-    any direction is a valid maximizer).
+    any direction is a valid maximizer). Each round's gradient is divided by
+    its norms in place, so a model's grad_r_delta_kl must return a new array.
     """
     x = as_tensor(x)
     batch, dim = x.shape
@@ -60,12 +61,13 @@ def gen_vap(model, x: Tensor, cfg: VatConfig, rng: np.random.Generator,
         # what np.linalg.norm(..., axis=1) computes for real rows
         norms = np.sqrt(np.add.reduce(grad * grad, axis=1, keepdims=True))
         degenerate = norms < ZERO_NORM
-        if degenerate.any():
+        if np.logical_or.reduce(degenerate, axis=None):
             log.debug("gen_vap: %d degenerate rows keep their previous direction",
                       int(degenerate.sum()))
             d = np.where(degenerate, d, grad / np.where(degenerate, 1.0, norms))
         else:
-            d = grad / norms
+            grad /= norms  # the gradient is this search's own array
+            d = grad
     d *= cfg.epsilon  # d is this search's own array
     return d
 

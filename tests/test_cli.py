@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -365,6 +366,48 @@ class TestConfigFile:
         cfg.write_text("bogus = 1\n")
         assert run_cli("train", "--config", str(cfg), "--task", "moons",
                        "--out-prefix", str(tmp_path / "x")) == 2
+
+    def test_a_file_supplies_a_required_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("task = moons\nupdates = 2\n")
+        from_file, from_flag = str(tmp_path / "file"), str(tmp_path / "flag")
+        assert run_cli("train", "--config", str(cfg), "--n-test", "10",
+                       "--out-prefix", from_file) == 0
+        assert run_cli("train", "--task", "moons", "--updates", "2", "--n-test", "10",
+                       "--out-prefix", from_flag) == 0
+        # the bytes of every array in the checkpoint; the zip entries carry times
+        members = []
+        for prefix in (from_file, from_flag):
+            with zipfile.ZipFile(prefix + ".ckpt.npz") as zf:
+                members.append({name: zf.read(name) for name in zf.namelist()})
+        assert members[0] == members[1]
+
+    def test_eval_takes_its_checkpoint_from_the_file(self, tmp_path, capsys):
+        nn.save_checkpoint(nn.init_mlp([100, 3, 2], make_rng(0)), tmp_path / "net.ckpt.npz")
+        np.savez(tmp_path / "emb.npz", matrix=np.eye(2, 100), offset=np.zeros(100))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"checkpoint = {tmp_path}/net.ckpt.npz\n")
+        argv = ["eval", "--task", "moons", "--embedding", str(tmp_path / "emb.npz"),
+                "--n-test", "10"]
+        assert run_cli(*argv, "--config", str(cfg)) == 0
+        from_file = capsys.readouterr().out
+        assert run_cli(*argv, "--checkpoint", str(tmp_path / "net.ckpt.npz")) == 0
+        assert capsys.readouterr().out == from_file
+
+    @pytest.mark.parametrize("line, named, unnamed", [
+        # the flags the file does not give stay required
+        ("checkpoint = {tmp}/net.ckpt.npz", "--task", "--checkpoint"),
+        # argparse does not check a default against the choices, a flag it does
+        ("task = bogus\ncheckpoint = {tmp}/net.ckpt.npz", "'bogus'", "required"),
+    ])
+    def test_a_file_value_is_checked_as_its_flag(self, tmp_path, capsys, line, named, unnamed):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line.format(tmp=tmp_path) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("eval", "--config", str(cfg), "--n-test", "10")
+        error = capsys.readouterr().err.splitlines()[-1]  # after the usage lines
+        assert exc.value.code == 2
+        assert named in error and unnamed not in error
 
 
 # checkpoints of a 100-3-2 network, each malformed in one way

@@ -33,6 +33,24 @@ class TestForward:
         logits, _ = nn.forward(net, np.array([[1.0, 1.0]]))
         assert np.allclose(logits, [[3.5, 3.0]])
 
+    @pytest.mark.parametrize("sizes", [[5, 3], [5, 7, 3], [5, 7, 6, 3]])
+    def test_matches_a_reference_loop(self, sizes, rng):
+        # the bias and ReLU act in place on the product; the bits, the input
+        # and the cache's separation from it are as with a new array for each
+        net = random_small_net(rng, sizes)
+        x = rng.standard_normal((9, sizes[0]))
+        before = x.copy()
+        reference, h = [], x
+        for i, layer in enumerate(net.layers):
+            h = h @ layer.weights + layer.biases
+            h = np.maximum(h, 0.0) if i < len(net.layers) - 1 else h
+            reference.append(h)
+        logits, cache = nn.forward(net, x)
+        assert logits.tobytes() == reference[-1].tobytes()
+        assert [a.tobytes() for a in cache.activations] == [a.tobytes() for a in reference]
+        assert x.tobytes() == before.tobytes()
+        assert not any(np.shares_memory(a, x) for a in cache.activations)
+
     def test_shape_mismatch(self, rng):
         net = nn.init_mlp([3, 4, 2], rng)
         with pytest.raises(DimensionError):

@@ -363,6 +363,20 @@ class TestEvaluate:
         err = evaluate(net, x, y, with_lds=False)["error"]
         assert abs(err - 0.9) < 0.01
 
+    def test_memory_of_a_prediction(self, rng):
+        # 1000 x 100 rows through a 100-100-2 net: the hidden layer's one
+        # array is 0.8 MB; its product, bias sum and ReLU output took 1.67 MB
+        net = nn.init_mlp([100, 100, 2], rng)
+        x, y = rng.standard_normal((1000, 100)), rng.integers(0, 2, 1000)
+        evaluate(net, x, y, with_lds=False)
+        tracemalloc.start()
+        try:
+            evaluate(net, x, y, with_lds=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2e6
+
     def test_constant_network_lds_zero(self, rng):
         net = nn.init_mlp([4, 3, 2], rng)
         for layer in net.layers:
