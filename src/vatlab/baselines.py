@@ -37,17 +37,15 @@ def adv_perturbation(net, x: Tensor, labels: np.ndarray, epsilon: float,
         logits, cache = nn.forward(net, x)
         _, d_logits = nn.nll_loss(logits, labels)
         grad = nn.backward(net, cache, d_logits, param_grads=False).d_input
-    r = np.sign(grad) if norm == "linf" else normalize_rows(grad)
-    r *= epsilon  # r is this function's own array
-    return r
+    if norm == "linf":
+        return epsilon * np.sign(grad)
+    return epsilon * normalize_rows(grad)
 
 
 def random_perturbation(x: Tensor, epsilon: float, rng: np.random.Generator) -> Tensor:
     """Per-row epsilon-sized directions sampled uniformly from the unit sphere."""
     x = as_tensor(x)
-    r = sample_unit_vector(rng, x.shape[1], x.shape[0])
-    r *= epsilon
-    return r
+    return epsilon * sample_unit_vector(rng, x.shape[1], x.shape[0])
 
 
 def l2_penalty(net, lam: float, *, out: nn.GradientBundle | None = None

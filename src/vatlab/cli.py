@@ -7,8 +7,9 @@ may supply a required flag, and a value from the file meets its flag's type
 and choices. A command makes a temp file next to each output path before any
 work, writes into them, and renames them onto the paths only when it
 succeeds, so its outputs appear all together or not at all, with the mode
-the umask gives a new file. Exit codes: 0 ok, 2 config error (a request too
-large for memory included), 3 numeric failure, 4 data/format error.
+the umask gives a new file. Exit codes: 0 ok, 2 usage or config error (a
+request too large for memory included), 3 numeric failure, 4 data/format
+error.
 """
 
 from __future__ import annotations
@@ -126,26 +127,22 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 def _config_flags(args: argparse.Namespace, values: dict[str, str]) -> list[str]:
-    """The config values as flags of args's command: --key=value, and for a
-    switch such as record_lds, which takes the _SWITCH_VALUES words, the bare
-    flag or nothing. A key must name one of the command's flags exactly, and
-    a value must convert to the type of the value args gives it (str where
-    that is None); argparse checks its choices."""
+    """The config values as flags of args's command, for argparse to check as
+    it checks given ones: --key=value, and for a switch such as record_lds,
+    which takes the _SWITCH_VALUES words, the bare flag or nothing. A key must
+    name one of the command's flags exactly."""
     flags = []
     for key, raw in values.items():
         if key in ("command", "func") or key not in vars(args):
             raise ConfigError(f"unknown config key {key!r}")
-        flag, value = "--" + key.replace("_", "-"), getattr(args, key)
-        try:  # a malformed value is an error even where a flag overrides it
-            if isinstance(value, bool):  # a switch
-                if raw.lower() not in _SWITCH_VALUES:
-                    raise ValueError(f"{raw!r} is not one of {', '.join(_SWITCH_VALUES)}")
-                flags += [flag] if _SWITCH_VALUES[raw.lower()] else []
-            else:
-                (str if value is None else type(value))(raw)
-                flags.append(f"{flag}={raw}")
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(getattr(args, key), bool):
+            flags.append(f"{flag}={raw}")
+        elif raw.lower() in _SWITCH_VALUES:
+            flags += [flag] if _SWITCH_VALUES[raw.lower()] else []
+        else:
+            raise ConfigError(f"config key {key!r}: {raw!r} is not one of "
+                              f"{', '.join(_SWITCH_VALUES)}")
     return flags
 
 
@@ -394,10 +391,20 @@ def cmd_audit_cost(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise UsageError, so that main
+    exits 2 on a bad flag, given or from a config file, as on every other
+    usage error. Its subparsers are of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser(supplied=()) -> argparse.ArgumentParser:
     """The root parser. A flag that a config file supplies, one whose key is
     in supplied, is not required."""
-    parser = argparse.ArgumentParser(prog="vatlab")
+    parser = _Parser(prog="vatlab")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def needed(key: str) -> bool:

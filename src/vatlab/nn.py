@@ -252,9 +252,7 @@ def apply_dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     if p == 1.0:
         return x
     mask = rng.random(x.shape) < p
-    out = x * mask
-    out /= p
-    return out
+    return x * mask / p
 
 
 def save_checkpoint(net: MlpNetwork, path) -> None:

@@ -5,10 +5,9 @@ through these helpers, so the finiteness and shape checks live here.
 log_softmax_unchecked is the kernel of the checked log_softmax; the passes
 inside a training update call it directly, and the update checks its losses
 once instead. Reductions on the hot path call the ufunc reductions
-(np.add.reduce, np.maximum.reduce, np.logical_and.reduce, np.logical_or.reduce)
-that the array methods .sum(), .max(), .all() and .any() dispatch to, without
-the Python-level dispatch. Tensors are plain float64 numpy arrays in row-major
-layout with the batch as the leading dimension.
+(np.add.reduce, np.maximum.reduce) that the array methods .sum() and .max()
+dispatch to, without the Python-level dispatch. Tensors are plain float64
+numpy arrays in row-major layout with the batch as the leading dimension.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ def as_tensor(values) -> Tensor:
 
 
 def check_finite(t: Tensor, what: str = "tensor") -> Tensor:
-    if not np.logical_and.reduce(np.isfinite(t), axis=None):
+    if not np.isfinite(t).all():
         raise NumericError(f"non-finite values in {what}")
     return t
 
@@ -87,7 +86,7 @@ def sample_unit_vector(rng: np.random.Generator, dim: int, batch: int) -> Tensor
         raise DimensionError("sample_unit_vector needs dim >= 1")
     v = rng.standard_normal((batch, dim))
     norms = _row_norms(v)
-    while np.logical_or.reduce(norms <= 1e-30, axis=None):
+    while (norms <= 1e-30).any():
         redraw = norms[:, 0] <= 1e-30
         v[redraw] = rng.standard_normal((int(redraw.sum()), dim))
         norms = _row_norms(v)
@@ -102,7 +101,7 @@ def normalize_rows(t: Tensor) -> Tensor:
     norms = np.sqrt(np.add.reduce(t * t, axis=1, keepdims=True))
     degenerate = norms < ZERO_NORM
     out = t / np.where(degenerate, 1.0, norms)
-    if np.logical_or.reduce(degenerate, axis=None):
+    if degenerate.any():
         out[degenerate[:, 0]] = 0.0
     return out
 

@@ -122,8 +122,7 @@ def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
         reg_value, scale = kind.penalty(net, reg, x if x_reg is None else x_reg,
                                         y, rng, clean, penalty_out)
         pen = penalty_out.vector
-        if scale != 1.0:  # multiplying by 1.0 is exact
-            pen *= scale  # rounds like lik += scale * pen, without the temporary
+        pen *= scale  # rounds like lik += scale * pen, without the temporary
         lik_out.vector += pen
 
     if not (math.isfinite(nll_value) and math.isfinite(reg_value)):

@@ -61,7 +61,7 @@ def gen_vap(model, x: Tensor, cfg: VatConfig, rng: np.random.Generator,
         # what np.linalg.norm(..., axis=1) computes for real rows
         norms = np.sqrt(np.add.reduce(grad * grad, axis=1, keepdims=True))
         degenerate = norms < ZERO_NORM
-        if np.logical_or.reduce(degenerate, axis=None):
+        if degenerate.any():
             log.debug("gen_vap: %d degenerate rows keep their previous direction",
                       int(degenerate.sum()))
             d = np.where(degenerate, d, grad / np.where(degenerate, 1.0, norms))
