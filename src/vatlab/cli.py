@@ -30,7 +30,7 @@ from .baselines import Regularizer, make_regularizer
 from .data import SYNTH_TASKS, Dataset, EmbeddingMap
 from .errors import (ConfigError, DataError, FormatError, NumericError,
                      UsageError)
-from .numerics import environment, make_rng
+from .numerics import Tensor, environment, make_rng
 from .optim import DecaySchedule
 from .train import TrainConfig, grid_search, run_errors, train_semisup, train_supervised
 from .vat import VatConfig
@@ -235,20 +235,22 @@ def _load_mnist(args, split: str = "train") -> Dataset:
         datamod.find_mnist_file(args.mnist_dir, f"{split}-labels-idx1"))
 
 
-def _task_data(args, rng) -> tuple[Dataset, Dataset, bool, EmbeddingMap | None]:
-    """A run of args.task's tagged training rows, its test split, whether it
-    is semi-supervised, and the embedding of a synthetic task (None for MNIST)."""
+def _task_data(args, rng) -> tuple[Tensor, np.ndarray, Dataset | None, Dataset,
+                                   EmbeddingMap | None]:
+    """A run of args.task's labeled training inputs and labels, its tagged
+    rows if it is semi-supervised (else None), its test split, and the
+    embedding of a synthetic task (None for MNIST)."""
     if args.task in SYNTH_TASKS:
         dataset, emb = datamod.make_synthetic_dataset(
             args.task, rng, n_train=args.n_train,
             n_test=args.n_test, n_unlabeled=args.n_unlabeled)
-        return dataset, Dataset(*dataset.subset("test")), args.n_unlabeled > 0, emb
+        tagged = dataset if args.n_unlabeled > 0 else None
+        return (*dataset.subset("labeled"), tagged, Dataset(*dataset.subset("test")), emb)
     full = _load_mnist(args)  # the tasks are argparse choices
     if args.task == "mnist":
-        tagged = Dataset(full.inputs, full.labels, np.full(full.n, "labeled"))
-    else:
-        tagged = datamod.make_semisup_split(full, args.n_labeled, args.n_validation, rng)
-    return tagged, _load_mnist(args, "t10k"), args.task == "mnist-semisup", None
+        return full.inputs, full.labels, None, _load_mnist(args, "t10k"), None
+    tagged = datamod.make_semisup_split(full, args.n_labeled, args.n_validation, rng)
+    return (*tagged.subset("labeled"), tagged, _load_mnist(args, "t10k"), None)
 
 
 def cmd_train(args) -> int:
@@ -257,12 +259,11 @@ def cmd_train(args) -> int:
         suffixes += [".embedding.npz", ".train.csv"]
     with _outputs(*(args.out_prefix + suffix for suffix in suffixes)) as temps:
         out = dict(zip(suffixes, temps))
-        reg = _make_regularizer(args)
-        dataset, test, semisup, emb = _task_data(args, make_rng(args.seed))
-        cfg = _train_config(args, reg, args_hidden(args), semisup, args.eval_every)
-        train_x, train_y = dataset.subset("labeled")
-        if semisup:
-            net, record = train_semisup(cfg, dataset, test.inputs, test.labels,
+        reg, hidden = _make_regularizer(args), args_hidden(args)
+        train_x, train_y, tagged, test, emb = _task_data(args, make_rng(args.seed))
+        cfg = _train_config(args, reg, hidden, tagged is not None, args.eval_every)
+        if tagged is not None:
+            net, record = train_semisup(cfg, tagged, test.inputs, test.labels,
                                         record_lds=args.record_lds)
         else:
             net, record = train_supervised(cfg, train_x, train_y, test.inputs, test.labels,

@@ -61,8 +61,6 @@ class Dataset:
         if self.split is None:
             raise DataError("dataset has no split tags")
         mask = self.split == tag
-        if mask.all():  # the arrays themselves: a copy of every row would be waste
-            return self.inputs, self.labels
         return self.inputs[mask], self.labels[mask]
 
 
@@ -212,9 +210,7 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
     """
     pixels, img_dims = _read_idx(images_path, _IDX_IMAGES_MAGIC)
     labels, lab_dims = _read_idx(labels_path, _IDX_LABELS_MAGIC)
-    if len(img_dims) != 3:
-        raise FormatError(f"{images_path}: expected 3 dimensions, got {len(img_dims)}")
-    n, rows, cols = img_dims
+    n, rows, cols = img_dims  # the images magic names 3 dimensions
     if (rows, cols) != (28, 28):
         raise FormatError(f"{images_path}: {rows}x{cols} images, expected 28x28")
     if lab_dims != (n,):
@@ -222,7 +218,7 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
     inputs = pixels.reshape(n, MNIST_DIM).astype(np.float64)
     inputs /= 255.0  # in place: a second float64 copy would double the peak
     labels = labels.astype(np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() > 9):
+    if labels.size and labels.max() > 9:  # read as uint8, so never below 0
         raise FormatError(f"{labels_path}: label outside 0..9")
     return Dataset(inputs, labels)
 

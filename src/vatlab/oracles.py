@@ -19,7 +19,6 @@ from .errors import ConfigError, DataError, DimensionError
 from .numerics import Tensor, as_tensor
 
 _MAX_DENSE_DIM = 32
-GRID_ANGLES = 3600  # logistic_lds_grid's directions on the circle
 HESSIAN_STEP = 1e-4  # brute_force_hessian's finite-difference step
 
 
@@ -51,49 +50,9 @@ class LinearGaussianModel:
         return np.outer(proj, self.theta) / self.sigma2
 
 
-@dataclass
-class LogisticModel:
-    """Binary logistic regression p(y=1|x) = sigmoid(theta^T x)."""
-    theta: Tensor
-
-    def __post_init__(self):
-        self.theta = as_tensor(self.theta)
-
-    def prob(self, x: Tensor) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-(as_tensor(x) @ self.theta)))
-
-
 def gaussian_lds_exact(model: LinearGaussianModel, epsilon: float) -> float:
     """Exact smoothness value -eps^2 ||theta||^2 / (2 sigma2)."""
     return float(-(epsilon ** 2) * (model.theta @ model.theta) / (2.0 * model.sigma2))
-
-
-def logistic_lds_taylor(model: LogisticModel, x: Tensor, epsilon: float) -> float:
-    """Second-order smoothness value -0.5 s(1-s) eps^2 ||theta||^2 at s = sigmoid(theta^T x)."""
-    s = float(model.prob(np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
-    return float(-0.5 * s * (1.0 - s) * epsilon ** 2 * (model.theta @ model.theta))
-
-
-def logistic_kl(model: LogisticModel, x: Tensor, r: Tensor) -> float:
-    """Exact Bernoulli KL between the model outputs at x and x + r."""
-    x = as_tensor(x)
-    p = float(model.prob(x.reshape(1, -1))[0])
-    q = float(model.prob((x + r).reshape(1, -1))[0])
-    eps = 1e-300
-    return p * np.log(max(p, eps) / max(q, eps)) + \
-        (1 - p) * np.log(max(1 - p, eps) / max(1 - q, eps))
-
-
-def logistic_lds_grid(model: LogisticModel, x: Tensor, epsilon: float) -> float:
-    """Negative max KL over GRID_ANGLES directions on the 2-D epsilon-sphere."""
-    if model.theta.shape[0] != 2:
-        raise DimensionError("grid oracle is 2-D only")
-    angles = np.linspace(0.0, 2 * np.pi, GRID_ANGLES, endpoint=False)
-    worst = max(
-        logistic_kl(model, x, epsilon * np.array([np.cos(a), np.sin(a)]))
-        for a in angles
-    )
-    return -worst
 
 
 def brute_force_hessian(model, x_row: Tensor) -> Tensor:

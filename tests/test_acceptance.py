@@ -155,7 +155,8 @@ class TestPowerIterationAlignment:
 
 
 class TestClosedFormOracles:
-    """Analytic smoothness values for the linear-Gaussian and logistic probes."""
+    """vatlab's search against analytic smoothness values: the exact value of
+    the linear-Gaussian probe and the second-order value of a logistic net."""
 
     def test_gaussian_exact(self):
         worst = 0.0
@@ -175,13 +176,21 @@ class TestClosedFormOracles:
                worst < 1e-10, f"worst error {worst:.2e}")
 
     def test_logistic_taylor_error_is_cubic(self):
-        rng = make_rng(4100)
-        model = oracles.LogisticModel(np.array([1.2, -0.7]))
-        x = np.array([0.3, 0.4])
+        # a two-class net with logit columns [0, theta] is the logistic model
+        # p(y=1|x) = s = sigmoid(theta^T x), whose KL Hessian at r = 0 is
+        # s(1-s) theta theta^T, so the second-order smoothness value is
+        # -1/2 s(1-s) eps^2 ||theta||^2
+        theta = np.array([1.2, -0.7])
+        x = np.array([[0.3, 0.4]])
+        net = nn.MlpNetwork([nn.Layer(np.column_stack([np.zeros(2), theta]), np.zeros(2))])
+        s = 1.0 / (1.0 + np.exp(-(x[0] @ theta)))
+        base = divergence.base_distribution(net, x)
         eps_values = [0.1, 0.05, 0.025]
-        errors = [abs(oracles.logistic_lds_grid(model, x, e)
-                      - oracles.logistic_lds_taylor(model, x, e))
-                  for e in eps_values]
+        errors = []
+        for eps in eps_values:
+            r_vadv = vat.gen_vap(net, x, VatConfig(epsilon=eps), make_rng(4100), base)
+            second_order = -0.5 * s * (1.0 - s) * eps ** 2 * (theta @ theta)
+            errors.append(abs(float(vat.lds_estimate(net, x, r_vadv, base)[0]) - second_order))
         ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
         # halving epsilon should shrink the quadratic-fit error about 8x
         ok = all(5.0 < ratio < 16.0 for ratio in ratios)

@@ -15,7 +15,7 @@ import pytest
 from conftest import blas_threads, openblas_config, require_env
 from test_data import _write_idx_images, _write_idx_labels
 
-from vatlab import contour, data as datamod, nn, train as trainmod
+from vatlab import cli, contour, data as datamod, nn, train as trainmod
 from vatlab.cli import main
 from vatlab.numerics import make_rng
 
@@ -258,6 +258,26 @@ class TestMnistTasks:
         out = json.loads(capsys.readouterr().out)
         assert 0.0 <= out["error"] <= 1.0 and np.isfinite(out["mean_lds"])
 
+    def test_mnist_trains_on_the_loaded_arrays(self, tmp_path, capsys, monkeypatch):
+        # --task mnist hands train_supervised the training arrays that
+        # load_mnist_idx made, not a copy of them
+        loaded, trained = [], []
+        load_mnist_idx, train_supervised = datamod.load_mnist_idx, cli.train_supervised
+
+        def load(*paths):
+            loaded.append(load_mnist_idx(*paths))
+            return loaded[-1]
+
+        def train(cfg, x, y, *rest, **kwargs):
+            trained.append((x, y))
+            return train_supervised(cfg, x, y, *rest, **kwargs)
+
+        monkeypatch.setattr(datamod, "load_mnist_idx", load)
+        monkeypatch.setattr(cli, "train_supervised", train)
+        self._train(tmp_path, "mnist")
+        (x, y), = trained
+        assert x is loaded[0].inputs and y is loaded[0].labels
+
     @pytest.mark.parametrize("task", sorted(MNIST_RUNS))
     def test_record_lds_leaves_weights_unchanged(self, tmp_path, capsys, task):
         plain, recorded = (self._train(tmp_path, task, *flags) for flags in [(), ("--record-lds",)])
@@ -408,7 +428,9 @@ class TestConfigFile:
         assert named in error and unnamed not in error
 
 
-# checkpoints of a 100-3-2 network, each malformed in one way
+# checkpoints of a 100-3-2 network, each malformed in one way. The rows of
+# LATER_BAD_CHECKPOINTS and LATER_BAD_IDX come last in the table of
+# test_malformed_input_exit_codes, so that the rows before them keep their ids
 BAD_CHECKPOINTS = {
     "tanh": {"activations": ["tanh", "identity"]},
     "unchained": {"w1": np.zeros((4, 2))},
@@ -419,13 +441,14 @@ BAD_CHECKPOINTS = {
     "nan-weight": {"w1": np.array([[np.nan, 0.0], [0.0, 1.0], [1.0, 0.0]])},
     "inf-bias": {"b0": np.array([0.0, np.inf, 0.0])},
 }
+LATER_BAD_CHECKPOINTS = {"version-2": {"version": [2]}}
 
 
 def _write_bad_checkpoints(directory):
     w0, b0, w1, b1 = nn.init_mlp([100, 3, 2], make_rng(0)).parameters()
     good = {"version": [1], "w0": w0, "b0": b0, "w1": w1, "b1": b1,
             "activations": ["relu", "identity"]}
-    for name, change in BAD_CHECKPOINTS.items():
+    for name, change in {**BAD_CHECKPOINTS, **LATER_BAD_CHECKPOINTS}.items():
         arrays = {key: np.asarray(value) for key, value in {**good, **change}.items()}
         np.savez(directory / f"{name}.ckpt.npz", **arrays)
 
@@ -442,18 +465,23 @@ BAD_IMAGES = {
     "negative-dim": struct.pack(">iiii", 0x803, 40, -1, 28) + bytes(40 * 784),
     "huge-dims": struct.pack(">iiii", 0x803, *[2**31 - 1] * 3) + bytes(16),
 }
+# (file, bytes) of more malformed IDX files: a train-images file of 2 bytes,
+# one cut off inside its dimensions, and train labels with a 10
+LATER_BAD_IDX = {
+    "two-bytes": ("train-images-idx3-ubyte", b"\x00\x08"),
+    "cut-dims": ("train-images-idx3-ubyte", struct.pack(">ii", 0x803, 40)),
+    "label-ten": ("train-labels-idx1-ubyte",
+                  struct.pack(">ii", 0x801, 40) + bytes([10] + [i % 10 for i in range(1, 40)])),
+}
 
 
 def _write_bad_images(directory):
-    # each directory holds a malformed train-images file and a valid t10k pair
-    for name, blob in BAD_IMAGES.items():
-        (directory / name).mkdir()
-        (directory / name / "train-images-idx3-ubyte").write_bytes(blob)
-        _write_idx_images(directory / name / "t10k-images-idx3-ubyte",
-                          np.zeros((40, 28, 28), dtype=np.uint8))
-        for split in ("train", "t10k"):
-            _write_idx_labels(directory / name / f"{split}-labels-idx1-ubyte",
-                              [i % 10 for i in range(40)])
+    # each directory holds a valid train and t10k pair, one of whose files is
+    # then replaced by a malformed one
+    cases = {name: ("train-images-idx3-ubyte", blob) for name, blob in BAD_IMAGES.items()}
+    for name, (file, blob) in {**cases, **LATER_BAD_IDX}.items():
+        _write_random_mnist(directory / name)
+        (directory / name / file).write_bytes(blob)
 
 
 TRAIN = ["train", "--task", "moons", "--updates", "2", "--out-prefix", "{tmp}/x"]
@@ -462,11 +490,13 @@ GRID = ["grid", "--task", "moons", "--methods", "mle", "--updates", "2", "--n-va
 BOUNDARY = ["boundary", "--checkpoint", "{tmp}/net.ckpt.npz", "--embedding", "{tmp}/emb.npz",
             "--resolution", "5", "--out", "{tmp}/plot", "--train-csv"]
 # --train-csv files for BOUNDARY: header only, one row (zero span), a non-numeric cell,
-# and a valid one
+# a valid one, a label of 2, and all points at one x
 POINTS_CSV = {"header.csv": "x0,x1,label\n",
               "one-row.csv": "x0,x1,label\n0.5,0.25,1\n",
               "text.csv": "x0,x1,label\n0.5,0.25,1\n-0.5,x,0\n",
-              "two-rows.csv": "x0,x1,label\n0.5,0.25,1\n-0.5,-0.75,0\n"}
+              "two-rows.csv": "x0,x1,label\n0.5,0.25,1\n-0.5,-0.75,0\n",
+              "label-two.csv": "x0,x1,label\n0.5,0.25,2\n-0.5,-0.75,0\n",
+              "one-x.csv": "x0,x1,label\n0.5,0.25,1\n0.5,-0.75,0\n"}
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -543,6 +573,22 @@ POINTS_CSV = {"header.csv": "x0,x1,label\n",
     # settings whose first update overflows
     (TRAIN + ["--reg", "l2", "--weight", "1e308"], 3),
     (TRAIN + ["--reg", "vat", "--epsilon", "1e300"], 3),
+    # --hidden is checked before any data is read
+    (["train", "--task", "mnist", "--mnist-dir", "{tmp}/nowhere", "--hidden", "0",
+      "--out-prefix", "{tmp}/x"], 2),
+    # a --train-csv that is a directory, has a label of 2, or has all points at one x
+    (BOUNDARY + ["{tmp}"], 4),
+    (BOUNDARY + ["{tmp}/label-two.csv"], 4),
+    (BOUNDARY + ["{tmp}/one-x.csv"], 4),
+    # an embedding of three rows
+    (["eval", "--task", "moons", "--checkpoint", "{tmp}/net.ckpt.npz",
+      "--embedding", "{tmp}/three-row-emb.npz", "--n-test", "10"], 4),
+    *[(["eval", "--task", "moons", "--checkpoint", f"{{tmp}}/{name}.ckpt.npz",
+        "--embedding", "{tmp}/emb.npz"], 4) for name in LATER_BAD_CHECKPOINTS],
+    *[(["train", "--task", "mnist", "--mnist-dir", f"{{tmp}}/{name}", "--hidden", "8",
+        "--updates", "1", "--out-prefix", "{tmp}/x"], 4) for name in LATER_BAD_IDX],
+    # a --config flag with no value
+    (TRAIN + ["--config"], 2),
 ])
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
     # every malformed invocation exits with its documented code, never a traceback
@@ -556,6 +602,7 @@ def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
     nn.save_checkpoint(nn.init_mlp([100, 3, 1], make_rng(0)), tmp_path / "one-output.ckpt.npz")
     np.savez(tmp_path / "emb.npz", matrix=np.eye(2, 100), offset=np.zeros(100))
     np.savez(tmp_path / "offset-emb.npz", matrix=np.eye(2, 100), offset=np.ones(100))
+    np.savez(tmp_path / "three-row-emb.npz", matrix=np.eye(3, 100), offset=np.zeros(100))
     for name, text in POINTS_CSV.items():
         (tmp_path / name).write_text(text)
     _write_bad_checkpoints(tmp_path)

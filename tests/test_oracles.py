@@ -5,10 +5,8 @@ from conftest import random_small_net
 from vatlab import divergence, nn
 from vatlab.errors import ConfigError, DataError, DimensionError
 from vatlab.numerics import make_rng
-from vatlab.oracles import (LinearGaussianModel, LogisticModel,
-                            brute_force_hessian, dominant_eigenvector,
-                            gaussian_lds_exact,
-                            logistic_lds_grid, logistic_lds_taylor)
+from vatlab.oracles import (LinearGaussianModel, brute_force_hessian,
+                            dominant_eigenvector, gaussian_lds_exact)
 
 
 class TestGaussianLds:
@@ -28,27 +26,6 @@ class TestGaussianLds:
     def test_bad_variance(self):
         with pytest.raises(ConfigError):
             LinearGaussianModel(theta=np.ones(2), sigma2=0.0)
-
-
-class TestLogisticLds:
-    def test_saturated_sigmoid_vanishes(self):
-        model = LogisticModel(theta=np.array([1.0, 0.0]))
-        assert abs(logistic_lds_taylor(model, np.array([50.0, 0.0]), 1.0)) < 1e-15
-
-    def test_plugin_value_at_boundary(self):
-        model = LogisticModel(theta=np.array([1.0, 0.0]))
-        assert abs(logistic_lds_taylor(model, np.zeros(2), 1.0) + 0.125) < 1e-12
-
-    def test_taylor_error_shrinks_cubically(self):
-        model = LogisticModel(theta=np.array([1.3, -0.4]))
-        x = np.array([0.2, 0.5])
-        errors = []
-        for eps in (0.1, 0.05, 0.025):
-            exact = logistic_lds_grid(model, x, eps)
-            errors.append(abs(logistic_lds_taylor(model, x, eps) - exact))
-        # halving eps should shrink the error by roughly 8x
-        assert errors[1] < errors[0] / 4
-        assert errors[2] < errors[1] / 4
 
 
 class TestBruteForceHessian:
@@ -79,7 +56,7 @@ class TestBruteForceHessian:
             brute_force_hessian(net, rng.standard_normal(40))
 
 
-class TestJacobiEigh:
+class TestDominantEigenvector:
     """dominant_eigenvector, which numpy's symmetric eigensolver backs."""
 
     def test_diagonal(self):
