@@ -2,8 +2,8 @@
 
 Modules: numerics (tensors, RNG, softmax), nn (MLP forward/backward),
 divergence (KL sensitivity), vat (perturbation search + penalty gradient),
-baselines (adversarial / random / L2 regularizers), oracles (closed-form
-validation models), optim, data, train, contour, cli.
+baselines (adversarial / random / L2 regularizers), optim, data, train,
+contour, cli.
 """
 
 __version__ = "0.1.0"

@@ -42,22 +42,22 @@ class VatConfig:
             raise ConfigError(f"power_iterations must be >= 1, got {self.power_iterations}")
 
 
-def gen_vap(model, x: Tensor, cfg: VatConfig, rng: np.random.Generator,
+def gen_vap(net, x: Tensor, cfg: VatConfig, rng: np.random.Generator,
             base) -> Tensor:
     """Approximate per-row worst-case perturbations of norm cfg.epsilon.
 
-    base is divergence.base_distribution(model, x), held constant. Starts
+    base is divergence.base_distribution(net, x), held constant. Starts
     from a fresh random unit direction per row and runs cfg.power_iterations
     rounds of normalized finite-difference Hessian-vector products. Rows
     where the gradient collapses keep their previous direction (flat model;
     any direction is a valid maximizer). Each round's gradient is divided by
-    its norms in place, so a model's grad_r_delta_kl must return a new array.
+    its norms in place: grad_r_delta_kl returns a new array.
     """
     x = as_tensor(x)
     batch, dim = x.shape
     d = sample_unit_vector(rng, dim, batch)
     for _ in range(cfg.power_iterations):
-        grad = divergence.grad_r_delta_kl(model, x, cfg.xi * d, base)
+        grad = divergence.grad_r_delta_kl(net, x, cfg.xi * d, base)
         # what np.linalg.norm(..., axis=1) computes for real rows
         norms = np.sqrt(np.add.reduce(grad * grad, axis=1, keepdims=True))
         degenerate = norms < ZERO_NORM
@@ -72,10 +72,10 @@ def gen_vap(model, x: Tensor, cfg: VatConfig, rng: np.random.Generator,
     return d
 
 
-def lds_estimate(model, x: Tensor, r_vadv: Tensor, base) -> Tensor:
+def lds_estimate(net, x: Tensor, r_vadv: Tensor, base) -> Tensor:
     """Per-row negative KL sensitivity at the supplied perturbation, from the
-    base distribution divergence.base_distribution(model, x)."""
-    return -divergence.delta_kl(model, x, r_vadv, base)
+    base distribution divergence.base_distribution(net, x)."""
+    return -divergence.delta_kl(net, x, r_vadv, base)
 
 
 def vat_backward(net, x: Tensor, r_vadv: Tensor, base, *,

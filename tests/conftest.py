@@ -1,4 +1,5 @@
-"""Shared helpers: finite-difference gradient oracles, small random nets, and
+"""Shared helpers: finite-difference gradient oracles, the exact KL Hessian
+and its dominant eigenpair, one-layer logistic nets, small random nets, and
 the OpenBLAS checks the golden tests gate on, built on vatlab.numerics's
 probes of the library numpy loaded."""
 
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 from vatlab import nn
-from vatlab.numerics import make_rng, openblas_config, openblas_function, openblas_threads
+from vatlab.errors import DataError
+from vatlab.numerics import (as_tensor, make_rng, openblas_config, openblas_function,
+                             openblas_threads, softmax)
 
 
 def numeric_grad(f, arr, step=1e-5):
@@ -28,9 +31,44 @@ def numeric_grad(f, arr, step=1e-5):
     return grad
 
 
+def kl_hessian(net, x_row):
+    """Exact Hessian of divergence.delta_kl with respect to r at r = 0, for one
+    input row: J^T (diag p - p p^T) J, where J is the Jacobian of the logits
+    with respect to the input and p the softmax at x_row. The logits' own
+    second derivatives are multiplied by q - p, which vanishes at r = 0 (the
+    Fisher / Gauss-Newton identity). J takes one input-only backward pass per
+    class."""
+    x = np.asarray(x_row, dtype=float).reshape(1, -1)
+    logits, cache = nn.forward(net, x)
+    p = softmax(logits)[0]
+    one_hot = np.eye(p.size)
+    jac = np.vstack([nn.backward(net, cache, one_hot[k:k + 1], param_grads=False).d_input
+                     for k in range(p.size)])
+    return jac.T @ (np.diag(p) - np.outer(p, p)) @ jac
+
+
+def dominant_eigenvector(matrix):
+    """Largest-magnitude eigenpair of a small symmetric matrix; DataError for
+    a matrix that is not square and symmetric."""
+    a = as_tensor(matrix)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.allclose(a, a.T, atol=1e-10):
+        raise DataError("dominant_eigenvector needs a symmetric square matrix")
+    eigvals, eigvecs = np.linalg.eigh(a)
+    idx = int(np.argmax(np.abs(eigvals)))
+    return float(eigvals[idx]), eigvecs[:, idx]
+
+
 def max_rel_err(analytic, numeric, floor=1e-8):
     denom = np.maximum(np.abs(numeric), floor)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def logistic_net(theta):
+    """One-layer two-class net with logit columns [0, theta]: the logistic
+    model p(y=1|x) = sigmoid(theta^T x)."""
+    theta = np.asarray(theta, dtype=float)
+    return nn.MlpNetwork([nn.Layer(np.column_stack([np.zeros(theta.size), theta]),
+                                   np.zeros(2))])
 
 
 def random_small_net(rng, sizes=None):

@@ -10,9 +10,10 @@ import os
 
 import numpy as np
 import pytest
-from conftest import numeric_grad, random_small_net
+from conftest import (dominant_eigenvector, kl_hessian, logistic_net, numeric_grad,
+                      random_small_net)
 
-from vatlab import baselines, data as dm, divergence, nn, oracles, vat
+from vatlab import baselines, data as dm, divergence, nn, vat
 from vatlab.baselines import Regularizer, make_regularizer
 from vatlab.errors import DataError
 from vatlab.numerics import make_rng, log_softmax
@@ -84,17 +85,22 @@ class TestGradientFidelity:
 
 
 class TestHessianVectorIdentity:
-    """Finite-difference Hessian-vector products vs the brute-force Hessian."""
+    """Finite-difference Hessian-vector products vs the exact KL Hessian, on
+    tiny nets and at the synthetic tasks' size, 100 -> 100 -> 2."""
 
     def test_identity_on_tiny_nets(self):
         worst = 0.0
         xi = 1e-4
-        for trial in range(10):
+        for trial in range(15):
             rng = make_rng(2000 + trial)
-            dim = int(rng.integers(2, 9))
-            net = random_small_net(rng, [dim, 6, 3])
+            if trial < 10:
+                dim = int(rng.integers(2, 9))
+                net = random_small_net(rng, [dim, 6, 3])
+            else:
+                dim = 100
+                net = random_small_net(rng, [dim, 100, 2])
             x_row = 0.5 * rng.standard_normal(dim)
-            hess = oracles.brute_force_hessian(net, x_row)
+            hess = kl_hessian(net, x_row)
             x = x_row.reshape(1, -1)
             base = divergence.base_distribution(net, x)
             d = rng.standard_normal(dim)
@@ -131,9 +137,9 @@ class TestPowerIterationAlignment:
             dim = int(rng.integers(2, 7))
             net = random_small_net(rng, [dim, 6, 3])
             x_row = 0.5 * rng.standard_normal(dim)
-            hess = oracles.brute_force_hessian(net, x_row)
+            hess = kl_hessian(net, x_row)
             eigvals = np.linalg.eigvalsh(hess)
-            _, oracle_dir = oracles.dominant_eigenvector(hess)
+            _, oracle_dir = dominant_eigenvector(hess)
             mags = np.sort(np.abs(eigvals))[::-1]
             gap_ratio = mags[1] / mags[0] if mags[0] > 0 else 1.0
 
@@ -155,24 +161,34 @@ class TestPowerIterationAlignment:
 
 
 class TestClosedFormOracles:
-    """vatlab's search against analytic smoothness values: the exact value of
-    the linear-Gaussian probe and the second-order value of a logistic net."""
+    """vatlab's search on one-layer logistic nets against closed forms: the
+    exact smoothness value, and the second-order value."""
 
-    def test_gaussian_exact(self):
+    def test_logistic_exact(self):
+        # a two-class net with logit columns [0, theta] is the logistic model
+        # p(y=1|x) = sigmoid(theta^T x); the search gradient at any xi*d is
+        # parallel to theta, so gen_vap returns +-eps*theta/||theta|| and the
+        # smoothness value is -KL(Bern(s) || Bern(sigmoid(theta^T x +- eps ||theta||)))
+        def log_sigmoid(z):
+            return -np.logaddexp(0.0, -z)
+
         worst = 0.0
         for trial in range(10):
             rng = make_rng(4000 + trial)
-            model = oracles.LinearGaussianModel(rng.standard_normal(5),
-                                                sigma2=float(rng.uniform(0.5, 2.0)))
-            cfg = VatConfig(epsilon=float(rng.uniform(0.1, 2.0)),
-                            power_iterations=1)
+            theta = rng.standard_normal(5)
+            net = logistic_net(theta)
+            cfg = VatConfig(epsilon=float(rng.uniform(0.1, 2.0)), power_iterations=1)
             x = rng.standard_normal((3, 5))
-            base = divergence.base_distribution(model, x)
-            r = vat.gen_vap(model, x, cfg, rng, base=base)
-            lds = vat.lds_estimate(model, x, r, base=base)
-            exact = oracles.gaussian_lds_exact(model, cfg.epsilon)
+            base = divergence.base_distribution(net, x)
+            r = vat.gen_vap(net, x, cfg, rng, base=base)
+            lds = vat.lds_estimate(net, x, r, base=base)
+            z = x @ theta
+            z_r = z + np.sign(r @ theta) * cfg.epsilon * np.linalg.norm(theta)
+            s = np.exp(log_sigmoid(z))
+            exact = -(s * (log_sigmoid(z) - log_sigmoid(z_r))
+                      + (1.0 - s) * (log_sigmoid(-z) - log_sigmoid(-z_r)))
             worst = max(worst, float(np.max(np.abs(lds - exact))))
-        report("linear-Gaussian smoothness matches the closed form",
+        report("logistic smoothness matches the exact value",
                worst < 1e-10, f"worst error {worst:.2e}")
 
     def test_logistic_taylor_error_is_cubic(self):
@@ -182,7 +198,7 @@ class TestClosedFormOracles:
         # -1/2 s(1-s) eps^2 ||theta||^2
         theta = np.array([1.2, -0.7])
         x = np.array([[0.3, 0.4]])
-        net = nn.MlpNetwork([nn.Layer(np.column_stack([np.zeros(2), theta]), np.zeros(2))])
+        net = logistic_net(theta)
         s = 1.0 / (1.0 + np.exp(-(x[0] @ theta)))
         base = divergence.base_distribution(net, x)
         eps_values = [0.1, 0.05, 0.025]

@@ -5,7 +5,6 @@ from conftest import max_rel_err, numeric_grad, random_small_net
 from vatlab import divergence, nn
 from vatlab.errors import DataError
 from vatlab.numerics import log_softmax, softmax
-from vatlab.oracles import LinearGaussianModel
 
 
 class TestKlCategorical:
@@ -92,11 +91,3 @@ class TestGradRDeltaKl:
 
         numeric = numeric_grad(total, r)
         assert max_rel_err(analytic, numeric, floor=1e-6) < 1e-5
-
-    def test_linear_gaussian_closed_form(self, rng):
-        theta = np.array([3.0, 4.0])
-        model = LinearGaussianModel(theta=theta, sigma2=2.0)
-        r = np.array([[0.2, -0.1]])
-        g = divergence.grad_r_delta_kl(model, np.zeros((1, 2)), r, None)
-        expected = (r @ theta) * theta / 2.0
-        assert np.allclose(g, expected)

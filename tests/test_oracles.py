@@ -1,59 +1,36 @@
+"""The reference curvature helpers in conftest: the exact KL Hessian and its
+dominant eigenpair."""
+
 import numpy as np
 import pytest
-from conftest import random_small_net
+from conftest import dominant_eigenvector, kl_hessian, logistic_net, random_small_net
 
-from vatlab import divergence, nn
-from vatlab.errors import ConfigError, DataError, DimensionError
-from vatlab.numerics import make_rng
-from vatlab.oracles import (LinearGaussianModel, brute_force_hessian,
-                            dominant_eigenvector, gaussian_lds_exact)
+from vatlab import nn
+from vatlab.errors import DataError
 
 
-class TestGaussianLds:
-    def test_zero_theta(self):
-        assert gaussian_lds_exact(LinearGaussianModel(theta=np.zeros(3)), 1.0) == 0.0
-
-    def test_plugin_value(self):
-        model = LinearGaussianModel(theta=np.array([1.0, 0.0]), sigma2=1.0)
-        assert gaussian_lds_exact(model, 1.0) == -0.5
-
-    def test_depends_only_on_induced_function(self):
-        # two parametrizations inducing the same map give the same value
-        a = LinearGaussianModel(theta=np.array([2.0, -1.0]), sigma2=1.0)
-        b = LinearGaussianModel(theta=np.array([2.0, -1.0]).copy(), sigma2=1.0)
-        assert gaussian_lds_exact(a, 0.7) == gaussian_lds_exact(b, 0.7)
-
-    def test_bad_variance(self):
-        with pytest.raises(ConfigError):
-            LinearGaussianModel(theta=np.ones(2), sigma2=0.0)
-
-
-class TestBruteForceHessian:
-    def test_linear_gaussian_rank_one(self):
-        theta = np.array([3.0, 4.0])
-        model = LinearGaussianModel(theta=theta, sigma2=2.0)
-        hess = brute_force_hessian(model, np.zeros(2))
-        assert np.max(np.abs(hess - np.outer(theta, theta) / 2.0)) < 1e-6
-
+class TestKlHessian:
     def test_constant_network_zero(self, rng):
         net = nn.init_mlp([3, 4, 2], rng)
         for layer in net.layers:
             layer.weights[:] = 0.0
-        hess = brute_force_hessian(net, rng.standard_normal(3))
+        hess = kl_hessian(net, rng.standard_normal(3))
         assert np.max(np.abs(hess)) < 1e-8
 
     def test_positive_semidefinite(self, rng):
         net = random_small_net(rng, [4, 6, 3])
-        hess = brute_force_hessian(net, rng.standard_normal(4))
-        eigvals = np.linalg.eigvalsh(hess)
-        # finite-difference noise in the stencil puts zero eigenvalues a
-        # few 1e-8 below zero
-        assert np.all(eigvals >= -1e-6)
+        eigvals = np.linalg.eigvalsh(kl_hessian(net, rng.standard_normal(4)))
+        assert np.all(eigvals >= -1e-12 * np.max(np.abs(eigvals)))
 
-    def test_refuses_large_dimension(self, rng):
-        net = random_small_net(rng, [40, 4, 2])
-        with pytest.raises(DimensionError):
-            brute_force_hessian(net, rng.standard_normal(40))
+    def test_logistic_rank_one(self):
+        # logit columns [0, theta]: the logistic model, whose KL Hessian at
+        # r = 0 is s(1-s) theta theta^T with s = sigmoid(theta^T x)
+        theta = np.array([3.0, 4.0])
+        net = logistic_net(theta)
+        x_row = np.array([0.1, -0.2])
+        s = 1.0 / (1.0 + np.exp(-(x_row @ theta)))
+        expected = s * (1.0 - s) * np.outer(theta, theta)
+        assert np.max(np.abs(kl_hessian(net, x_row) - expected)) < 1e-12
 
 
 class TestDominantEigenvector:
@@ -79,19 +56,3 @@ class TestDominantEigenvector:
     def test_rejects_asymmetric(self):
         with pytest.raises(DataError):
             dominant_eigenvector(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-def test_hvp_identity_on_tiny_nets():
-    # H d should match grad at xi*d divided by xi (the finite-difference HVP)
-    for seed in range(5):
-        rng = make_rng(seed)
-        net = random_small_net(rng, [5, 6, 3])
-        x = rng.standard_normal((1, 5))
-        hess = brute_force_hessian(net, x[0])
-        base = divergence.base_distribution(net, x)
-        d = rng.standard_normal(5)
-        d /= np.linalg.norm(d)
-        xi = 1e-4
-        hvp_fd = divergence.grad_r_delta_kl(net, x, xi * d[None, :], base)[0] / xi
-        hd = hess @ d
-        assert np.linalg.norm(hd - hvp_fd) / np.linalg.norm(hd) < 1e-3

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from conftest import max_rel_err, numeric_grad, random_small_net
+from conftest import (dominant_eigenvector, kl_hessian, logistic_net, max_rel_err,
+                      numeric_grad, random_small_net)
 
-from vatlab import divergence, nn, vat
+from vatlab import baselines, divergence, nn, vat
 from vatlab.errors import ConfigError
 from vatlab.numerics import make_rng
-from vatlab.oracles import (LinearGaussianModel, brute_force_hessian,
-                            dominant_eigenvector)
 
 
 class TestVatConfig:
@@ -31,24 +30,47 @@ class TestGenVap:
                                 base)
                 assert np.allclose(np.linalg.norm(r, axis=1), eps, atol=1e-9)
 
-    def test_rank_one_gaussian_alignment(self):
+    def test_rank_one_logistic_alignment(self):
         # H is proportional to theta theta^T, so one iteration lands on +-theta_bar
-        model = LinearGaussianModel(theta=np.array([3.0, 4.0]), sigma2=1.0)
-        rng = make_rng(11)
-        x = np.zeros((1, 2))
-        r = vat.gen_vap(model, x, vat.VatConfig(epsilon=1.0), rng,
-                        divergence.base_distribution(model, x))
+        net = logistic_net([3.0, 4.0])
+        x = np.array([[0.1, -0.2]])
+        r = vat.gen_vap(net, x, vat.VatConfig(epsilon=1.0), make_rng(11),
+                        divergence.base_distribution(net, x))
         cos = abs(r[0] @ np.array([0.6, 0.8]))
         assert cos > 1 - 1e-6
 
+    def test_two_classes_search_the_adversarial_l2_axis(self):
+        # with two classes diag p - p p^T has rank 1, so the KL Hessian is
+        # p(1-p) g g^T with g the input gradient of the logit margin z1 - z0;
+        # the search lands on +-g, the NLL's input gradient is (p1 - y1) g, and
+        # the adversarial-L2 direction shares the axis
+        rng = make_rng(7)
+        net = nn.init_mlp([100, 100, 2], rng)
+        x = rng.standard_normal((20, 100))
+        base = divergence.base_distribution(net, x)
+        r = vat.gen_vap(net, x, vat.VatConfig(epsilon=1.0), rng, base)
+        r_adv = baselines.adv_perturbation(net, x, rng.integers(0, 2, 20), 1.0, "l2")
+        _, cache = nn.forward(net, x)
+        margin_grad = nn.backward(net, cache, np.tile([-1.0, 1.0], (20, 1)),
+                                  param_grads=False).d_input
+        for i in range(20):
+            hess = kl_hessian(net, x[i])
+            g, p1 = margin_grad[i], base[i, 1]
+            eigvals = np.linalg.eigvalsh(hess)
+            assert np.all(np.abs(eigvals[:-1]) <= 1e-12 * eigvals[-1])
+            assert np.max(np.abs(hess - p1 * (1 - p1) * np.outer(g, g))) <= 1e-12 * eigvals[-1]
+            _, top = dominant_eigenvector(hess)
+            assert abs(r[i] @ top) > 1 - 1e-6
+            assert abs(r_adv[i] @ top) > 1 - 1e-6
+
     def test_alignment_improves_with_iterations(self):
-        # brute-force Hessian oracle on tiny nets, averaged over instances
+        # exact Hessian on tiny nets, averaged over instances
         improved, total = 0, 0
         for seed in range(12):
             rng = make_rng(seed)
             net = random_small_net(rng, [4, 6, 3])
             x = rng.standard_normal((1, 4))
-            hess = brute_force_hessian(net, x[0])
+            hess = kl_hessian(net, x[0])
             _, u1 = dominant_eigenvector(hess)
             base = divergence.base_distribution(net, x)
             cosines = []
@@ -83,15 +105,17 @@ class TestLdsEstimate:
         r = vat.gen_vap(net, x, vat.VatConfig(epsilon=1.0), rng, base)
         assert np.max(np.abs(vat.lds_estimate(net, x, r, base))) < 1e-15
 
-    def test_gaussian_model_exact(self):
-        model = LinearGaussianModel(theta=np.array([1.0, 2.0, 2.0]), sigma2=0.5)
-        rng = make_rng(5)
+    def test_logistic_model_exact(self):
+        # the search lands on +-theta/||theta||, and ||theta|| = 3, so at
+        # theta^T x = 0 the value is -KL(Bern(1/2) || Bern(sigmoid(+-3 eps)))
+        # = -log cosh(3 eps / 2)
+        net = logistic_net([1.0, 2.0, 2.0])
         eps = 0.7
         x = np.zeros((1, 3))
-        base = divergence.base_distribution(model, x)
-        r = vat.gen_vap(model, x, vat.VatConfig(epsilon=eps), rng, base)
-        expected = -eps ** 2 * 9.0 / (2 * 0.5)
-        assert abs(vat.lds_estimate(model, x, r, base)[0] - expected) < 1e-9
+        base = divergence.base_distribution(net, x)
+        r = vat.gen_vap(net, x, vat.VatConfig(epsilon=eps), make_rng(5), base)
+        expected = -np.log(np.cosh(1.5 * eps))
+        assert abs(vat.lds_estimate(net, x, r, base)[0] - expected) < 1e-9
 
     def test_logistic_second_order_value(self):
         # two-class net with logit columns [theta, 0] equals a logistic model;
