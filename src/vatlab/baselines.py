@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import divergence, nn, vat
+from . import nn, vat
 from .errors import ConfigError
 from .numerics import Tensor, as_tensor, normalize_rows, sample_unit_vector
 from .vat import VatConfig
@@ -35,7 +35,7 @@ def adv_perturbation(net, x: Tensor, labels: np.ndarray, epsilon: float,
         raise ConfigError(f"norm must be linf or l2, got {norm!r}")
     if grad is None:
         logits, cache = nn.forward(net, x)
-        _, d_logits = nn.nll_loss(logits, labels)
+        d_logits = nn.nll_loss(logits, labels)[1]
         grad = nn.backward(net, cache, d_logits, param_grads=False).d_input
     if norm == "linf":
         return epsilon * np.sign(grad)
@@ -75,18 +75,18 @@ def adv_loss_term(net, x: Tensor, labels: np.ndarray, r_adv: Tensor, *,
     """NLL at x + r_adv with the perturbation held constant; the bundle
     (out, when given) carries no input gradient (d_input None)."""
     logits, cache = nn.forward(net, x + r_adv)
-    loss, d_logits = nn.nll_loss(logits, labels)
+    loss, d_logits, _ = nn.nll_loss(logits, labels)
     return loss, nn.backward(net, cache, d_logits, input_grad=False, out=out)
 
 
 def _vat_penalty(net, reg, x, y, rng, clean, out) -> tuple:
-    base = divergence.base_distribution(net, x) if clean is None else clean[0]
+    base = nn.predict_proba(net, x) if clean is None else clean[0]
     r = vat.gen_vap(net, x, reg.vat, rng, base=base)
     return vat.vat_backward(net, x, r, base=base, out=out)[0], reg.weight
 
 
 def _random_penalty(net, reg, x, y, rng, clean, out) -> tuple:
-    base = divergence.base_distribution(net, x) if clean is None else clean[0]
+    base = nn.predict_proba(net, x) if clean is None else clean[0]
     r = random_perturbation(x, reg.epsilon, rng)
     return vat.vat_backward(net, x, r, base=base, out=out)[0], reg.weight
 
@@ -162,11 +162,6 @@ class Regularizer:
             if not low < getattr(self, name) <= high:
                 raise ConfigError(f"{self.kind} needs {low} < {name} <= {high}, "
                                   f"got {getattr(self, name)}")
-
-    @property
-    def needs_labels(self) -> bool:
-        """True for methods that cannot run on unlabeled data."""
-        return KINDS[self.kind].needs_labels
 
     def hyperparameters(self) -> dict:
         """The kind's hyperparameters, name -> value, in table order."""

@@ -35,11 +35,6 @@ def kl_categorical_unchecked(p: Tensor, log_q: Tensor) -> Tensor:
     return np.add.reduce(p * (log_p - log_q), axis=1)
 
 
-def base_distribution(net, x: Tensor) -> Tensor:
-    """Detached snapshot of the network's softmax output rows at x."""
-    return nn.predict_proba(net, x)
-
-
 def delta_kl(net, x: Tensor, r: Tensor, base: Tensor) -> Tensor:
     """Per-row KL from the base distribution to the network's output at x + r."""
     logits, _ = nn.forward(net, x + r)

@@ -213,16 +213,10 @@ def backward(net: MlpNetwork, cache: ForwardCache, d_logits: Tensor,
     return out
 
 
-def nll_loss(logits: Tensor, labels: np.ndarray) -> tuple[float, Tensor]:
-    """Mean negative log-likelihood and its gradient w.r.t. the logits."""
-    loss, d_logits, _ = _nll_loss_and_proba(logits, labels)
-    return loss, d_logits
-
-
-def _nll_loss_and_proba(logits: Tensor, labels: np.ndarray) -> tuple[float, Tensor, Tensor]:
-    """nll_loss, checks included, plus the softmax probabilities its gradient
-    starts from, which the training step reuses as the penalty's base
-    distribution."""
+def nll_loss(logits: Tensor, labels: np.ndarray) -> tuple[float, Tensor, Tensor]:
+    """Mean negative log-likelihood, its gradient w.r.t. the logits, and the
+    softmax probabilities that gradient starts from, which the training step
+    reuses as the penalty's base distribution."""
     logits = as_tensor(logits)
     labels = np.asarray(labels)
     n, c = logits.shape

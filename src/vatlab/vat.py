@@ -46,7 +46,7 @@ def gen_vap(net, x: Tensor, cfg: VatConfig, rng: np.random.Generator,
             base) -> Tensor:
     """Approximate per-row worst-case perturbations of norm cfg.epsilon.
 
-    base is divergence.base_distribution(net, x), held constant. Starts
+    base is nn.predict_proba(net, x), held constant. Starts
     from a fresh random unit direction per row and runs cfg.power_iterations
     rounds of normalized finite-difference Hessian-vector products. Rows
     where the gradient collapses keep their previous direction (flat model;
@@ -70,12 +70,6 @@ def gen_vap(net, x: Tensor, cfg: VatConfig, rng: np.random.Generator,
             d = grad
     d *= cfg.epsilon  # d is this search's own array
     return d
-
-
-def lds_estimate(net, x: Tensor, r_vadv: Tensor, base) -> Tensor:
-    """Per-row negative KL sensitivity at the supplied perturbation, from the
-    base distribution divergence.base_distribution(net, x)."""
-    return -divergence.delta_kl(net, x, r_vadv, base)
 
 
 def vat_backward(net, x: Tensor, r_vadv: Tensor, base, *,
@@ -108,7 +102,7 @@ def vat_step_cost_audit(net, x_reg: Tensor, cfg: VatConfig,
     pair inside the perturbation search, one pair for the penalty gradient.
     """
     fwd_before, bwd_before = nn.propagation_counts()
-    base = divergence.base_distribution(net, x_reg)
+    base = nn.predict_proba(net, x_reg)
     r = gen_vap(net, x_reg, cfg, rng, base)
     vat_backward(net, x_reg, r, base)
     fwd, bwd = nn.propagation_counts()

@@ -18,9 +18,8 @@ class TestRegularizer:
             baselines.Regularizer(kind="vat")
 
     def test_needs_labels_flags(self):
-        assert baselines.Regularizer(kind="adversarial_l2", epsilon=1.0).needs_labels
-        assert not baselines.Regularizer(
-            kind="vat", vat=VatConfig(epsilon=1.0)).needs_labels
+        assert baselines.KINDS["adversarial_l2"].needs_labels
+        assert not baselines.KINDS["vat"].needs_labels
 
 
 @pytest.mark.parametrize("kind, expected", [
@@ -165,7 +164,7 @@ def test_random_direction_hurts_less_than_searched(rng):
     # random one of the same size, on a non-degenerate model
     net = random_small_net(rng, [10, 20, 2])
     x = rng.standard_normal((20, 10))
-    base = divergence.base_distribution(net, x)
+    base = nn.predict_proba(net, x)
     cfg = VatConfig(epsilon=0.5, power_iterations=3)
     r_vadv = vat.gen_vap(net, x, cfg, rng, base=base)
     r_rand = baselines.random_perturbation(x, 0.5, rng)

@@ -39,14 +39,14 @@ class TestDeltaKl:
     def test_zero_perturbation(self, rng):
         net = random_small_net(rng)
         x = rng.standard_normal((4, 4))
-        base = divergence.base_distribution(net, x)
+        base = nn.predict_proba(net, x)
         vals = divergence.delta_kl(net, x, np.zeros_like(x), base)
         assert np.max(np.abs(vals)) < 1e-15
 
     def test_zero_is_a_minimum(self, rng):
         net = random_small_net(rng)
         x = rng.standard_normal((1, 4))
-        base = divergence.base_distribution(net, x)
+        base = nn.predict_proba(net, x)
         for _ in range(100):
             d = rng.standard_normal((1, 4))
             d /= np.linalg.norm(d)
@@ -66,7 +66,7 @@ class TestDeltaKl:
 
         p, q = probs(x[0]), probs((x + r)[0])
         expected = float(np.sum(p * np.log(p / q)))
-        base = divergence.base_distribution(net, x)
+        base = nn.predict_proba(net, x)
         assert abs(divergence.delta_kl(net, x, r, base)[0] - expected) < 1e-12
 
 
@@ -75,14 +75,14 @@ class TestGradRDeltaKl:
         for _ in range(5):
             net = random_small_net(rng)
             x = rng.standard_normal((3, 4))
-            base = divergence.base_distribution(net, x)
+            base = nn.predict_proba(net, x)
             g = divergence.grad_r_delta_kl(net, x, np.zeros_like(x), base)
             assert np.linalg.norm(g) < 1e-8 * (1 + np.linalg.norm(x))
 
     def test_matches_finite_differences(self, rng):
         net = random_small_net(rng, [4, 5, 3])
         x = rng.standard_normal((2, 4))
-        base = divergence.base_distribution(net, x)
+        base = nn.predict_proba(net, x)
         r = 0.1 * rng.standard_normal((2, 4))
         analytic = divergence.grad_r_delta_kl(net, x, r, base)
 

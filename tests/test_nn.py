@@ -80,7 +80,7 @@ class TestBackward:
         x = rng.standard_normal((4, 5))
         y = rng.integers(0, 3, 4)
         logits, cache = nn.forward(net, x)
-        _, d_logits = nn.nll_loss(logits, y)
+        _, d_logits, _ = nn.nll_loss(logits, y)
         g = nn.backward(net, cache, d_logits)
 
         def loss():
@@ -95,7 +95,7 @@ class TestBackward:
         net = random_small_net(rng, [5, 7, 4, 3])
         x = rng.standard_normal((4, 5))
         logits, cache = nn.forward(net, x)
-        _, d_logits = nn.nll_loss(logits, rng.integers(0, 3, 4))
+        _, d_logits, _ = nn.nll_loss(logits, rng.integers(0, 3, 4))
         full = nn.backward(net, cache, d_logits)
         lean = nn.backward(net, cache, d_logits, input_grad=False)
         assert lean.d_input is None
@@ -106,7 +106,7 @@ class TestBackward:
         net = random_small_net(rng, [5, 7, 4, 3])
         x = rng.standard_normal((4, 5))
         logits, cache = nn.forward(net, x)
-        _, d_logits = nn.nll_loss(logits, rng.integers(0, 3, 4))
+        _, d_logits, _ = nn.nll_loss(logits, rng.integers(0, 3, 4))
         d_before = d_logits.copy()
         want = nn.backward(net, cache, d_logits)
         out = nn.backward(net, cache, np.ones_like(d_logits))  # arrays of the right shapes
@@ -146,20 +146,25 @@ class TestBackward:
 
 class TestNllLoss:
     def test_uniform_ten_classes(self):
-        loss, _ = nn.nll_loss(np.zeros((4, 10)), np.array([0, 3, 5, 9]))
+        loss = nn.nll_loss(np.zeros((4, 10)), np.array([0, 3, 5, 9]))[0]
         assert abs(loss - np.log(10)) < 1e-12
 
     def test_saturated_logit(self):
-        loss, _ = nn.nll_loss(np.array([[50.0, 0.0, 0.0]]), np.array([0]))
+        loss = nn.nll_loss(np.array([[50.0, 0.0, 0.0]]), np.array([0]))[0]
         assert loss < 1e-12
 
     def test_hand_value(self):
-        loss, _ = nn.nll_loss(np.array([[1.0, 0.0]]), np.array([0]))
+        loss = nn.nll_loss(np.array([[1.0, 0.0]]), np.array([0]))[0]
         assert abs(loss - 0.313262) < 1e-6
 
     def test_label_out_of_range(self):
         with pytest.raises(DataError):
             nn.nll_loss(np.zeros((1, 3)), np.array([3]))
+
+    def test_probabilities_are_the_softmax(self, rng):
+        logits = 3.0 * rng.standard_normal((5, 4))
+        proba = nn.nll_loss(logits, rng.integers(0, 4, 5))[2]
+        assert np.array_equal(proba, softmax(logits))
 
 
 class TestDropout:

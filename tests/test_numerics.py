@@ -4,6 +4,7 @@ import pytest
 from vatlab.errors import DimensionError, NumericError
 from vatlab.numerics import (log_softmax, make_rng, normalize_rows, sample_unit_vector,
                              softmax)
+from vatlab.train import EVAL_BLOCK
 
 
 class TestLogSoftmax:
@@ -62,6 +63,14 @@ class TestSampleUnitVector:
         assert np.array_equal(sample_unit_vector(batch_rng, dim, batch), np.stack(rows))
         # both generators are left at the same position
         assert loop_rng.standard_normal() == batch_rng.standard_normal()
+
+    def test_consecutive_draws_equal_one_draw(self):
+        # evaluate() draws a split's directions block by block
+        n, dim = EVAL_BLOCK + 100, 8
+        one = sample_unit_vector(make_rng(32), dim, n)
+        rng = make_rng(32)
+        blocks = [sample_unit_vector(rng, dim, EVAL_BLOCK), sample_unit_vector(rng, dim, 100)]
+        assert np.array_equal(np.concatenate(blocks), one)
 
     def test_zero_dim_rejected(self, rng):
         with pytest.raises(DimensionError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import random_small_net
 
-from vatlab import baselines, data as dm, nn, train as tm
+from vatlab import baselines, data as dm, divergence, nn, train as tm, vat
 from vatlab.baselines import Regularizer
 from vatlab.errors import ConfigError, NumericError, UsageError
 from vatlab.numerics import make_rng, softmax
@@ -65,10 +65,10 @@ class TestSupervisedStep:
         from vatlab import baselines, divergence, vat as vatmod
         step_rng = make_rng(99)
         logits, cache = nn.forward(net, x)
-        _, d_logits = nn.nll_loss(logits, y)
+        _, d_logits, _ = nn.nll_loss(logits, y)
         nll_grads = nn.backward(net, cache, d_logits)
         if kind in ("vat", "random_perturbation"):
-            base = divergence.base_distribution(net, x)
+            base = nn.predict_proba(net, x)
             if kind == "vat":
                 r = vatmod.gen_vap(net, x, reg.vat, step_rng, base=base)
             else:
@@ -261,14 +261,14 @@ class TestKindsTable:
             ("epsilon",), needs_labels=True, reads_input_grad=True, penalty=penalty))
         reg = baselines.make_regularizer("scaled_l2", weight=0.5, epsilon=0.2, keep_prob=0.7)
         assert reg == Regularizer(kind="scaled_l2", weight=0.5, epsilon=0.2)
-        assert reg.hyperparameters() == {"epsilon": 0.2} and reg.needs_labels
+        assert reg.hyperparameters() == {"epsilon": 0.2}
         with pytest.raises(ConfigError):
             Regularizer(kind="scaled_l2", epsilon=0.0)
 
         x, y = toy_batch(rng)
         net = random_small_net(rng, [4, 8, 3])
         logits, cache = nn.forward(net, x)
-        _, d_logits = nn.nll_loss(logits, y)
+        _, d_logits, _ = nn.nll_loss(logits, y)
         nll_grads = nn.backward(net, cache, d_logits).vector
         decay, decay_grads = baselines.l2_penalty(net, 0.2)
         probe = Probe()
@@ -329,7 +329,7 @@ class TestSemisupStep:
         probe = Probe()
         supervised_step(net, x, y, reg, probe, make_rng(0), x_reg=x_reg)
         logits, cache = nn.forward(net, x)
-        _, d_logits = nn.nll_loss(logits, y)
+        _, d_logits, _ = nn.nll_loss(logits, y)
         expected = nn.backward(net, cache, d_logits)
         assert np.array_equal(probe.grads, expected.vector)
 
@@ -376,6 +376,27 @@ class TestEvaluate:
         finally:
             tracemalloc.stop()
         assert peak < 1.2e6
+
+    def test_memory_of_a_split_larger_than_a_block(self, rng):
+        # in one batch the search held about 39 copies of a block's inputs
+        # here; in blocks it holds about 8, however many rows the split has
+        n = 6 * tm.EVAL_BLOCK
+        net = nn.init_mlp([64, 64, 10], rng)
+        x, y = rng.standard_normal((n, 64)), rng.integers(0, 10, n)
+        tracemalloc.start()
+        try:
+            out = evaluate(net, x, y, rng=make_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * x[:tm.EVAL_BLOCK].nbytes
+        # the same numbers as one batch: the mismatch count exactly, the mean
+        # estimate up to how OpenBLAS rounds products of fewer rows
+        proba = nn.predict_proba(net, x)
+        assert out["error"] == float((proba.argmax(axis=1) != y).mean())
+        r_vadv = vat.gen_vap(net, x, tm.EVAL_VAT, make_rng(1), base=proba)
+        one_batch = float(-divergence.delta_kl(net, x, r_vadv, proba).mean())
+        assert abs(out["mean_lds"] - one_batch) < 1e-12
 
     def test_constant_network_lds_zero(self, rng):
         net = nn.init_mlp([4, 3, 2], rng)

@@ -23,7 +23,7 @@ class TestGenVap:
     def test_output_norm_is_epsilon(self, rng):
         net = random_small_net(rng, [6, 8, 3])
         x = rng.standard_normal((5, 6))
-        base = divergence.base_distribution(net, x)
+        base = nn.predict_proba(net, x)
         for eps in (0.1, 0.5, 2.0):
             for ip in (1, 3):
                 r = vat.gen_vap(net, x, vat.VatConfig(epsilon=eps, power_iterations=ip), rng,
@@ -35,7 +35,7 @@ class TestGenVap:
         net = logistic_net([3.0, 4.0])
         x = np.array([[0.1, -0.2]])
         r = vat.gen_vap(net, x, vat.VatConfig(epsilon=1.0), make_rng(11),
-                        divergence.base_distribution(net, x))
+                        nn.predict_proba(net, x))
         cos = abs(r[0] @ np.array([0.6, 0.8]))
         assert cos > 1 - 1e-6
 
@@ -47,7 +47,7 @@ class TestGenVap:
         rng = make_rng(7)
         net = nn.init_mlp([100, 100, 2], rng)
         x = rng.standard_normal((20, 100))
-        base = divergence.base_distribution(net, x)
+        base = nn.predict_proba(net, x)
         r = vat.gen_vap(net, x, vat.VatConfig(epsilon=1.0), rng, base)
         r_adv = baselines.adv_perturbation(net, x, rng.integers(0, 2, 20), 1.0, "l2")
         _, cache = nn.forward(net, x)
@@ -72,7 +72,7 @@ class TestGenVap:
             x = rng.standard_normal((1, 4))
             hess = kl_hessian(net, x[0])
             _, u1 = dominant_eigenvector(hess)
-            base = divergence.base_distribution(net, x)
+            base = nn.predict_proba(net, x)
             cosines = []
             for ip in (1, 2, 3, 4, 5):
                 r = vat.gen_vap(net, x, vat.VatConfig(epsilon=1.0, power_iterations=ip),
@@ -91,7 +91,7 @@ class TestGenVap:
             layer.biases[:] = 0.0
         x = rng.standard_normal((3, 4))
         r = vat.gen_vap(net, x, vat.VatConfig(epsilon=0.5), rng,
-                        divergence.base_distribution(net, x))
+                        nn.predict_proba(net, x))
         assert np.allclose(np.linalg.norm(r, axis=1), 0.5)
 
 
@@ -101,9 +101,9 @@ class TestLdsEstimate:
         for layer in net.layers:
             layer.weights[:] = 0.0
         x = rng.standard_normal((5, 4))
-        base = divergence.base_distribution(net, x)
+        base = nn.predict_proba(net, x)
         r = vat.gen_vap(net, x, vat.VatConfig(epsilon=1.0), rng, base)
-        assert np.max(np.abs(vat.lds_estimate(net, x, r, base))) < 1e-15
+        assert np.max(np.abs(divergence.delta_kl(net, x, r, base))) < 1e-15
 
     def test_logistic_model_exact(self):
         # the search lands on +-theta/||theta||, and ||theta|| = 3, so at
@@ -112,10 +112,10 @@ class TestLdsEstimate:
         net = logistic_net([1.0, 2.0, 2.0])
         eps = 0.7
         x = np.zeros((1, 3))
-        base = divergence.base_distribution(net, x)
+        base = nn.predict_proba(net, x)
         r = vat.gen_vap(net, x, vat.VatConfig(epsilon=eps), make_rng(5), base)
         expected = -np.log(np.cosh(1.5 * eps))
-        assert abs(vat.lds_estimate(net, x, r, base)[0] - expected) < 1e-9
+        assert abs(-divergence.delta_kl(net, x, r, base)[0] - expected) < 1e-9
 
     def test_logistic_second_order_value(self):
         # two-class net with logit columns [theta, 0] equals a logistic model;
@@ -124,17 +124,17 @@ class TestLdsEstimate:
         w = np.column_stack([theta, np.zeros(2)])
         net = nn.MlpNetwork([nn.Layer(w, np.zeros(2))])
         x = np.zeros((1, 2))
-        base = divergence.base_distribution(net, x)
+        base = nn.predict_proba(net, x)
         r = vat.gen_vap(net, x, vat.VatConfig(epsilon=0.5), make_rng(2), base)
-        got = float(vat.lds_estimate(net, x, r, base)[0])
+        got = float(-divergence.delta_kl(net, x, r, base)[0])
         assert abs(got - (-0.03125)) < 1e-3
 
     def test_never_positive(self, rng):
         net = random_small_net(rng)
         x = rng.standard_normal((6, 4))
-        base = divergence.base_distribution(net, x)
+        base = nn.predict_proba(net, x)
         r = vat.gen_vap(net, x, vat.VatConfig(epsilon=0.5), rng, base)
-        assert np.all(vat.lds_estimate(net, x, r, base) <= 1e-12)
+        assert np.all(-divergence.delta_kl(net, x, r, base) <= 1e-12)
 
 
 class TestVatBackward:
@@ -142,7 +142,7 @@ class TestVatBackward:
         net = random_small_net(rng)
         x = rng.standard_normal((3, 4))
         penalty, g = vat.vat_backward(net, x, np.zeros_like(x),
-                                      divergence.base_distribution(net, x))
+                                      nn.predict_proba(net, x))
         assert penalty < 1e-15
         for arr in g.parameter_grads():
             assert np.max(np.abs(arr)) < 1e-12
@@ -150,7 +150,7 @@ class TestVatBackward:
     def test_matches_theta_finite_differences(self, rng):
         net = random_small_net(rng, [4, 5, 3])
         x = rng.standard_normal((3, 4))
-        base = divergence.base_distribution(net, x).copy()
+        base = nn.predict_proba(net, x).copy()
         r = 0.3 * rng.standard_normal((3, 4))
         _, g = vat.vat_backward(net, x, r, base=base)
 
@@ -173,9 +173,9 @@ class TestVatBackward:
         weight = 1.0
 
         logits, cache = nn.forward(net, x)
-        loss, d_logits = nn.nll_loss(logits, y)
+        loss, d_logits, _ = nn.nll_loss(logits, y)
         nll_grads = nn.backward(net, cache, d_logits)
-        base = divergence.base_distribution(net, x)
+        base = nn.predict_proba(net, x)
         _, reg_grads = vat.vat_backward(net, x, r, base=base)
         total = [g + weight * rg for g, rg in zip(nll_grads.parameter_grads(),
                                                   reg_grads.parameter_grads())]
@@ -213,7 +213,7 @@ def test_probe_scale_direction_stability(rng):
     # the searched direction should not depend on the finite-difference scale
     net = random_small_net(rng, [5, 7, 3])
     x = rng.standard_normal((2, 5))
-    base = divergence.base_distribution(net, x)
+    base = nn.predict_proba(net, x)
     directions = []
     for xi in (1e-6, 1e-4, 1e-2):
         cfg = vat.VatConfig(epsilon=1.0, xi=xi, power_iterations=3)
@@ -237,8 +237,8 @@ def test_parametrization_invariance_of_lds(rng):
             0.5 * net.layers[1].weights[:1]]),
             net.layers[1].biases.copy()),
     ])
-    base = divergence.base_distribution(net, x)
+    base = nn.predict_proba(net, x)
     r = vat.gen_vap(net, x, vat.VatConfig(epsilon=0.5), make_rng(3), base)
-    a = vat.lds_estimate(net, x, r, base)
-    b = vat.lds_estimate(dup, x, r, divergence.base_distribution(dup, x))
+    a = -divergence.delta_kl(net, x, r, base)
+    b = -divergence.delta_kl(dup, x, r, nn.predict_proba(dup, x))
     assert np.max(np.abs(a - b)) < 1e-9
