@@ -59,8 +59,16 @@ SYNTH_GRIDS = {
 }
 
 
-# the values a config file may give a switch such as record_lds, in any case
+# the values a switch such as --record-lds takes, in any case
 _SWITCH_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _switch(text: str) -> bool:
+    try:
+        return _SWITCH_VALUES[text.lower()]
+    except KeyError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not one of {', '.join(_SWITCH_VALUES)}") from None
 
 
 @contextlib.contextmanager
@@ -124,26 +132,6 @@ def _read_config(path: str) -> dict[str, str]:
         key, _, raw = line.partition("=")
         values[key.strip().replace("-", "_")] = raw.strip()
     return values
-
-
-def _config_flags(args: argparse.Namespace, values: dict[str, str]) -> list[str]:
-    """The config values as flags of args's command, for argparse to check as
-    it checks given ones: --key=value, and for a switch such as record_lds,
-    which takes the _SWITCH_VALUES words, the bare flag or nothing. A key must
-    name one of the command's flags exactly."""
-    flags = []
-    for key, raw in values.items():
-        if key in ("command", "func") or key not in vars(args):
-            raise ConfigError(f"unknown config key {key!r}")
-        flag = "--" + key.replace("_", "-")
-        if not isinstance(getattr(args, key), bool):
-            flags.append(f"{flag}={raw}")
-        elif raw.lower() in _SWITCH_VALUES:
-            flags += [flag] if _SWITCH_VALUES[raw.lower()] else []
-        else:
-            raise ConfigError(f"config key {key!r}: {raw!r} is not one of "
-                              f"{', '.join(_SWITCH_VALUES)}")
-    return flags
 
 
 def _make_regularizer(args) -> Regularizer:
@@ -402,14 +390,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def build_parser(supplied=()) -> argparse.ArgumentParser:
-    """The root parser. A flag that a config file supplies, one whose key is
-    in supplied, is not required."""
+def build_parser() -> argparse.ArgumentParser:
+    """The root parser, with a subparser for each command."""
     parser = _Parser(prog="vatlab")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def needed(key: str) -> bool:
-        return key not in supplied
 
     def common(p, mnist=False):
         p.add_argument("--config", default=None, help="flat key=value file; flags override")
@@ -419,17 +403,16 @@ def build_parser(supplied=()) -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset as CSV")
     common(p)
-    p.add_argument("--task", choices=SYNTH_TASKS, required=needed("task"))
+    p.add_argument("--task", choices=SYNTH_TASKS, required=True)
     p.add_argument("--n-train", type=int, default=16)
     p.add_argument("--n-test", type=int, default=1000)
     p.add_argument("--n-unlabeled", type=int, default=0)
-    p.add_argument("--out", required=needed("out"))
+    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train one model and write artifacts")
     common(p, mnist=True)
-    p.add_argument("--task", required=needed("task"),
-                   choices=[*SYNTH_TASKS, "mnist", "mnist-semisup"])
+    p.add_argument("--task", required=True, choices=[*SYNTH_TASKS, "mnist", "mnist-semisup"])
     p.add_argument("--reg", default="mle", choices=sorted(METHOD_NAMES))
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--weight", type=float, default=1.0)
@@ -438,7 +421,7 @@ def build_parser(supplied=()) -> argparse.ArgumentParser:
     p.add_argument("--ip", type=int, default=1)
     p.add_argument("--updates", type=int, default=1000)
     p.add_argument("--eval-every", type=int, default=0)
-    p.add_argument("--record-lds", action="store_true")
+    p.add_argument("--record-lds", type=_switch, nargs="?", const=True, default=False)
     p.add_argument("--hidden", default="100")
     p.add_argument("--n-train", type=int, default=16)
     p.add_argument("--n-test", type=int, default=1000)
@@ -450,24 +433,24 @@ def build_parser(supplied=()) -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     common(p, mnist=True)
-    p.add_argument("--task", required=needed("task"), choices=[*SYNTH_TASKS, "mnist"])
-    p.add_argument("--checkpoint", required=needed("checkpoint"))
+    p.add_argument("--task", required=True, choices=[*SYNTH_TASKS, "mnist"])
+    p.add_argument("--checkpoint", required=True)
     p.add_argument("--embedding", default=None)
     p.add_argument("--n-test", type=int, default=1000)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("boundary", help="decision-boundary grid CSV + SVG contour")
     common(p)
-    p.add_argument("--checkpoint", required=needed("checkpoint"))
-    p.add_argument("--embedding", required=needed("embedding"))
-    p.add_argument("--train-csv", required=needed("train_csv"), help="2-D points CSV from train")
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--embedding", required=True)
+    p.add_argument("--train-csv", required=True, help="2-D points CSV from train")
     p.add_argument("--resolution", type=int, default=200)
-    p.add_argument("--out", required=needed("out"), help="output path prefix")
+    p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_boundary)
 
     p = sub.add_parser("grid", help="per-method hyperparameter search on a synthetic task")
     common(p)
-    p.add_argument("--task", choices=SYNTH_TASKS, required=needed("task"))
+    p.add_argument("--task", choices=SYNTH_TASKS, required=True)
     p.add_argument("--methods", default="mle,l2,dropout,random,adv-linf,adv-l2,vat")
     p.add_argument("--n-train", type=int, default=16)
     p.add_argument("--n-val", type=int, default=1000)
@@ -492,10 +475,12 @@ def main(argv=None) -> int:
     try:
         path = _config_path(argv)
         values = _read_config(path) if path else {}
-        parser = build_parser(values)
-        args = parser.parse_args(argv)
-        if values:  # the file's flags go ahead of the given ones, which win as later flags do
-            args = parser.parse_args(argv[:1] + _config_flags(args, values) + argv[1:])
+        # the file's flags go ahead of the given ones, which win as later flags do
+        flags = [f"--{key.replace('_', '-')}={raw}" for key, raw in values.items()]
+        args = build_parser().parse_args(argv[:1] + flags + argv[1:])
+        unknown = [key for key in values if key not in vars(args)]  # abbreviations of flags
+        if unknown:
+            raise ConfigError(f"unknown config key {unknown[0]!r}")
         # every non-finite value is checked, and exits 3 with a line of its own
         with np.errstate(all="ignore"):
             return args.func(args)

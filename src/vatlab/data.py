@@ -213,12 +213,14 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
     n, rows, cols = img_dims  # the images magic names 3 dimensions
     if (rows, cols) != (28, 28):
         raise FormatError(f"{images_path}: {rows}x{cols} images, expected 28x28")
+    if n == 0:
+        raise FormatError(f"{images_path}: no images")
     if lab_dims != (n,):
         raise FormatError(f"{labels_path}: {lab_dims[0]} labels for {n} images")
     inputs = pixels.reshape(n, MNIST_DIM).astype(np.float64)
     inputs /= 255.0  # in place: a second float64 copy would double the peak
     labels = labels.astype(np.int64)
-    if labels.size and labels.max() > 9:  # read as uint8, so never below 0
+    if labels.max() > 9:  # read as uint8, so never below 0
         raise FormatError(f"{labels_path}: label outside 0..9")
     return Dataset(inputs, labels)
 

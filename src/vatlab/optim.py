@@ -1,9 +1,9 @@
 """Optimizers: damped-momentum SGD, ADAM, and stepped exponential decay.
 
 The momentum update is Delta_i = mu * Delta_{i-1} + (1 - mu) * gamma_i * g,
-with the damping factor (1 - mu) kept as written; parameters move by
-theta <- theta - Delta_i, so the supplied gradient is always the descent
-direction of the minimized loss.
+with mu = MOMENTUM and the damping factor (1 - mu) kept as written;
+parameters move by theta <- theta - Delta_i, so the supplied gradient is
+always the descent direction of the minimized loss.
 
 Each optimizer's step takes the parameters as one array, which it moves in
 place, and their gradient as one array of the same shape: the training step
@@ -49,13 +49,16 @@ def _check_grads(params: Tensor, grads: Tensor) -> None:
                              f"parameter shape {params.shape}")
 
 
-class MomentumSgd:
-    """SGD with damped momentum and a per-update decaying learning rate."""
+# SGD's momentum mu, and ADAM's moment decay rates and denominator offset:
+# the standard settings
+MOMENTUM = 0.9
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, mu: float, schedule: DecaySchedule):
-        if not 0.0 <= mu < 1.0:
-            raise ConfigError(f"momentum mu must be in [0, 1), got {mu}")
-        self.mu = mu
+
+class MomentumSgd:
+    """SGD with damped momentum MOMENTUM and a per-update decaying learning rate."""
+
+    def __init__(self, schedule: DecaySchedule):
         self.schedule = schedule
         self.step_count = 0
         self.prev_update: Tensor | None = None
@@ -68,11 +71,10 @@ class MomentumSgd:
             self.prev_update = np.zeros_like(params)
         if self._scratch is None:
             self._scratch = np.empty_like(params)
-        mu = self.mu
-        scale = (1.0 - mu) * schedule_rate(self.schedule, self.step_count)
+        scale = (1.0 - MOMENTUM) * schedule_rate(self.schedule, self.step_count)
         # Delta_i = mu * Delta_{i-1} + ((1 - mu) * gamma) * g, in place, with
         # scale = (1 - mu) * gamma; the scratch array holds the bits of scale * g
-        self.prev_update *= mu
+        self.prev_update *= MOMENTUM
         self.prev_update += np.multiply(grads, scale, out=self._scratch)
         params -= self.prev_update
         self.step_count += 1
@@ -84,10 +86,6 @@ class MomentumSgd:
 # and stay in a 2 MB L2 cache across the update's 14 passes, where a whole
 # MNIST-size parameter vector (13 MB) goes out to memory on every pass.
 _ADAM_BLOCK = 16_384
-
-
-# ADAM's moment decay rates and denominator offset: the standard setting
-ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:

@@ -27,7 +27,6 @@ from .vat import VatConfig
 # Smoothness estimates in evaluate() use the fixed probe settings below
 # regardless of the training-time configuration.
 EVAL_VAT = VatConfig(epsilon=0.5, power_iterations=5)
-MOMENTUM = 0.9  # mu of the SGD optimizer
 # Rows per evaluate() block. The synthetic splits, the boundary's training
 # points and the pinned MNIST digests fit in one block, so their results do
 # not depend on how OpenBLAS rounds a product of fewer rows.
@@ -83,7 +82,7 @@ class TrainRecord:
 
 def make_optimizer(cfg: TrainConfig):
     if cfg.optimizer == "sgd":
-        return MomentumSgd(MOMENTUM, cfg.schedule)
+        return MomentumSgd(cfg.schedule)
     return Adam(cfg.schedule)
 
 

@@ -208,14 +208,14 @@ class TestGridCommand:
         assert run_cli("grid", "--task", "moons", "--methods", "nope") == 2
 
 
-def _write_random_mnist(directory):
-    """A train and a t10k IDX pair of 40 random 28x28 images, labels 0-9 in turn."""
+def _write_random_mnist(directory, n=40):
+    """A train and a t10k IDX pair of n random 28x28 images, labels 0-9 in turn."""
     directory.mkdir()
     for split in ("train", "t10k"):
         _write_idx_images(directory / f"{split}-images-idx3-ubyte",
-                          make_rng(0).integers(0, 256, (40, 28, 28), dtype=np.uint8))
+                          make_rng(0).integers(0, 256, (n, 28, 28), dtype=np.uint8))
         _write_idx_labels(directory / f"{split}-labels-idx1-ubyte",
-                          [i % 10 for i in range(40)])
+                          [i % 10 for i in range(n)])
 
 
 # task -> (its own flags, SHA-256 prefixes of the checkpoint's parameter bytes
@@ -337,7 +337,18 @@ class TestConfigFile:
         cfg.write_text("record_lds = ture\n")
         assert run_cli("train", "--config", str(cfg), "--task", "moons",
                        "--out-prefix", str(tmp_path / "x")) == 2
-        assert "record_lds" in capsys.readouterr().err
+        assert "--record-lds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, recorded", [
+        (["--record-lds"], True), (["--record-lds=yes"], True), (["--record-lds", "No"], False),
+        (["--record-lds=no"], False), (["--record-lds", "--record-lds=0"], False), ([], False),
+    ])
+    def test_switch_values_on_the_command_line(self, tmp_path, capsys, flags, recorded):
+        prefix = str(tmp_path / "out")
+        assert run_cli("train", "--task", "moons", "--updates", "2", "--n-test", "10",
+                       *flags, "--out-prefix", prefix) == 0
+        final = json.load(open(prefix + ".summary.json"))["final"]
+        assert (final["train_lds"] is not None) == recorded
 
     def test_comments_and_blank_lines_are_skipped(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -386,6 +397,16 @@ class TestConfigFile:
         cfg.write_text("bogus = 1\n")
         assert run_cli("train", "--config", str(cfg), "--task", "moons",
                        "--out-prefix", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize("line", ["upd = 2", "ep = 0.3", "record = yes"])
+    def test_a_key_that_abbreviates_a_flag_exits_2(self, tmp_path, capsys, line):
+        # argparse takes --upd=2 for --updates=2; a key must name its flag in full
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert run_cli("train", "--config", str(cfg), "--task", "moons", "--updates", "2",
+                       "--n-test", "10", "--out-prefix", str(tmp_path / "x")) == 2
+        assert repr(line.split()[0]) in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "x.summary.json")
 
     def test_a_file_supplies_a_required_flag(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -589,6 +610,11 @@ POINTS_CSV = {"header.csv": "x0,x1,label\n",
         "--updates", "1", "--out-prefix", "{tmp}/x"], 4) for name in LATER_BAD_IDX],
     # a --config flag with no value
     (TRAIN + ["--config"], 2),
+    # IDX pairs of no images: nothing to train on, and an error of NaN
+    (["train", "--task", "mnist", "--mnist-dir", "{tmp}/empty-mnist", "--hidden", "8",
+      "--updates", "1", "--out-prefix", "{tmp}/x"], 4),
+    (["eval", "--task", "mnist", "--mnist-dir", "{tmp}/empty-mnist",
+      "--checkpoint", "{tmp}/mnist.ckpt.npz"], 4),
 ])
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
     # every malformed invocation exits with its documented code, never a traceback
@@ -608,6 +634,7 @@ def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
     _write_bad_checkpoints(tmp_path)
     _write_bad_images(tmp_path)
     _write_random_mnist(tmp_path / "mnist")
+    _write_random_mnist(tmp_path / "empty-mnist", n=0)
     assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == code
     assert "Traceback" not in capsys.readouterr().err
 

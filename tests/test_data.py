@@ -142,6 +142,13 @@ class TestIdxLoading:
         with pytest.raises(FormatError, match="1 labels for 2 images"):
             dm.load_mnist_idx(tmp_path / "img", tmp_path / "lab")
 
+    def test_no_images(self, tmp_path):
+        # an empty split trains on nothing and scores NaN
+        _write_idx_images(tmp_path / "img", np.zeros((0, 28, 28), dtype=np.uint8))
+        _write_idx_labels(tmp_path / "lab", [])
+        with pytest.raises(FormatError, match="no images"):
+            dm.load_mnist_idx(tmp_path / "img", tmp_path / "lab")
+
     def test_scaling_takes_one_float_copy(self, tmp_path):
         # scaling into a second float64 array peaked at about twice the result
         n = 2000

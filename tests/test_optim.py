@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vatlab.errors import ConfigError, DimensionError, UsageError
-from vatlab.optim import Adam, DecaySchedule, MomentumSgd, schedule_rate
+from vatlab.optim import MOMENTUM, Adam, DecaySchedule, MomentumSgd, schedule_rate
 
 
 class TestSchedule:
@@ -31,36 +31,38 @@ class TestSchedule:
 
 
 class TestMomentumSgd:
-    def test_zero_momentum_is_plain_sgd(self, rng):
+    def test_first_step_is_damped_sgd(self, rng):
+        # no earlier update to carry: the step is (1 - mu) * rate * g
         p_a = rng.standard_normal((3, 2))
         p_b = p_a.copy()
         g = rng.standard_normal((3, 2))
-        opt = MomentumSgd(0.0, DecaySchedule(0.1))
+        opt = MomentumSgd(DecaySchedule(0.1))
         opt.step(p_a, g)
-        p_b -= 0.1 * g
+        p_b -= (1.0 - MOMENTUM) * 0.1 * g
         assert np.array_equal(p_a, p_b)
 
     def test_damped_momentum_carry(self):
         # previous update 1, zero gradient, mu=0.9 -> next update 0.9
         p = np.array([0.0])
-        opt = MomentumSgd(0.9, DecaySchedule(1.0))
+        opt = MomentumSgd(DecaySchedule(1.0))
         opt.prev_update = np.array([1.0])
         opt.step(p, np.array([0.0]))
         assert np.allclose(opt.prev_update, 0.9)
         assert np.allclose(p, -0.9)
 
     def test_rate_decays_per_update(self):
-        opt = MomentumSgd(0.0, DecaySchedule(1.0, 0.995, 1))
+        # each update's gradient term, its update less the carried mu times
+        # the last one, is 0.995 times the last update's
+        opt = MomentumSgd(DecaySchedule(1.0, 0.995, 1))
         p = np.array([0.0])
-        opt.step(p, np.array([1.0]))
-        first = -p[0]
-        p[0] = 0.0
-        opt.step(p, np.array([1.0]))
-        assert np.isclose(-p[0], first * 0.995)
-
-    def test_bad_momentum(self):
-        with pytest.raises(ConfigError):
-            MomentumSgd(1.0, DecaySchedule(1.0))
+        updates = []
+        for _ in range(3):
+            opt.step(p, np.array([1.0]))
+            updates.append(opt.prev_update[0])
+        terms = [updates[0]] + [b - MOMENTUM * a for a, b in zip(updates, updates[1:])]
+        assert np.isclose(terms[0], 1.0 - MOMENTUM)
+        assert np.allclose(terms[1:], [terms[0] * 0.995, terms[0] * 0.995 ** 2])
+        assert np.isclose(-p[0], sum(updates))
 
 
 class TestAdam:
@@ -111,7 +113,7 @@ def _state(opt):
     return opt.step_count, [None if a is None else a.tolist() for a in arrays]
 
 
-@pytest.mark.parametrize("make", [lambda: MomentumSgd(0.9, DecaySchedule(0.1)),
+@pytest.mark.parametrize("make", [lambda: MomentumSgd(DecaySchedule(0.1)),
                                   lambda: Adam(DecaySchedule(0.1))], ids=["sgd", "adam"])
 @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "after-a-step"])
 def test_bad_gradients_leave_everything_unchanged(make, warm):
@@ -133,7 +135,7 @@ def test_in_place_updates_match_textbook_expressions(rng):
     size = 131 * 257  # spans three ADAM blocks
     params = {name: rng.standard_normal(size) for name in ("sgd", "adam")}
     ref = {name: p.copy() for name, p in params.items()}
-    sgd = MomentumSgd(0.9, DecaySchedule(0.5, 0.99, 2))
+    sgd = MomentumSgd(DecaySchedule(0.5, 0.99, 2))
     adam = Adam(DecaySchedule(0.01, 0.9, 3))
     delta, m, v = np.zeros(size), np.zeros(size), np.zeros(size)
     for t in range(1, 6):
