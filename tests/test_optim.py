@@ -51,8 +51,8 @@ class TestMomentumSgd:
         assert np.allclose(p, -0.9)
 
     def test_rate_decays_per_update(self):
-        # each update's gradient term, its update less the carried mu times
-        # the last one, is 0.995 times the last update's
+        # an update less mu times the one before it is its gradient term,
+        # (1 - mu) * rate * g, whose rate falls by 0.995 per update
         opt = MomentumSgd(DecaySchedule(1.0, 0.995, 1))
         p = np.array([0.0])
         updates = []
