@@ -36,7 +36,7 @@ def adv_perturbation(net, x: Tensor, labels: np.ndarray, epsilon: float,
     if grad is None:
         logits, cache = nn.forward(net, x)
         d_logits = nn.nll_loss(logits, labels)[1]
-        grad = nn.backward(net, cache, d_logits, param_grads=False).d_input
+        grad = nn.backward(net, cache, d_logits)
     if norm == "linf":
         return epsilon * np.sign(grad)
     return epsilon * normalize_rows(grad)
@@ -48,59 +48,56 @@ def random_perturbation(x: Tensor, epsilon: float, rng: np.random.Generator) -> 
     return epsilon * sample_unit_vector(rng, x.shape[1], x.shape[0])
 
 
-def l2_penalty(net, lam: float, *, out: nn.GradientBundle | None = None
-               ) -> tuple[float, nn.GradientBundle]:
-    """(lam/2) * sum of squared weights and its gradient: lam * W for each
-    weight array, zero for the biases, which are excluded.
-
-    The gradients are written into out, or into a new net.zero_gradients()
-    bundle, which is returned.
+def l2_penalty(net, lam: float, *, out: nn.GradientBundle) -> float:
+    """(lam/2) * sum of squared weights. Its gradient, lam * W for each
+    weight array and zero for the biases, which are excluded, is written
+    into out.
     """
     if lam < 0:
         raise ConfigError("l2 weight must be >= 0")
-    bundle = out if out is not None else net.zero_gradients()
     penalty = 0.0
-    for layer, dw, db in zip(net.layers, bundle.d_weights, bundle.d_biases):
+    for layer, dw, db in zip(net.layers, out.d_weights, out.d_biases):
         w = layer.weights
         # the weight gradient's array holds W ** 2 for the sum first
         np.multiply(w, w, out=dw)
         penalty += 0.5 * lam * float(dw.sum())
         np.multiply(w, lam, out=dw)
         db.fill(0.0)
-    return penalty, bundle
+    return penalty
 
 
 def adv_loss_term(net, x: Tensor, labels: np.ndarray, r_adv: Tensor, *,
-                  out: nn.GradientBundle | None = None) -> tuple[float, nn.GradientBundle]:
-    """NLL at x + r_adv with the perturbation held constant; the bundle
-    (out, when given) carries no input gradient (d_input None)."""
+                  out: nn.GradientBundle) -> float:
+    """NLL at x + r_adv with the perturbation held constant; its parameter
+    gradient is written into out."""
     logits, cache = nn.forward(net, x + r_adv)
     loss, d_logits, _ = nn.nll_loss(logits, labels)
-    return loss, nn.backward(net, cache, d_logits, input_grad=False, out=out)
+    nn.backward(net, cache, d_logits, out=out, input_grad=False)
+    return loss
 
 
 def _vat_penalty(net, reg, x, y, rng, clean, out) -> tuple:
     base = nn.predict_proba(net, x) if clean is None else clean[0]
     r = vat.gen_vap(net, x, reg.vat, rng, base=base)
-    return vat.vat_backward(net, x, r, base=base, out=out)[0], reg.weight
+    return vat.vat_backward(net, x, r, base=base, out=out), reg.weight
 
 
 def _random_penalty(net, reg, x, y, rng, clean, out) -> tuple:
     base = nn.predict_proba(net, x) if clean is None else clean[0]
     r = random_perturbation(x, reg.epsilon, rng)
-    return vat.vat_backward(net, x, r, base=base, out=out)[0], reg.weight
+    return vat.vat_backward(net, x, r, base=base, out=out), reg.weight
 
 
 def _adversarial_penalty(norm: str):
     def penalty(net, reg, x, y, rng, clean, out) -> tuple:
         # label-requiring kinds never see a separate batch, so clean is set
         r = adv_perturbation(net, x, y, reg.epsilon, norm, grad=clean[1])
-        return adv_loss_term(net, x, y, r, out=out)[0], reg.weight
+        return adv_loss_term(net, x, y, r, out=out), reg.weight
     return penalty
 
 
 def _l2_penalty(net, reg, x, y, rng, clean, out) -> tuple:
-    return l2_penalty(net, reg.weight, out=out)[0], 1.0  # already weighted
+    return l2_penalty(net, reg.weight, out=out), 1.0  # already weighted
 
 
 @dataclass(frozen=True)

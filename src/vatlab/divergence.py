@@ -52,4 +52,4 @@ def grad_r_delta_kl(net, x: Tensor, r: Tensor, base: Tensor) -> Tensor:
     d_logits = log_softmax_unchecked(logits)
     np.exp(d_logits, out=d_logits)
     d_logits -= base
-    return nn.backward(net, cache, d_logits, param_grads=False).d_input
+    return nn.backward(net, cache, d_logits)

@@ -2,16 +2,16 @@
 
 The network is a stack of affine layers with ReLU hidden activations and an
 identity output layer; softmax is applied by the loss / divergence code, not
-here. Backward produces exact gradients with respect to the parameters and,
-unless told to skip it, the input, which the perturbation search needs; the
-search itself skips the parameter gradients and propagates to the input only.
-Each network copies the arrays it is built from into one float64 vector and
-makes every layer's weights and biases views of it, so an optimizer updates
-the network in one call. Every parameter gradient is laid out the same way: a
-GradientBundle's weight and bias gradients are views of one vector. Backward
-writes into a new bundle, or into a caller's; the training loop makes two
-bundles once, so a steady-state update allocates no parameter-sized array and
-combines its likelihood and penalty gradients in two calls. The negative
+here. Backward returns the exact gradient with respect to the input, which
+the perturbation search needs, unless told to skip it, and writes the
+parameter gradients into a bundle when it is given one; the search gives it
+none and propagates to the input only. Each network copies the arrays it is
+built from into one float64 vector and makes every layer's weights and biases
+views of it, so an optimizer updates the network in one call. Every parameter
+gradient is laid out the same way: a GradientBundle's weight and bias
+gradients are views of one vector. The training loop makes two bundles once,
+so a steady-state update allocates no parameter-sized array and combines its
+likelihood and penalty gradients in two calls. The negative
 log-likelihood's gradient starts from the softmax probabilities, which the
 training step also takes as the penalty's base distribution instead of
 computing them again.
@@ -106,7 +106,7 @@ class MlpNetwork:
         self.check_views()
         vector = np.zeros(self._vector.size)
         views = _views(vector, [view.shape for view in self._views])
-        return GradientBundle(views[::2], views[1::2], None, vector)
+        return GradientBundle(views[::2], views[1::2], vector)
 
 
 def _views(vector: Tensor, shapes) -> list[Tensor]:
@@ -130,10 +130,7 @@ class ForwardCache:
 class GradientBundle:
     d_weights: list[Tensor]
     d_biases: list[Tensor]
-    d_input: Tensor | None  # None when backward ran with input_grad=False
-    # the one vector d_weights and d_biases are views of; None, with both
-    # lists empty, when backward ran with param_grads=False
-    vector: Tensor | None = None
+    vector: Tensor  # the one vector d_weights and d_biases are views of
 
     def parameter_grads(self) -> list[Tensor]:
         return [g for pair in zip(self.d_weights, self.d_biases) for g in pair]
@@ -177,16 +174,14 @@ def forward(net: MlpNetwork, x: Tensor) -> tuple[Tensor, ForwardCache]:
     return h, ForwardCache(net_id=id(net), x=x, activations=post)
 
 
-def backward(net: MlpNetwork, cache: ForwardCache, d_logits: Tensor,
-             input_grad: bool = True, *, param_grads: bool = True,
-             out: GradientBundle | None = None) -> GradientBundle:
+def backward(net: MlpNetwork, cache: ForwardCache, d_logits: Tensor, *,
+             out: GradientBundle | None = None, input_grad: bool = True) -> Tensor | None:
     """Exact gradients of the scalar whose logit-gradient is d_logits.
 
-    With input_grad=False the input gradient (the product with the first
-    layer's weights) is skipped and d_input is None. With param_grads=False
-    the weight and bias gradients are skipped and the returned bundle carries
-    only d_input. The parameter gradients go into out's arrays, and out is
-    returned; without out, into a new net.zero_gradients() bundle.
+    The weight and bias gradients are written into out's arrays when out is
+    given and skipped when it is not. Returns the input gradient, a new
+    array; with input_grad=False its product with the first layer's weights
+    is skipped and None is returned.
     """
     if cache.net_id != id(net) or len(cache.activations) != len(net.layers):
         raise UsageError("cache does not belong to this network")
@@ -194,8 +189,6 @@ def backward(net: MlpNetwork, cache: ForwardCache, d_logits: Tensor,
     if d_logits.shape != cache.activations[-1].shape:
         raise DimensionError("d_logits shape does not match the forward logits")
     _counts["backward"] += 1
-    if out is None:
-        out = net.zero_gradients() if param_grads else GradientBundle([], [], None)
     delta = d_logits
     last = len(net.layers) - 1
     for i in range(last, -1, -1):
@@ -203,14 +196,13 @@ def backward(net: MlpNetwork, cache: ForwardCache, d_logits: Tensor,
         if i < last:
             # the output layer is identity, so delta is this pass's own product
             delta *= cache.activations[i] > 0
-        if param_grads:
+        if out is not None:
             below = cache.x if i == 0 else cache.activations[i - 1]
             np.matmul(below.T, delta, out=out.d_weights[i])
             np.add.reduce(delta, axis=0, out=out.d_biases[i])
         if i > 0 or input_grad:
             delta = delta @ layer.weights.T
-    out.d_input = delta if input_grad else None
-    return out
+    return delta if input_grad else None
 
 
 def nll_loss(logits: Tensor, labels: np.ndarray) -> tuple[float, Tensor, Tensor]:
@@ -271,7 +263,11 @@ def load_checkpoint(path) -> MlpNetwork:
             if acts != _activation_names(len(acts)):
                 raise FormatError(f"bad checkpoint file {path}: activations {acts}, expected "
                                   "relu for every layer but the last, which is identity")
-            net = MlpNetwork([Layer(data[f"w{i}"], data[f"b{i}"]) for i in range(len(acts))])
+            pairs = [(data[f"w{i}"], data[f"b{i}"]) for i in range(len(acts))]
+            if not all(np.issubdtype(a.dtype, np.floating) for pair in pairs for a in pair):
+                raise FormatError(f"bad checkpoint file {path}: a weight or bias array "
+                                  "is not floating point")
+            net = MlpNetwork([Layer(w, b) for w, b in pairs])
     except (EOFError, KeyError, OSError, ValueError, IndexError, TypeError,
             DimensionError) as exc:
         raise FormatError(f"bad checkpoint file {path}: {exc}") from exc

@@ -117,11 +117,11 @@ def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
     x_lik = nn.apply_dropout(x, reg.keep_prob, rng) if kind.drops_inputs else x
     logits, cache = nn.forward(net, x_lik)
     nll_value, d_logits, proba = nn.nll_loss(logits, y)
-    grads = nn.backward(net, cache, d_logits, input_grad=kind.reads_input_grad, out=lik_out)
+    d_input = nn.backward(net, cache, d_logits, out=lik_out, input_grad=kind.reads_input_grad)
 
     reg_value = 0.0
     if kind.penalty is not None and reg.weight > 0:
-        clean = (proba, grads.d_input) if x_reg is None else None
+        clean = (proba, d_input) if x_reg is None else None
         reg_value, scale = kind.penalty(net, reg, x if x_reg is None else x_reg,
                                         y, rng, clean, penalty_out)
         pen = penalty_out.vector

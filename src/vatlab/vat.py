@@ -73,15 +73,14 @@ def gen_vap(net, x: Tensor, cfg: VatConfig, rng: np.random.Generator,
 
 
 def vat_backward(net, x: Tensor, r_vadv: Tensor, base, *,
-                 out: nn.GradientBundle | None = None) -> tuple[float, nn.GradientBundle]:
-    """Penalty value and parameter gradient of the mean KL sensitivity.
+                 out: nn.GradientBundle) -> float:
+    """Value of the mean KL sensitivity; its parameter gradient goes into out.
 
-    Gradient of mean_rows KL[base || p(. | x + r_vadv, theta)] with respect to
-    theta, with r_vadv and base held constant: one forward/backward pair
-    through the perturbed input only. base must be softmax rows; it is not
-    checked. The bundle (out, when given) carries no input
-    gradient (d_input None), and a non-finite penalty is returned, not
-    raised: the training step checks it.
+    The gradient of mean_rows KL[base || p(. | x + r_vadv, theta)] with
+    respect to theta, with r_vadv and base held constant: one forward/backward
+    pair through the perturbed input only, which skips the input gradient.
+    base must be softmax rows; it is not checked. A non-finite penalty is
+    returned, not raised: the training step checks it.
     """
     logits, cache = nn.forward(net, x + r_vadv)
     log_q = log_softmax_unchecked(logits)
@@ -90,7 +89,8 @@ def vat_backward(net, x: Tensor, r_vadv: Tensor, base, *,
     d_logits = np.exp(log_q)
     d_logits -= base
     d_logits /= n
-    return penalty, nn.backward(net, cache, d_logits, input_grad=False, out=out)
+    nn.backward(net, cache, d_logits, out=out, input_grad=False)
+    return penalty
 
 
 def vat_step_cost_audit(net, x_reg: Tensor, cfg: VatConfig,
@@ -104,7 +104,7 @@ def vat_step_cost_audit(net, x_reg: Tensor, cfg: VatConfig,
     fwd_before, bwd_before = nn.propagation_counts()
     base = nn.predict_proba(net, x_reg)
     r = gen_vap(net, x_reg, cfg, rng, base)
-    vat_backward(net, x_reg, r, base)
+    vat_backward(net, x_reg, r, base, out=net.zero_gradients())
     fwd, bwd = nn.propagation_counts()
     return {"forward": fwd - fwd_before, "backward": bwd - bwd_before,
             "power_iterations": cfg.power_iterations}

@@ -42,8 +42,7 @@ def kl_hessian(net, x_row):
     logits, cache = nn.forward(net, x)
     p = softmax(logits)[0]
     one_hot = np.eye(p.size)
-    jac = np.vstack([nn.backward(net, cache, one_hot[k:k + 1], param_grads=False).d_input
-                     for k in range(p.size)])
+    jac = np.vstack([nn.backward(net, cache, one_hot[k:k + 1]) for k in range(p.size)])
     return jac.T @ (np.diag(p) - np.outer(p, p)) @ jac
 
 

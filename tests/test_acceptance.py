@@ -49,7 +49,9 @@ class TestGradientFidelity:
             # likelihood gradient with respect to the parameters
             logits, cache = nn.forward(net, x)
             loss, d_logits, _ = nn.nll_loss(logits, y)
-            analytic = nn.backward(net, cache, d_logits).parameter_grads()
+            bundle = net.zero_gradients()
+            nn.backward(net, cache, d_logits, out=bundle)
+            analytic = bundle.parameter_grads()
             for param, grad in zip(net.parameters(), analytic):
                 num = numeric_grad(lambda: nn.nll_loss(nn.forward(net, x)[0], y)[0],
                                    param)
@@ -64,7 +66,7 @@ class TestGradientFidelity:
             worst = max(worst, float(np.max(rel_errs(grad_r, num_r))))
 
             # penalty gradient with respect to the parameters, base held fixed
-            _, bundle = vat.vat_backward(net, x, r, base=base)
+            vat.vat_backward(net, x, r, base=base, out=bundle)
             for param, grad in zip(net.parameters(), bundle.parameter_grads()):
                 num = numeric_grad(
                     lambda: float(divergence.kl_categorical(
@@ -74,8 +76,8 @@ class TestGradientFidelity:
 
             # adversarial loss term with respect to the parameters, r fixed
             r_adv = baselines.adv_perturbation(net, x, y, 0.1, "l2")
-            _, adv_bundle = baselines.adv_loss_term(net, x, y, r_adv)
-            for param, grad in zip(net.parameters(), adv_bundle.parameter_grads()):
+            baselines.adv_loss_term(net, x, y, r_adv, out=bundle)
+            for param, grad in zip(net.parameters(), bundle.parameter_grads()):
                 num = numeric_grad(
                     lambda: nn.nll_loss(nn.forward(net, x + r_adv)[0], y)[0],
                     param)

@@ -109,22 +109,25 @@ class TestRandomPerturbation:
 class TestL2Penalty:
     def test_zero_weight(self, rng):
         net = random_small_net(rng)
-        penalty, grads = baselines.l2_penalty(net, 0.0)
+        grads = net.zero_gradients()
+        grads.vector.fill(1.0)
+        penalty = baselines.l2_penalty(net, 0.0, out=grads)
         assert penalty == 0.0
         assert np.all(grads.vector == 0)
 
     def test_single_weight_plugin(self):
         net = nn.MlpNetwork([nn.Layer(np.array([[3.0]]), np.zeros(1))])
-        penalty, grads = baselines.l2_penalty(net, 2.0)
+        grads = net.zero_gradients()
+        penalty = baselines.l2_penalty(net, 2.0, out=grads)
         assert penalty == 9.0
         assert grads.vector.tolist() == [6.0, 0.0]
 
     def test_bias_invariance(self, rng):
         net = random_small_net(rng)
-        p1, _ = baselines.l2_penalty(net, 1.0)
+        p1 = baselines.l2_penalty(net, 1.0, out=net.zero_gradients())
         for layer in net.layers:
             layer.biases += 100.0
-        p2, _ = baselines.l2_penalty(net, 1.0)
+        p2 = baselines.l2_penalty(net, 1.0, out=net.zero_gradients())
         assert p1 == p2
 
 
@@ -133,7 +136,7 @@ class TestAdvLossTerm:
         net = random_small_net(rng)
         x = rng.standard_normal((4, 4))
         y = rng.integers(0, 3, 4)
-        loss, _ = baselines.adv_loss_term(net, x, y, np.zeros_like(x))
+        loss = baselines.adv_loss_term(net, x, y, np.zeros_like(x), out=net.zero_gradients())
         assert abs(loss - nn.nll_loss(nn.forward(net, x)[0], y)[0]) < 1e-15
 
     def test_theta_gradient_finite_differences(self, rng):
@@ -141,10 +144,11 @@ class TestAdvLossTerm:
         x = rng.standard_normal((3, 4))
         y = rng.integers(0, 3, 3)
         r = 0.1 * rng.standard_normal((3, 4))
-        _, g = baselines.adv_loss_term(net, x, y, r)
+        g = net.zero_gradients()
+        baselines.adv_loss_term(net, x, y, r, out=g)
 
         def loss():
-            return baselines.adv_loss_term(net, x, y, r)[0]
+            return baselines.adv_loss_term(net, x, y, r, out=net.zero_gradients())
 
         for analytic, arr in zip(g.parameter_grads(), net.parameters()):
             assert max_rel_err(analytic, numeric_grad(loss, arr), floor=1e-6) < 1e-4
@@ -155,7 +159,7 @@ class TestAdvLossTerm:
         y = np.array([2])
         r = baselines.adv_perturbation(net, x, y, 1e-3, "l2")
         clean = nn.nll_loss(nn.forward(net, x)[0], y)[0]
-        pert, _ = baselines.adv_loss_term(net, x, y, r)
+        pert = baselines.adv_loss_term(net, x, y, r, out=net.zero_gradients())
         assert pert >= clean - 1e-9
 
 

@@ -450,8 +450,9 @@ class TestConfigFile:
 
 
 # checkpoints of a 100-3-2 network, each malformed in one way. The rows of
-# LATER_BAD_CHECKPOINTS and LATER_BAD_IDX come last in the table of
-# test_malformed_input_exit_codes, so that the rows before them keep their ids
+# LATER_BAD_CHECKPOINTS, LATER_BAD_IDX and NON_FLOAT_CHECKPOINTS come last in
+# the table of test_malformed_input_exit_codes, so that the rows before them
+# keep their ids
 BAD_CHECKPOINTS = {
     "tanh": {"activations": ["tanh", "identity"]},
     "unchained": {"w1": np.zeros((4, 2))},
@@ -463,13 +464,16 @@ BAD_CHECKPOINTS = {
     "inf-bias": {"b0": np.array([0.0, np.inf, 0.0])},
 }
 LATER_BAD_CHECKPOINTS = {"version-2": {"version": [2]}}
+NON_FLOAT_CHECKPOINTS = {"int-weights": {"w0": np.ones((100, 3), dtype=np.int64)},
+                         "bool-bias": {"b0": np.zeros(3, dtype=bool)}}
 
 
 def _write_bad_checkpoints(directory):
     w0, b0, w1, b1 = nn.init_mlp([100, 3, 2], make_rng(0)).parameters()
     good = {"version": [1], "w0": w0, "b0": b0, "w1": w1, "b1": b1,
             "activations": ["relu", "identity"]}
-    for name, change in {**BAD_CHECKPOINTS, **LATER_BAD_CHECKPOINTS}.items():
+    for name, change in {**BAD_CHECKPOINTS, **LATER_BAD_CHECKPOINTS,
+                         **NON_FLOAT_CHECKPOINTS}.items():
         arrays = {key: np.asarray(value) for key, value in {**good, **change}.items()}
         np.savez(directory / f"{name}.ckpt.npz", **arrays)
 
@@ -615,6 +619,9 @@ POINTS_CSV = {"header.csv": "x0,x1,label\n",
       "--updates", "1", "--out-prefix", "{tmp}/x"], 4),
     (["eval", "--task", "mnist", "--mnist-dir", "{tmp}/empty-mnist",
       "--checkpoint", "{tmp}/mnist.ckpt.npz"], 4),
+    # integer weights and boolean biases
+    *[(["eval", "--task", "moons", "--checkpoint", f"{{tmp}}/{name}.ckpt.npz",
+        "--embedding", "{tmp}/emb.npz"], 4) for name in NON_FLOAT_CHECKPOINTS],
 ])
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, code):
     # every malformed invocation exits with its documented code, never a traceback

@@ -62,9 +62,11 @@ class TestBackward:
         net = random_small_net(rng)
         x = rng.standard_normal((3, 4))
         logits, cache = nn.forward(net, x)
-        g = nn.backward(net, cache, np.zeros_like(logits))
-        assert all(np.all(dw == 0) for dw in g.d_weights)
-        assert np.all(g.d_input == 0)
+        g = net.zero_gradients()
+        g.vector.fill(1.0)
+        d_input = nn.backward(net, cache, np.zeros_like(logits), out=g)
+        assert np.all(g.vector == 0)
+        assert np.all(d_input == 0)
 
     def test_linear_net_input_gradient(self, rng):
         w = rng.standard_normal((4, 3))
@@ -72,8 +74,8 @@ class TestBackward:
         x = rng.standard_normal((2, 4))
         logits, cache = nn.forward(net, x)
         # loss = sum(logits) => d_input rows are the column sums of W^T
-        g = nn.backward(net, cache, np.ones_like(logits))
-        assert np.allclose(g.d_input, np.tile(w.sum(axis=1), (2, 1)))
+        d_input = nn.backward(net, cache, np.ones_like(logits))
+        assert np.allclose(d_input, np.tile(w.sum(axis=1), (2, 1)))
 
     def test_matches_finite_differences(self, rng):
         net = random_small_net(rng, [5, 7, 4, 3])
@@ -81,7 +83,8 @@ class TestBackward:
         y = rng.integers(0, 3, 4)
         logits, cache = nn.forward(net, x)
         _, d_logits, _ = nn.nll_loss(logits, y)
-        g = nn.backward(net, cache, d_logits)
+        g = net.zero_gradients()
+        d_input = nn.backward(net, cache, d_logits, out=g)
 
         def loss():
             out, _ = nn.forward(net, x)
@@ -89,16 +92,16 @@ class TestBackward:
 
         for analytic, arr in zip(g.parameter_grads(), net.parameters()):
             assert max_rel_err(analytic, numeric_grad(loss, arr)) < 1e-6
-        assert max_rel_err(g.d_input, numeric_grad(loss, x)) < 1e-6
+        assert max_rel_err(d_input, numeric_grad(loss, x)) < 1e-6
 
     def test_skipping_input_grad_keeps_parameter_grads(self, rng):
         net = random_small_net(rng, [5, 7, 4, 3])
         x = rng.standard_normal((4, 5))
         logits, cache = nn.forward(net, x)
         _, d_logits, _ = nn.nll_loss(logits, rng.integers(0, 3, 4))
-        full = nn.backward(net, cache, d_logits)
-        lean = nn.backward(net, cache, d_logits, input_grad=False)
-        assert lean.d_input is None
+        full, lean = net.zero_gradients(), net.zero_gradients()
+        nn.backward(net, cache, d_logits, out=full)
+        assert nn.backward(net, cache, d_logits, out=lean, input_grad=False) is None
         for a, b in zip(full.parameter_grads(), lean.parameter_grads()):
             assert np.array_equal(a, b)
 
@@ -108,33 +111,34 @@ class TestBackward:
         logits, cache = nn.forward(net, x)
         _, d_logits, _ = nn.nll_loss(logits, rng.integers(0, 3, 4))
         d_before = d_logits.copy()
-        want = nn.backward(net, cache, d_logits)
-        out = nn.backward(net, cache, np.ones_like(d_logits))  # arrays of the right shapes
+        want = net.zero_gradients()
+        want_input = nn.backward(net, cache, d_logits, out=want)
+        out = net.zero_gradients()
+        nn.backward(net, cache, np.ones_like(d_logits), out=out)  # overwritten below
         arrays = out.parameter_grads()
-        got = nn.backward(net, cache, d_logits, out=out)
-        assert got is out
-        for a, g, w in zip(arrays, got.parameter_grads(), want.parameter_grads()):
-            assert np.shares_memory(a, g) and np.array_equal(g, w)
-        assert np.array_equal(got.d_input, want.d_input)
+        got_input = nn.backward(net, cache, d_logits, out=out)
+        for a, g, w in zip(arrays, out.parameter_grads(), want.parameter_grads()):
+            assert a is g and np.array_equal(g, w)
+        assert np.array_equal(got_input, want_input)
+        assert not np.shares_memory(got_input, d_logits)
         assert np.array_equal(d_logits, d_before)
 
     def test_new_bundle_is_laid_out_like_the_parameter_vector(self, rng):
         net = random_small_net(rng, [5, 7, 3])
         logits, cache = nn.forward(net, rng.standard_normal((4, 5)))
-        got = nn.backward(net, cache, logits, input_grad=False)
+        got = net.zero_gradients()
+        nn.backward(net, cache, logits, out=got, input_grad=False)
         assert got.vector.shape == net.parameter_vector.shape
         for g, p in zip(got.parameter_grads(), net.parameters()):
             assert g.base is got.vector and g.shape == p.shape
-        assert got.d_input is None
 
     def test_input_only_backward_matches_full_input_gradient(self, rng):
         net = random_small_net(rng, [5, 7, 4, 3])
         logits, cache = nn.forward(net, rng.standard_normal((4, 5)))
         d_logits = rng.standard_normal(logits.shape)
-        full = nn.backward(net, cache, d_logits)
-        lean = nn.backward(net, cache, d_logits, param_grads=False)
-        assert np.array_equal(lean.d_input, full.d_input)
-        assert lean.parameter_grads() == [] and lean.vector is None
+        full = nn.backward(net, cache, d_logits, out=net.zero_gradients())
+        lean = nn.backward(net, cache, d_logits)
+        assert np.array_equal(lean, full)
 
     def test_stale_cache_rejected(self, rng):
         net = random_small_net(rng)

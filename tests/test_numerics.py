@@ -72,6 +72,21 @@ class TestSampleUnitVector:
         blocks = [sample_unit_vector(rng, dim, EVAL_BLOCK), sample_unit_vector(rng, dim, 100)]
         assert np.array_equal(np.concatenate(blocks), one)
 
+    def test_rows_of_norm_below_the_floor_are_drawn_again(self):
+        # the first draw has a zero row and a row of norm 1e-31
+        draws = [np.array([[3.0, 4.0], [0.0, 0.0], [0.0, 1e-31]]),
+                 np.array([[0.0, 2.0], [6.0, 8.0]])]
+        shapes = []
+
+        class Stub:
+            def standard_normal(self, shape):
+                shapes.append(shape)
+                return draws.pop(0)
+
+        v = sample_unit_vector(Stub(), 2, 3)
+        assert shapes == [(3, 2), (2, 2)]
+        assert np.array_equal(v, [[0.6, 0.8], [0.0, 1.0], [0.6, 0.8]])
+
     def test_zero_dim_rejected(self, rng):
         with pytest.raises(DimensionError):
             sample_unit_vector(rng, 0, 1)

@@ -66,18 +66,19 @@ class TestSupervisedStep:
         step_rng = make_rng(99)
         logits, cache = nn.forward(net, x)
         _, d_logits, _ = nn.nll_loss(logits, y)
-        nll_grads = nn.backward(net, cache, d_logits)
+        nll_grads, reg_grads = net.zero_gradients(), net.zero_gradients()
+        nn.backward(net, cache, d_logits, out=nll_grads)
         if kind in ("vat", "random_perturbation"):
             base = nn.predict_proba(net, x)
             if kind == "vat":
                 r = vatmod.gen_vap(net, x, reg.vat, step_rng, base=base)
             else:
                 r = baselines.random_perturbation(x, reg.epsilon, step_rng)
-            _, reg_grads = vatmod.vat_backward(net, x, r, base=base)
+            vatmod.vat_backward(net, x, r, base=base, out=reg_grads)
         else:
             norm = "linf" if kind == "adversarial_linf" else "l2"
             r = baselines.adv_perturbation(net, x, y, reg.epsilon, norm)
-            _, reg_grads = baselines.adv_loss_term(net, x, y, r)
+            baselines.adv_loss_term(net, x, y, r, out=reg_grads)
         expected = [g + reg.weight * rg for g, rg in zip(nll_grads.parameter_grads(),
                                                          reg_grads.parameter_grads())]
 
@@ -255,7 +256,7 @@ class TestKindsTable:
 
         def penalty(net, reg, x, y, rng, clean, out):
             seen.append(clean[1].shape)
-            return baselines.l2_penalty(net, reg.epsilon, out=out)[0], reg.weight
+            return baselines.l2_penalty(net, reg.epsilon, out=out), reg.weight
 
         monkeypatch.setitem(baselines.KINDS, "scaled_l2", baselines.Kind(
             ("epsilon",), needs_labels=True, reads_input_grad=True, penalty=penalty))
@@ -269,13 +270,14 @@ class TestKindsTable:
         net = random_small_net(rng, [4, 8, 3])
         logits, cache = nn.forward(net, x)
         _, d_logits, _ = nn.nll_loss(logits, y)
-        nll_grads = nn.backward(net, cache, d_logits).vector
-        decay, decay_grads = baselines.l2_penalty(net, 0.2)
+        nll_grads, decay_grads = net.zero_gradients(), net.zero_gradients()
+        nn.backward(net, cache, d_logits, out=nll_grads)
+        decay = baselines.l2_penalty(net, 0.2, out=decay_grads)
         probe = Probe()
         losses = supervised_step(net, x, y, reg, probe, make_rng(0))
         assert seen == [x.shape]
         assert losses["reg"] == decay
-        assert np.array_equal(probe.grads, nll_grads + decay_grads.vector * 0.5)
+        assert np.array_equal(probe.grads, nll_grads.vector + decay_grads.vector * 0.5)
         with pytest.raises(ConfigError):
             supervised_step(net, x, y, reg, probe, make_rng(0), x_reg=x)
 
@@ -330,7 +332,8 @@ class TestSemisupStep:
         supervised_step(net, x, y, reg, probe, make_rng(0), x_reg=x_reg)
         logits, cache = nn.forward(net, x)
         _, d_logits, _ = nn.nll_loss(logits, y)
-        expected = nn.backward(net, cache, d_logits)
+        expected = net.zero_gradients()
+        nn.backward(net, cache, d_logits, out=expected)
         assert np.array_equal(probe.grads, expected.vector)
 
     def test_l2_decay_applies(self, rng):
@@ -404,6 +407,11 @@ class TestEvaluate:
             layer.weights[:] = 0.0
         out = evaluate(net, rng.standard_normal((5, 4)), None, rng=rng)
         assert out["mean_lds"] == 0.0
+
+    def test_default_generator_is_seed_zero(self, rng):
+        net = random_small_net(rng, [4, 8, 3])
+        x, y = toy_batch(rng)
+        assert evaluate(net, x, y) == evaluate(net, x, y, rng=make_rng(0))
 
     def test_lds_reuses_the_prediction_pass(self, rng):
         # one pass predicts and is the smoothness estimate's base; then 5

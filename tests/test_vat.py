@@ -51,8 +51,7 @@ class TestGenVap:
         r = vat.gen_vap(net, x, vat.VatConfig(epsilon=1.0), rng, base)
         r_adv = baselines.adv_perturbation(net, x, rng.integers(0, 2, 20), 1.0, "l2")
         _, cache = nn.forward(net, x)
-        margin_grad = nn.backward(net, cache, np.tile([-1.0, 1.0], (20, 1)),
-                                  param_grads=False).d_input
+        margin_grad = nn.backward(net, cache, np.tile([-1.0, 1.0], (20, 1)))
         for i in range(20):
             hess = kl_hessian(net, x[i])
             g, p1 = margin_grad[i], base[i, 1]
@@ -95,7 +94,7 @@ class TestGenVap:
         assert np.allclose(np.linalg.norm(r, axis=1), 0.5)
 
 
-class TestLdsEstimate:
+class TestLdsAtSearchedPerturbation:
     def test_constant_output_network(self, rng):
         net = nn.init_mlp([4, 3, 2], rng)
         for layer in net.layers:
@@ -141,8 +140,9 @@ class TestVatBackward:
     def test_zero_perturbation_zero_gradient(self, rng):
         net = random_small_net(rng)
         x = rng.standard_normal((3, 4))
-        penalty, g = vat.vat_backward(net, x, np.zeros_like(x),
-                                      nn.predict_proba(net, x))
+        g = net.zero_gradients()
+        g.vector.fill(1.0)
+        penalty = vat.vat_backward(net, x, np.zeros_like(x), nn.predict_proba(net, x), out=g)
         assert penalty < 1e-15
         for arr in g.parameter_grads():
             assert np.max(np.abs(arr)) < 1e-12
@@ -152,7 +152,8 @@ class TestVatBackward:
         x = rng.standard_normal((3, 4))
         base = nn.predict_proba(net, x).copy()
         r = 0.3 * rng.standard_normal((3, 4))
-        _, g = vat.vat_backward(net, x, r, base=base)
+        g = net.zero_gradients()
+        vat.vat_backward(net, x, r, base=base, out=g)
 
         def surrogate():
             # KL[detached base || theta-dependent perturbed output], mean over rows
@@ -174,9 +175,10 @@ class TestVatBackward:
 
         logits, cache = nn.forward(net, x)
         loss, d_logits, _ = nn.nll_loss(logits, y)
-        nll_grads = nn.backward(net, cache, d_logits)
+        nll_grads, reg_grads = net.zero_gradients(), net.zero_gradients()
+        nn.backward(net, cache, d_logits, out=nll_grads)
         base = nn.predict_proba(net, x)
-        _, reg_grads = vat.vat_backward(net, x, r, base=base)
+        vat.vat_backward(net, x, r, base=base, out=reg_grads)
         total = [g + weight * rg for g, rg in zip(nll_grads.parameter_grads(),
                                                   reg_grads.parameter_grads())]
 
