@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nn, vat
 from .errors import ConfigError
-from .numerics import Tensor, as_tensor, normalize_rows, sample_unit_vector
+from .numerics import Tensor, as_tensor, normalize_rows, sample_unit_vector, softmax
 from .vat import VatConfig
 
 
@@ -77,8 +77,11 @@ def adv_loss_term(net, x: Tensor, labels: np.ndarray, r_adv: Tensor, *,
 
 
 def _vat_penalty(net, reg, x, y, rng, clean, out) -> tuple:
-    base = nn.predict_proba(net, x) if clean is None else clean[0]
-    r = vat.gen_vap(net, x, reg.vat, rng, base=base)
+    if clean is None:  # a separate batch makes its own clean pass
+        logits, cache = nn.forward(net, x)
+        clean = (softmax(logits), None, cache)
+    base, _, cache = clean
+    r = vat.gen_vap(net, cache, reg.vat, rng, base=base)
     return vat.vat_backward(net, x, r, base=base, out=out), reg.weight
 
 
@@ -105,8 +108,8 @@ class Kind:
     """What one kind reads and does. penalty(net, reg, x_reg, y, rng, clean,
     out) writes its gradients into the bundle out and returns its value and
     the scale they enter the update with; clean is (probabilities, input
-    gradient) of the likelihood pass when that pass ran on x_reg, else None.
-    A kind without a penalty carries weight 0."""
+    gradient, ForwardCache) of the likelihood pass when that pass ran on
+    x_reg, else None. A kind without a penalty carries weight 0."""
     hyperparameters: tuple[str, ...] = ()  # read besides the weight, in this order
     in_vat_config: bool = False            # the hyperparameters live in reg.vat
     needs_labels: bool = False             # cannot regularize unlabeled rows
@@ -124,7 +127,7 @@ KINDS = {
                              penalty=_adversarial_penalty("linf")),
     "adversarial_l2": Kind(("epsilon",), needs_labels=True, reads_input_grad=True,
                            penalty=_adversarial_penalty("l2")),
-    "vat": Kind(("epsilon", "xi", "power_iterations"), in_vat_config=True,
+    "vat": Kind(("epsilon", "power_iterations"), in_vat_config=True,
                 penalty=_vat_penalty),
 }
 
@@ -168,12 +171,11 @@ class Regularizer:
 
 
 def make_regularizer(kind: str, *, weight: float = 1.0, epsilon: float = 0.5,
-                     keep_prob: float = 0.5, xi: float = 1e-6,
-                     power_iterations: int = 1) -> Regularizer:
+                     keep_prob: float = 0.5, power_iterations: int = 1) -> Regularizer:
     """The Regularizer of one kind, keeping only the hyperparameters it reads;
     a kind without a penalty carries weight 0."""
     spec = KINDS.get(kind, Kind())  # Regularizer rejects an unknown kind
-    given = {"epsilon": epsilon, "keep_prob": keep_prob, "xi": xi,
+    given = {"epsilon": epsilon, "keep_prob": keep_prob,
              "power_iterations": power_iterations}
     params = {name: given[name] for name in spec.hyperparameters}
     weight = weight if spec.penalty else 0.0

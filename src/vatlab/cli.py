@@ -138,7 +138,7 @@ def _make_regularizer(args) -> Regularizer:
     """The regularizer of args.reg, one of the flag's choices."""
     return make_regularizer(METHOD_NAMES[args.reg], weight=args.weight,
                             epsilon=args.epsilon, keep_prob=args.keep_prob,
-                            xi=args.xi, power_iterations=args.ip)
+                            power_iterations=args.ip)
 
 
 # (input width, class count) of the networks of a synthetic and of an MNIST task
@@ -417,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--weight", type=float, default=1.0)
     p.add_argument("--keep-prob", type=float, default=0.5)
-    p.add_argument("--xi", type=float, default=1e-6)
     p.add_argument("--ip", type=int, default=1)
     p.add_argument("--updates", type=int, default=1000)
     p.add_argument("--eval-every", type=int, default=0)

@@ -2,8 +2,8 @@
 
 The sensitivity of a network at x under a perturbation r is the KL divergence
 from the unperturbed output distribution (held as a detached constant) to the
-perturbed one. Both its value and its exact gradient with respect to r come
-out of a single forward/backward pair through the perturbed input.
+perturbed one; its value comes out of one forward pass through the perturbed
+input. The search's Hessian-vector products at r = 0 live in vat.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
-from .numerics import PROB_FLOOR, Tensor, as_tensor, log_softmax, log_softmax_unchecked
+from .numerics import PROB_FLOOR, Tensor, as_tensor, log_softmax
 from . import nn
 
 
@@ -40,16 +40,3 @@ def delta_kl(net, x: Tensor, r: Tensor, base: Tensor) -> Tensor:
     logits, _ = nn.forward(net, x + r)
     return kl_categorical(base, log_softmax(logits))
 
-
-def grad_r_delta_kl(net, x: Tensor, r: Tensor, base: Tensor) -> Tensor:
-    """Exact per-row gradient of delta_kl with respect to r, as a new array.
-
-    The base distribution is a constant, so the logit gradient of each row's
-    KL is softmax(logits) - base and one backward pass yields d/dr; that pass
-    propagates to the input only and computes no parameter gradients.
-    """
-    logits, cache = nn.forward(net, x + r)
-    d_logits = log_softmax_unchecked(logits)
-    np.exp(d_logits, out=d_logits)
-    d_logits -= base
-    return nn.backward(net, cache, d_logits)

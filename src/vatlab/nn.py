@@ -5,7 +5,8 @@ identity output layer; softmax is applied by the loss / divergence code, not
 here. Backward returns the exact gradient with respect to the input, which
 the perturbation search needs, unless told to skip it, and writes the
 parameter gradients into a bundle when it is given one; the search gives it
-none and propagates to the input only. Each network copies the arrays it is
+none and propagates to the input only; with a tangent pass (forward on a
+clean pass's cache) it makes exact Hessian-vector products. Each network copies the arrays it is
 built from into one float64 vector and makes every layer's weights and biases
 views of it, so an optimizer updates the network in one call. Every parameter
 gradient is laid out the same way: a GradientBundle's weight and bias
@@ -13,8 +14,8 @@ gradients are views of one vector. The training loop makes two bundles once,
 so a steady-state update allocates no parameter-sized array and combines its
 likelihood and penalty gradients in two calls. The negative
 log-likelihood's gradient starts from the softmax probabilities, which the
-training step also takes as the penalty's base distribution instead of
-computing them again.
+training step also takes as the penalty's base distribution, with the pass's
+cache for the search, instead of computing them again.
 
 Module-level counters track forward/backward calls so the regularizer's
 propagation cost can be audited.
@@ -132,9 +133,6 @@ class GradientBundle:
     d_biases: list[Tensor]
     vector: Tensor  # the one vector d_weights and d_biases are views of
 
-    def parameter_grads(self) -> list[Tensor]:
-        return [g for pair in zip(self.d_weights, self.d_biases) for g in pair]
-
 
 def init_mlp(layer_sizes: list[int], rng: np.random.Generator) -> MlpNetwork:
     """He-scaled Gaussian weights (std sqrt(2/fan_in)), zero biases.
@@ -152,17 +150,26 @@ def init_mlp(layer_sizes: list[int], rng: np.random.Generator) -> MlpNetwork:
     return net
 
 
-def forward(net: MlpNetwork, x: Tensor) -> tuple[Tensor, ForwardCache]:
+def forward(net: MlpNetwork, x: Tensor, *,
+            tangent_at: ForwardCache | None = None) -> tuple[Tensor, ForwardCache]:
     """Logits for a (batch, input_dim) tensor plus the cache backward needs.
 
-    The logits are not checked for finiteness: the losses that read them do.
+    With tangent_at, a pass of net at x0, the result is the logits' input
+    Jacobian at x0 times the directions x: no biases, and tangent_at's ReLU
+    masks in place of ReLU; the cache returned is tangent_at. The logits are
+    not checked for finiteness: the losses that read them do.
     """
     x = as_tensor(x)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise DimensionError(f"input shape {x.shape} does not match input_dim {net.input_dim}")
     _counts["forward"] += 1
-    post = []
     h = x
+    if tangent_at is not None:
+        for layer, relu_out in zip(net.layers, tangent_at.activations[:-1]):
+            h = h @ layer.weights
+            h *= relu_out > 0
+        return h @ net.layers[-1].weights, tangent_at
+    post = []
     last = len(net.layers) - 1
     for i, layer in enumerate(net.layers):
         # one array per layer: the product, then the bias and ReLU in place

@@ -20,7 +20,7 @@ from . import baselines, divergence, nn, vat
 from .baselines import Regularizer
 from .data import Dataset
 from .errors import ConfigError, NumericError
-from .numerics import Tensor, make_rng
+from .numerics import Tensor, make_rng, softmax
 from .optim import Adam, DecaySchedule, MomentumSgd
 from .vat import VatConfig
 
@@ -94,11 +94,12 @@ def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
 
     The likelihood runs on (x, y) and the penalty on x_reg, or on x when
     x_reg is None. In that case the penalty reuses the likelihood pass: its
-    probabilities are the base distribution and its input gradient the
-    adversarial direction. x_reg may hold unlabeled rows, so label-requiring
-    methods reject it. The regularizer's baselines.KINDS entry, looked up
-    once, says whether the likelihood inputs are dropped out, whether that
-    pass computes its input gradient, and which penalty runs.
+    probabilities are the base distribution, its cache the search's clean
+    pass and its input gradient the adversarial direction. x_reg may hold
+    unlabeled rows, so label-requiring methods reject it. The regularizer's
+    baselines.KINDS entry, looked up once, says whether the likelihood inputs
+    are dropped out, whether that pass computes its input gradient, and which
+    penalty runs.
 
     The likelihood and penalty gradients go into the two bundles of out,
     which the training loop makes once with net.zero_gradients() and every
@@ -121,7 +122,7 @@ def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
 
     reg_value = 0.0
     if kind.penalty is not None and reg.weight > 0:
-        clean = (proba, d_input) if x_reg is None else None
+        clean = (proba, d_input, cache) if x_reg is None else None
         reg_value, scale = kind.penalty(net, reg, x if x_reg is None else x_reg,
                                         y, rng, clean, penalty_out)
         pen = penalty_out.vector
@@ -149,13 +150,14 @@ def evaluate(net, x: Tensor, y: np.ndarray | None,
     wrong, lds_sums = 0, []
     for start in range(0, n, EVAL_BLOCK):
         rows = slice(start, start + EVAL_BLOCK)
-        block = x[rows]
-        proba = nn.predict_proba(net, block)
+        logits, cache = nn.forward(net, x[rows])
+        proba = softmax(logits)
         if y is not None:
             wrong += int(np.count_nonzero(proba.argmax(axis=1) != y[rows]))
         if with_lds:
-            r_vadv = vat.gen_vap(net, block, EVAL_VAT, rng, base=proba)
-            lds_sums.append(np.add.reduce(-divergence.delta_kl(net, block, r_vadv, proba)))
+            r_vadv = vat.gen_vap(net, cache, EVAL_VAT, rng, base=proba)
+            lds_sums.append(np.add.reduce(-divergence.delta_kl(net, cache.x, r_vadv, proba)))
+        del cache  # the next block's forward runs without this block's activations
     out = {}
     if y is not None:
         out["error"] = wrong / n if n else math.nan  # an empty split, as numpy's mean

@@ -1,10 +1,10 @@
 """Virtual-adversarial perturbation search and the smoothness penalty gradient.
 
 The worst-case perturbation inside an epsilon ball is approximated by power
-iteration on the (never materialized) Hessian of the KL sensitivity, with
-each Hessian-vector product replaced by a finite difference: the sensitivity
-gradient evaluated at r = xi * d, divided by xi. Each iteration therefore
-costs one forward and one backward pass.
+iteration on the KL sensitivity's Hessian at r = 0, J^T (diag p - p p^T) J.
+Each product is exact (Pearlmutter 1994), for the cost of the paper's finite
+difference of the KL gradient at r = xi * d: one tangent pass through the
+clean forward pass's cache and one backward pass on it.
 
 The penalty gradient treats both the perturbation and the base distribution
 as constants and backpropagates only through the perturbed forward pass.
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import divergence, nn
 from .errors import ConfigError
-from .numerics import ZERO_NORM, Tensor, as_tensor, log_softmax_unchecked, sample_unit_vector
+from .numerics import ZERO_NORM, Tensor, log_softmax_unchecked, sample_unit_vector, softmax
 
 log = logging.getLogger(__name__)
 
@@ -27,47 +27,49 @@ log = logging.getLogger(__name__)
 @dataclass
 class VatConfig:
     epsilon: float          # perturbation radius, input-space L2 units
-    xi: float = 1e-6        # finite-difference probe scale
     power_iterations: int = 1
 
     def __post_init__(self):
-        for name in ("epsilon", "xi"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.xi <= 0:
-            raise ConfigError(f"xi must be > 0, got {self.xi}")
+        if not 0 < self.epsilon < np.inf:
+            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.power_iterations < 1:
             raise ConfigError(f"power_iterations must be >= 1, got {self.power_iterations}")
 
 
-def gen_vap(net, x: Tensor, cfg: VatConfig, rng: np.random.Generator,
-            base) -> Tensor:
-    """Approximate per-row worst-case perturbations of norm cfg.epsilon.
+def hessian_vector_product(net, cache: nn.ForwardCache, base: Tensor, d: Tensor) -> Tensor:
+    """The KL sensitivity's Hessian at r = 0 times d, per row, as a new array:
+    J^T (diag p - p p^T) J d, with J the logits' input Jacobian at the clean
+    pass cache and p = base its softmax; one tangent and one backward pass."""
+    u, _ = nn.forward(net, d, tangent_at=cache)
+    u -= np.add.reduce(base * u, axis=1, keepdims=True)
+    u *= base
+    return nn.backward(net, cache, u)
 
-    base is nn.predict_proba(net, x), held constant. Starts
-    from a fresh random unit direction per row and runs cfg.power_iterations
-    rounds of normalized finite-difference Hessian-vector products. Rows
-    where the gradient collapses keep their previous direction (flat model;
-    any direction is a valid maximizer). Each round's gradient is divided by
-    its norms in place: grad_r_delta_kl returns a new array.
+
+def gen_vap(net, cache: nn.ForwardCache, cfg: VatConfig, rng: np.random.Generator,
+            base: Tensor) -> Tensor:
+    """Approximate per-row worst-case perturbations of norm cfg.epsilon at
+    cache.x, where cache is the clean forward pass and base its softmax.
+
+    Starts from a fresh random unit direction per row and runs
+    cfg.power_iterations rounds of normalized Hessian-vector products. Rows
+    whose product has a norm below ZERO_NORM keep their previous direction
+    (flat model; any direction is a valid maximizer).
     """
-    x = as_tensor(x)
-    batch, dim = x.shape
+    batch, dim = cache.x.shape
     d = sample_unit_vector(rng, dim, batch)
     for _ in range(cfg.power_iterations):
-        grad = divergence.grad_r_delta_kl(net, x, cfg.xi * d, base)
+        hd = hessian_vector_product(net, cache, base, d)
         # what np.linalg.norm(..., axis=1) computes for real rows
-        norms = np.sqrt(np.add.reduce(grad * grad, axis=1, keepdims=True))
+        norms = np.sqrt(np.add.reduce(hd * hd, axis=1, keepdims=True))
         degenerate = norms < ZERO_NORM
         if degenerate.any():
             log.debug("gen_vap: %d degenerate rows keep their previous direction",
                       int(degenerate.sum()))
-            d = np.where(degenerate, d, grad / np.where(degenerate, 1.0, norms))
+            d = np.where(degenerate, d, hd / np.where(degenerate, 1.0, norms))
         else:
-            grad /= norms  # the gradient is this search's own array
-            d = grad
+            hd /= norms  # hessian_vector_product returns a new array
+            d = hd
     d *= cfg.epsilon  # d is this search's own array
     return d
 
@@ -98,12 +100,13 @@ def vat_step_cost_audit(net, x_reg: Tensor, cfg: VatConfig,
     """Run one regularizer pass under instrumentation and report pass counts.
 
     With power_iterations = 1 the path costs exactly 3 forward and 2 backward
-    propagations: one forward for the base distribution, one forward/backward
-    pair inside the perturbation search, one pair for the penalty gradient.
+    propagations: one forward for the base distribution and the search's
+    cache, one tangent/backward pair per search round, one pair for the penalty.
     """
     fwd_before, bwd_before = nn.propagation_counts()
-    base = nn.predict_proba(net, x_reg)
-    r = gen_vap(net, x_reg, cfg, rng, base)
+    logits, cache = nn.forward(net, x_reg)
+    base = softmax(logits)
+    r = gen_vap(net, cache, cfg, rng, base)
     vat_backward(net, x_reg, r, base, out=net.zero_gradients())
     fwd, bwd = nn.propagation_counts()
     return {"forward": fwd - fwd_before, "backward": bwd - bwd_before,

@@ -1,7 +1,9 @@
-"""Shared helpers: finite-difference gradient oracles, the exact KL Hessian
-and its dominant eigenpair, one-layer logistic nets, small random nets, and
-the OpenBLAS checks the golden tests gate on, built on vatlab.numerics's
-probes of the library numpy loaded."""
+"""Shared helpers: finite-difference gradient oracles, the clean pass the
+perturbation search starts from, the KL sensitivity's gradient (the paper's
+finite-difference reference for Hessian-vector products), the exact KL
+Hessian and its dominant eigenpair, one-layer logistic nets, small random
+nets, and the OpenBLAS checks the golden tests gate on, built on
+vatlab.numerics's probes of the library numpy loaded."""
 
 import contextlib
 import ctypes
@@ -29,6 +31,23 @@ def numeric_grad(f, arr, step=1e-5):
         flat[i] = orig
         gflat[i] = (hi - lo) / (2.0 * step)
     return grad
+
+
+def clean_pass(net, x):
+    """(cache, probabilities) of the clean forward pass at x: what
+    vat.gen_vap searches from."""
+    logits, cache = nn.forward(net, x)
+    return cache, softmax(logits)
+
+
+def grad_r_delta_kl(net, x, r, base):
+    """Exact per-row gradient of divergence.delta_kl with respect to r: one
+    forward pass at x + r and one input-only backward pass of the logit
+    gradient softmax - base. At r = xi * d, divided by xi, it is the paper's
+    finite-difference Hessian-vector product, the reference the search's
+    exact product is checked against."""
+    logits, cache = nn.forward(net, x + r)
+    return nn.backward(net, cache, softmax(logits) - base)
 
 
 def kl_hessian(net, x_row):

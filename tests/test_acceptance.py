@@ -10,8 +10,8 @@ import os
 
 import numpy as np
 import pytest
-from conftest import (dominant_eigenvector, kl_hessian, logistic_net, numeric_grad,
-                      random_small_net)
+from conftest import (clean_pass, dominant_eigenvector, grad_r_delta_kl, kl_hessian,
+                      logistic_net, numeric_grad, random_small_net)
 
 from vatlab import baselines, data as dm, divergence, nn, vat
 from vatlab.baselines import Regularizer, make_regularizer
@@ -51,47 +51,49 @@ class TestGradientFidelity:
             loss, d_logits, _ = nn.nll_loss(logits, y)
             bundle = net.zero_gradients()
             nn.backward(net, cache, d_logits, out=bundle)
-            analytic = bundle.parameter_grads()
-            for param, grad in zip(net.parameters(), analytic):
-                num = numeric_grad(lambda: nn.nll_loss(nn.forward(net, x)[0], y)[0],
-                                   param)
-                worst = max(worst, float(np.max(rel_errs(grad, num))))
+            # every parameter array is a view of net.parameter_vector
+            num = numeric_grad(lambda: nn.nll_loss(nn.forward(net, x)[0], y)[0],
+                               net.parameter_vector)
+            worst = max(worst, float(np.max(rel_errs(bundle.vector, num))))
 
-            # divergence gradient with respect to the perturbation
+            # divergence gradient with respect to the perturbation, the
+            # finite-difference reference of the Hessian-vector identity
             base = nn.predict_proba(net, x)
             r = 0.1 * rng.standard_normal((4, 3))
-            grad_r = divergence.grad_r_delta_kl(net, x, r, base)
+            grad_r = grad_r_delta_kl(net, x, r, base)
             num_r = numeric_grad(
                 lambda: float(np.sum(divergence.delta_kl(net, x, r, base))), r)
             worst = max(worst, float(np.max(rel_errs(grad_r, num_r))))
 
             # penalty gradient with respect to the parameters, base held fixed
             vat.vat_backward(net, x, r, base=base, out=bundle)
-            for param, grad in zip(net.parameters(), bundle.parameter_grads()):
-                num = numeric_grad(
-                    lambda: float(divergence.kl_categorical(
-                        base, log_softmax(nn.forward(net, x + r)[0])).mean()),
-                    param)
-                worst = max(worst, float(np.max(rel_errs(grad, num))))
+            num = numeric_grad(
+                lambda: float(divergence.kl_categorical(
+                    base, log_softmax(nn.forward(net, x + r)[0])).mean()),
+                net.parameter_vector)
+            worst = max(worst, float(np.max(rel_errs(bundle.vector, num))))
 
             # adversarial loss term with respect to the parameters, r fixed
             r_adv = baselines.adv_perturbation(net, x, y, 0.1, "l2")
             baselines.adv_loss_term(net, x, y, r_adv, out=bundle)
-            for param, grad in zip(net.parameters(), bundle.parameter_grads()):
-                num = numeric_grad(
-                    lambda: nn.nll_loss(nn.forward(net, x + r_adv)[0], y)[0],
-                    param)
-                worst = max(worst, float(np.max(rel_errs(grad, num))))
+            num = numeric_grad(lambda: nn.nll_loss(nn.forward(net, x + r_adv)[0], y)[0],
+                               net.parameter_vector)
+            worst = max(worst, float(np.max(rel_errs(bundle.vector, num))))
         report("gradient fidelity on 20 random nets", worst < 1e-4,
                f"worst coordinate relative error {worst:.2e}")
 
 
 class TestHessianVectorIdentity:
-    """Finite-difference Hessian-vector products vs the exact KL Hessian, on
-    tiny nets and at the synthetic tasks' size, 100 -> 100 -> 2."""
+    """The search's exact Hessian-vector products and the paper's finite
+    difference (the KL gradient at r = xi * d, divided by xi), each against
+    the exact KL Hessian and against each other, on tiny nets and at the
+    synthetic tasks' size, 100 -> 100 -> 2."""
 
     def test_identity_on_tiny_nets(self):
-        worst = 0.0
+        def rel(a, b):
+            return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+        worst_exact = worst_fd = worst_pair = 0.0
         xi = 1e-4
         for trial in range(15):
             rng = make_rng(2000 + trial)
@@ -104,15 +106,21 @@ class TestHessianVectorIdentity:
             x_row = 0.5 * rng.standard_normal(dim)
             hess = kl_hessian(net, x_row)
             x = x_row.reshape(1, -1)
-            base = nn.predict_proba(net, x)
+            cache, base = clean_pass(net, x)
             d = rng.standard_normal(dim)
             d /= np.linalg.norm(d)
-            hvp_fd = divergence.grad_r_delta_kl(net, x, xi * d[None, :], base)[0] / xi
+            hvp_exact = vat.hessian_vector_product(net, cache, base, d[None, :])[0]
+            hvp_fd = grad_r_delta_kl(net, x, xi * d[None, :], base)[0] / xi
             hvp_true = hess @ d
-            rel = np.linalg.norm(hvp_true - hvp_fd) / np.linalg.norm(hvp_true)
-            worst = max(worst, float(rel))
-        report("Hessian-vector finite-difference identity", worst < 1e-3,
-               f"worst relative error {worst:.2e}")
+            worst_exact = max(worst_exact, rel(hvp_exact, hvp_true))
+            worst_fd = max(worst_fd, rel(hvp_fd, hvp_true))
+            worst_pair = max(worst_pair, rel(hvp_fd, hvp_exact))
+        report("Hessian-vector products of the search are exact", worst_exact < 1e-10,
+               f"worst relative error {worst_exact:.2e}")
+        report("Hessian-vector finite-difference identity", worst_fd < 1e-3,
+               f"worst relative error {worst_fd:.2e}")
+        report("finite difference agrees with the search's product", worst_pair < 1e-3,
+               f"worst relative difference {worst_pair:.2e}")
 
 
 class TestPowerIterationAlignment:
@@ -121,7 +129,8 @@ class TestPowerIterationAlignment:
     def _alignment(self, net, x_row, oracle_dir, iterations, seed):
         cfg = VatConfig(epsilon=1.0, power_iterations=iterations)
         x = x_row.reshape(1, -1)
-        r = vat.gen_vap(net, x, cfg, make_rng(seed), nn.predict_proba(net, x))[0]
+        cache, base = clean_pass(net, x)
+        r = vat.gen_vap(net, cache, cfg, make_rng(seed), base)[0]
         return abs(float(r @ oracle_dir) / np.linalg.norm(r))
 
     def test_alignment_and_monotonicity(self):
@@ -168,9 +177,10 @@ class TestClosedFormOracles:
 
     def test_logistic_exact(self):
         # a two-class net with logit columns [0, theta] is the logistic model
-        # p(y=1|x) = sigmoid(theta^T x); the search gradient at any xi*d is
-        # parallel to theta, so gen_vap returns +-eps*theta/||theta|| and the
-        # smoothness value is -KL(Bern(s) || Bern(sigmoid(theta^T x +- eps ||theta||)))
+        # p(y=1|x) = sigmoid(theta^T x); its KL Hessian s(1-s) theta theta^T
+        # maps every direction onto theta, so gen_vap returns
+        # +-eps*theta/||theta|| and the smoothness value is
+        # -KL(Bern(s) || Bern(sigmoid(theta^T x +- eps ||theta||)))
         def log_sigmoid(z):
             return -np.logaddexp(0.0, -z)
 
@@ -181,8 +191,8 @@ class TestClosedFormOracles:
             net = logistic_net(theta)
             cfg = VatConfig(epsilon=float(rng.uniform(0.1, 2.0)), power_iterations=1)
             x = rng.standard_normal((3, 5))
-            base = nn.predict_proba(net, x)
-            r = vat.gen_vap(net, x, cfg, rng, base=base)
+            cache, base = clean_pass(net, x)
+            r = vat.gen_vap(net, cache, cfg, rng, base=base)
             lds = -divergence.delta_kl(net, x, r, base=base)
             z = x @ theta
             z_r = z + np.sign(r @ theta) * cfg.epsilon * np.linalg.norm(theta)
@@ -202,11 +212,11 @@ class TestClosedFormOracles:
         x = np.array([[0.3, 0.4]])
         net = logistic_net(theta)
         s = 1.0 / (1.0 + np.exp(-(x[0] @ theta)))
-        base = nn.predict_proba(net, x)
+        cache, base = clean_pass(net, x)
         eps_values = [0.1, 0.05, 0.025]
         errors = []
         for eps in eps_values:
-            r_vadv = vat.gen_vap(net, x, VatConfig(epsilon=eps), make_rng(4100), base)
+            r_vadv = vat.gen_vap(net, cache, VatConfig(epsilon=eps), make_rng(4100), base)
             second_order = -0.5 * s * (1.0 - s) * eps ** 2 * (theta @ theta)
             errors.append(abs(float(-divergence.delta_kl(net, x, r_vadv, base)[0]) - second_order))
         ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
@@ -236,7 +246,7 @@ class TestStationarityAtZero:
             net = random_small_net(rng, [4, 8, 3])
             x = rng.standard_normal((6, 4))
             base = nn.predict_proba(net, x)
-            grad = divergence.grad_r_delta_kl(net, x, np.zeros_like(x), base)
+            grad = grad_r_delta_kl(net, x, np.zeros_like(x), base)
             worst = max(worst, float(np.linalg.norm(grad)))
         report("divergence gradient vanishes at zero perturbation",
                worst < 1e-8, f"worst norm {worst:.2e}")
@@ -265,6 +275,31 @@ BENCHMARK_SETTINGS = {
 }
 
 
+# the gate: the penalty's mean error is below each BEATEN method's, within one
+# sd of (or below) each ADVERSARIAL method's, and at most MAX_MEAN_ERROR
+BEATEN = ("none", "l2_decay", "dropout", "random_perturbation")
+ADVERSARIAL = ("adversarial_linf", "adversarial_l2")
+MAX_MEAN_ERROR = 0.10
+
+
+def _bootstrap(errors, resamples=20_000):
+    """A paired bootstrap over the seeds, reported next to the gate and not
+    gating: the 95 % interval of the penalty's mean error minus each other
+    method's, and the share of resamples in which each gate clause fails."""
+    n = errors["vat"].size
+    rows = np.random.default_rng(0).integers(0, n, (resamples, n))
+    vat_means = errors["vat"][rows].mean(axis=1)
+    intervals, fails = {}, {}
+    for m in BEATEN + ADVERSARIAL:
+        resampled = errors[m][rows]
+        diff = vat_means - resampled.mean(axis=1)
+        intervals[m] = np.percentile(diff, [2.5, 97.5])
+        fails[m] = float(np.mean(diff > resampled.std(axis=1) if m in ADVERSARIAL
+                                 else diff >= 0))
+    fails["max_mean"] = float(np.mean(vat_means > MAX_MEAN_ERROR))
+    return intervals, fails
+
+
 def _run_benchmark(task, repetitions=50):
     make_data = dm.SyntheticSplits(task, n_train=16, n_eval=1000)
     seeds = [(seed, seed + 7) for seed in range(repetitions)]
@@ -287,12 +322,11 @@ class TestSyntheticBenchmarkOrdering:
         means = {m: float(v.mean()) for m, v in errors.items()}
         vat_mean = means["vat"]
 
-        beats = all(vat_mean < means[m] for m in
-                    ("none", "l2_decay", "dropout", "random_perturbation"))
+        beats = all(vat_mean < means[m] for m in BEATEN)
         within_sd = all(
             abs(vat_mean - means[m]) <= float(errors[m].std())
             or vat_mean < means[m]
-            for m in ("adversarial_linf", "adversarial_l2"))
+            for m in ADVERSARIAL)
         detail = " ".join(f"{m}={means[m]:.4f}" for m in sorted(means))
         # a report, not a gate: on how many seeds the penalty's test error is
         # below (wins) or equal to (ties) each other method's
@@ -301,12 +335,19 @@ class TestSyntheticBenchmarkOrdering:
             for m, v in sorted(errors.items()) if m != "vat")
         print(f"INFO: {task}: smoothness penalty's per-seed wins/ties out of "
               f"{errors['vat'].size}: {paired}")
+        intervals, fails = _bootstrap(errors)
+        print(f"INFO: {task}: paired 95% bootstrap interval of the penalty's mean "
+              "error minus each method's, 20000 resamples: "
+              + " ".join(f"{m}=[{lo:+.4f}, {hi:+.4f}]" for m, (lo, hi) in intervals.items()))
+        print(f"INFO: {task}: share of resamples failing each gate clause (beats, "
+              "within 1 sd, max_mean <= 10%): "
+              + " ".join(f"{m}={share:.3f}" for m, share in fails.items()))
         report(f"{task}: smoothness penalty beats the non-adversarial baselines",
                beats, detail)
         report(f"{task}: smoothness penalty within 1 sd of adversarial training",
                within_sd, detail)
         report(f"{task}: smoothness-penalty mean test error at most 10%",
-               vat_mean <= 0.10, f"mean {vat_mean:.4f}")
+               vat_mean <= MAX_MEAN_ERROR, f"mean {vat_mean:.4f}")
 
 
 class TestTrainingDynamics:

@@ -176,7 +176,7 @@ TINY_GRID = ("grid", "--task", "moons", "--methods", "mle,vat", "--reps", "2",
 GOLDEN_GRID_CSV = '''\
 method,mean_test_error,sd_test_error,best_hyperparameters
 mle,0.13,0.049999999999999996,"{""optimizer"": ""sgd"", ""regularizer"": ""none"", ""total_updates"": 20, ""weight"": 0.0}"
-vat,0.14,0.060000000000000005,"{""epsilon"": 0.1, ""optimizer"": ""sgd"", ""power_iterations"": 1, ""regularizer"": ""vat"", ""total_updates"": 20, ""weight"": 1.0, ""xi"": 1e-06}"
+vat,0.14,0.060000000000000005,"{""epsilon"": 0.1, ""optimizer"": ""sgd"", ""power_iterations"": 1, ""regularizer"": ""vat"", ""total_updates"": 20, ""weight"": 1.0}"
 '''
 
 
@@ -527,7 +527,7 @@ POINTS_CSV = {"header.csv": "x0,x1,label\n",
 @pytest.mark.parametrize("argv, code", [
     (TRAIN + ["--reg", "vat", "--epsilon", "nan"], 2),
     (TRAIN + ["--reg", "vat", "--epsilon", "inf"], 2),
-    (TRAIN + ["--reg", "vat", "--xi", "nan"], 2),
+    (TRAIN + ["--reg", "vat", "--xi", "1e-6"], 2),  # no probe scale: the search is exact
     (TRAIN + ["--reg", "vat", "--weight", "nan"], 2),
     (TRAIN + ["--reg", "random", "--epsilon", "inf"], 2),
     (TRAIN + ["--reg", "adv-l2", "--weight=-inf"], 2),

@@ -39,7 +39,7 @@ COMMANDS = {
     "train": {"--task": [*TASKS, "mnist", "mnist-semisup"], "--reg": sorted(METHOD_NAMES),
               "--out-prefix": "out", "--updates": "size", "--n-test": "size",
               "--epsilon": "float", "--weight": "float", "--keep-prob": "float",
-              "--xi": "float", "--ip": "int", "--eval-every": "int",
+              "--ip": "int", "--eval-every": "int",
               "--hidden": "int", "--n-train": "int", "--n-unlabeled": "int",
               "--n-labeled": "int", "--n-validation": "int",
               "--record-lds": [], "--mnist-dir": "mnist", **CONFIG},

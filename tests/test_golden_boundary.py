@@ -36,9 +36,9 @@ RESOLUTIONS = (200, 137)
 # run -> {resolution: (SHA-256 prefix of the SVG bytes, of the grid values' bytes)}
 GOLDEN = {
     "moons-mle": {200: ('c477e6d3', '48e0948e'), 137: ('4caa2c33', 'b4888781')},
-    "moons-vat": {200: ('f4e3e884', '074bde21'), 137: ('eee295e3', '03efcbe7')},
+    "moons-vat": {200: ('c5dbb65d', '0898ca91'), 137: ('1c901f48', 'c9dd6006')},
     "circles-mle": {200: ('4e100dd7', '7bf783e4'), 137: ('fc79b953', 'cf9d69de')},
-    "circles-vat": {200: ('cd6eadcd', 'e93f7a77'), 137: ('040f2938', 'ed325c50')},
+    "circles-vat": {200: ('cd6eadcd', 'c1ab2d8b'), 137: ('040f2938', '95776ba7')},
 }
 
 
@@ -79,7 +79,7 @@ def test_boundary_matches_golden(name):
 
 
 # SHA-256 of the boundary CSV bytes of the moons-vat run at resolution 200
-GOLDEN_CSV = "0d2e78a3129a0787ce9ec83c6b60cf946b62709571409a7090e3c20be982c490"
+GOLDEN_CSV = "4a34713945475fed8afac2dbf012011e6e3956a55666f245698433b8ece91fa6"
 
 
 def csv_digest():

@@ -47,55 +47,55 @@ GOLDEN = {
     "moons-random_perturbation": ("71362d48", 0.06630884014832628, 0.30120012939138535),
     "moons-adversarial_linf": ("c1a8c72f", 0.053888246179902566, 0.37977931394543996),
     "moons-adversarial_l2": ("e7c87153", 0.10503966994381858, 0.5074768750345815),
-    "moons-vat": ("e2df55a4", 0.05594307248603116, 0.25621555268775986),
+    "moons-vat": ("db311a17", 0.056127954230283814, 0.22651886086091017),
     "moons-semisup-none": ("1a89899a", 0.019058958297429405, 0.0),
     "moons-semisup-l2_decay": ("1e20a988", 0.024237171532781866, 0.09713005175822034),
-    "moons-adam-vat": ("91103ea8", 0.150099027923688, 0.24286519793733613),
+    "moons-adam-vat": ("abeb75c2", 0.15009902811007808, 0.2428651981804918),
     "circles-none": ("eee98b1e", 0.008719283684224519, 0.0),
     "circles-l2_decay": ("ef3cc6a9", 0.009238539014469868, 0.013180212101842975),
     "circles-dropout": ("a5f40379", 0.0244259834817553, 0.0),
     "circles-random_perturbation": ("e29b0711", 0.02197829570026129, 0.2315364754157722),
     "circles-adversarial_linf": ("5b3885d8", 0.0009794740576976792, 0.007940967551517528),
     "circles-adversarial_l2": ("617a40c5", 0.0001199494631563429, 0.06786020193566761),
-    "circles-vat": ("f80b7a60", 0.005506563261223684, 0.11004275743216221),
+    "circles-vat": ("ffc1708a", 0.005503248583891852, 0.11030510957142675),
     "circles-semisup-none": ("8a95422b", 0.01627861298110266, 0.0),
     "circles-semisup-l2_decay": ("8fb671c3", 0.016795112527010308, 0.012846922507799959),
-    "circles-adam-vat": ("7a3cf510", 0.03422588075198975, 0.14061972186033875),
+    "circles-adam-vat": ("9f555983", 0.03422588074286156, 0.14061972186240454),
 }
 
 # the same, for runs made at 1 OpenBLAS thread
 GOLDEN_ONE_THREAD = {
     "moons-semisup-random_perturbation": ("5639c149", 0.10614682634128167, 0.18668278460200563),
-    "moons-semisup-vat": ("4678b034", 0.16666373355781305, 0.11194843750055601),
+    "moons-semisup-vat": ("81b92f49", 0.16666373356552167, 0.11194843740840932),
     "circles-semisup-random_perturbation": ("a5c8061a", 0.046980856406748, 0.14462639487982332),
-    "circles-semisup-vat": ("ffe95249", 0.05630273088702594, 0.15457417182218436),
+    "circles-semisup-vat": ("3b7e30a0", 0.05636534554532356, 0.15194217498216586),
 }
 
 # the same, for the 784-1200-600-10 runs, made at 1 OpenBLAS thread
 GOLDEN_MNIST_SIZE = {
     "mnist-size-none": ("732edac6", 2.889382300389832, 0.0),
-    "mnist-size-vat": ("b8dfddeb", 2.752123764687586, 0.12268257939563046),
-    "mnist-size-semisup-vat": ("8e1d48b9", 4.5768834404890955, 0.011205020526687452),
+    "mnist-size-vat": ("94fd988f", 2.752123727825003, 0.1226825780901168),
+    "mnist-size-semisup-vat": ("b984b444", 4.576883403128719, 0.0112050201854523),
     "mnist-size-l2_decay": ("c9b9c6e9", 2.8278453005933994, 0.17610730990710483),
 }
 
 # task-kind run -> (error, mean LDS) of evaluate(net, test_x, test_y,
 # rng=make_rng(99)) on the 1000 test rows of its data seed 0
 GOLDEN_EVALUATION = {
-    "circles-adversarial_l2": (0.026, -3.901392687083608),
-    "circles-adversarial_linf": (0.129, -2.973939616040129),
-    "circles-dropout": (0.103, -2.381130662603531),
-    "circles-l2_decay": (0.167, -2.569373501802331),
-    "circles-none": (0.167, -2.616751156177782),
-    "circles-random_perturbation": (0.1, -1.5755511941511127),
-    "circles-vat": (0.041, -2.099528753387235),
-    "moons-adversarial_l2": (0.0, -0.21937280106965426),
-    "moons-adversarial_linf": (0.0, -0.372349170462659),
-    "moons-dropout": (0.01, -1.0891530782445584),
-    "moons-l2_decay": (0.019, -0.8583823322771359),
-    "moons-none": (0.023, -1.0542882124514896),
-    "moons-random_perturbation": (0.0, -0.3382070852327452),
-    "moons-vat": (0.0, -0.19856979094311986),
+    "circles-adversarial_l2": (0.026, -3.9013926870956386),
+    "circles-adversarial_linf": (0.129, -2.973939616051516),
+    "circles-dropout": (0.103, -2.3811306626049538),
+    "circles-l2_decay": (0.167, -2.5693735018048165),
+    "circles-none": (0.167, -2.616751156176245),
+    "circles-random_perturbation": (0.1, -1.5755511941514038),
+    "circles-vat": (0.041, -2.105170739826867),
+    "moons-adversarial_l2": (0.0, -0.21939483133074436),
+    "moons-adversarial_linf": (0.0, -0.37234917046235877),
+    "moons-dropout": (0.01, -1.0891530782450067),
+    "moons-l2_decay": (0.019, -0.8583823322748029),
+    "moons-none": (0.023, -1.0542882532961957),
+    "moons-random_perturbation": (0.0, -0.3382070852324625),
+    "moons-vat": (0.001, -0.1958792534172041),
 }
 
 

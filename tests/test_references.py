@@ -1,5 +1,6 @@
 """The reference curvature helpers in conftest: the exact KL Hessian and its
-dominant eigenpair."""
+dominant eigenpair. conftest.grad_r_delta_kl, the finite-difference
+reference, is checked in test_divergence.py."""
 
 import numpy as np
 import pytest

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import random_small_net
+from conftest import clean_pass, random_small_net
 
 from vatlab import baselines, data as dm, divergence, nn, train as tm, vat
 from vatlab.baselines import Regularizer
@@ -71,7 +71,7 @@ class TestSupervisedStep:
         if kind in ("vat", "random_perturbation"):
             base = nn.predict_proba(net, x)
             if kind == "vat":
-                r = vatmod.gen_vap(net, x, reg.vat, step_rng, base=base)
+                r = vatmod.gen_vap(net, cache, reg.vat, step_rng, base=base)
             else:
                 r = baselines.random_perturbation(x, reg.epsilon, step_rng)
             vatmod.vat_backward(net, x, r, base=base, out=reg_grads)
@@ -79,13 +79,12 @@ class TestSupervisedStep:
             norm = "linf" if kind == "adversarial_linf" else "l2"
             r = baselines.adv_perturbation(net, x, y, reg.epsilon, norm)
             baselines.adv_loss_term(net, x, y, r, out=reg_grads)
-        expected = [g + reg.weight * rg for g, rg in zip(nll_grads.parameter_grads(),
-                                                         reg_grads.parameter_grads())]
+        expected = nll_grads.vector + reg.weight * reg_grads.vector
 
         probe = Probe()
         supervised_step(net, x, y, reg, probe, make_rng(99))
         # the optimizer sees one gradient vector, in parameters() order
-        assert np.array_equal(probe.grads, np.concatenate([g.ravel() for g in expected]))
+        assert np.array_equal(probe.grads, expected)
 
     @pytest.mark.parametrize("kind, counts", [
         ("none", (1, 1)), ("l2_decay", (1, 1)), ("dropout", (1, 1)),
@@ -395,9 +394,9 @@ class TestEvaluate:
         assert peak < 10 * x[:tm.EVAL_BLOCK].nbytes
         # the same numbers as one batch: the mismatch count exactly, the mean
         # estimate up to how OpenBLAS rounds products of fewer rows
-        proba = nn.predict_proba(net, x)
+        cache, proba = clean_pass(net, x)
         assert out["error"] == float((proba.argmax(axis=1) != y).mean())
-        r_vadv = vat.gen_vap(net, x, tm.EVAL_VAT, make_rng(1), base=proba)
+        r_vadv = vat.gen_vap(net, cache, tm.EVAL_VAT, make_rng(1), base=proba)
         one_batch = float(-divergence.delta_kl(net, x, r_vadv, proba).mean())
         assert abs(out["mean_lds"] - one_batch) < 1e-12
 

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
-from conftest import (dominant_eigenvector, kl_hessian, logistic_net, max_rel_err,
-                      numeric_grad, random_small_net)
+from conftest import (clean_pass, dominant_eigenvector, kl_hessian, logistic_net,
+                      max_rel_err, numeric_grad, random_small_net)
 
 from vatlab import baselines, divergence, nn, vat
 from vatlab.errors import ConfigError
-from vatlab.numerics import make_rng
+from vatlab.numerics import ZERO_NORM, make_rng, sample_unit_vector
 
 
 class TestVatConfig:
     @pytest.mark.parametrize("kwargs", [
         {"epsilon": 0.0},
-        {"epsilon": 1.0, "xi": 0.0},
+        {"epsilon": np.inf},
         {"epsilon": 1.0, "power_iterations": 0},
     ])
     def test_invalid(self, kwargs):
@@ -23,21 +23,48 @@ class TestGenVap:
     def test_output_norm_is_epsilon(self, rng):
         net = random_small_net(rng, [6, 8, 3])
         x = rng.standard_normal((5, 6))
-        base = nn.predict_proba(net, x)
+        cache, base = clean_pass(net, x)
         for eps in (0.1, 0.5, 2.0):
             for ip in (1, 3):
-                r = vat.gen_vap(net, x, vat.VatConfig(epsilon=eps, power_iterations=ip), rng,
-                                base)
+                r = vat.gen_vap(net, cache, vat.VatConfig(epsilon=eps, power_iterations=ip),
+                                rng, base)
                 assert np.allclose(np.linalg.norm(r, axis=1), eps, atol=1e-9)
 
     def test_rank_one_logistic_alignment(self):
         # H is proportional to theta theta^T, so one iteration lands on +-theta_bar
         net = logistic_net([3.0, 4.0])
         x = np.array([[0.1, -0.2]])
-        r = vat.gen_vap(net, x, vat.VatConfig(epsilon=1.0), make_rng(11),
-                        nn.predict_proba(net, x))
+        cache, base = clean_pass(net, x)
+        r = vat.gen_vap(net, cache, vat.VatConfig(epsilon=1.0), make_rng(11), base)
         cos = abs(r[0] @ np.array([0.6, 0.8]))
         assert cos > 1 - 1e-6
+
+    @pytest.mark.parametrize("margin", [20.0, 25.0])
+    def test_confident_logistic_rows_find_theta(self, margin):
+        # at theta^T x = 20 and 25, 1 - p is about 2e-9 and 1e-11, so the KL
+        # Hessian s(1-s) theta theta^T is tiny; its exact product still has a
+        # norm far above ZERO_NORM and every start lands on +-theta/||theta||;
+        # the paper's finite difference softmax(z + xi J d) - p at xi = 1e-6
+        # cancels on such rows
+        theta = np.array([3.0, 4.0])
+        net = logistic_net(theta)
+        cache, base = clean_pass(net, margin * theta[None, :] / (theta @ theta))
+        for seed in range(20):
+            r = vat.gen_vap(net, cache, vat.VatConfig(epsilon=1.0), make_rng(seed), base)
+            assert abs(abs(r[0] @ theta) / np.linalg.norm(theta) - 1.0) < 1e-6
+
+    def test_rows_whose_product_is_below_zero_norm_keep_their_start(self):
+        # the threshold applies to ||Hd|| itself: at theta^T x = 40 it is about
+        # 1e-16 and the row keeps its random start, at 25 it is above 1e-12
+        theta = np.array([3.0, 4.0])
+        net = logistic_net(theta)
+        cache, base = clean_pass(net, np.outer([25.0, 40.0], theta / (theta @ theta)))
+        start = sample_unit_vector(make_rng(0), 2, 2)
+        norms = np.linalg.norm(vat.hessian_vector_product(net, cache, base, start), axis=1)
+        assert norms[0] > ZERO_NORM > norms[1]
+        r = vat.gen_vap(net, cache, vat.VatConfig(epsilon=1.0), make_rng(0), base)
+        assert abs(abs(r[0] @ theta) / np.linalg.norm(theta) - 1.0) < 1e-12
+        assert np.array_equal(r[1], start[1])
 
     def test_two_classes_search_the_adversarial_l2_axis(self):
         # with two classes diag p - p p^T has rank 1, so the KL Hessian is
@@ -47,8 +74,8 @@ class TestGenVap:
         rng = make_rng(7)
         net = nn.init_mlp([100, 100, 2], rng)
         x = rng.standard_normal((20, 100))
-        base = nn.predict_proba(net, x)
-        r = vat.gen_vap(net, x, vat.VatConfig(epsilon=1.0), rng, base)
+        cache, base = clean_pass(net, x)
+        r = vat.gen_vap(net, cache, vat.VatConfig(epsilon=1.0), rng, base)
         r_adv = baselines.adv_perturbation(net, x, rng.integers(0, 2, 20), 1.0, "l2")
         _, cache = nn.forward(net, x)
         margin_grad = nn.backward(net, cache, np.tile([-1.0, 1.0], (20, 1)))
@@ -71,10 +98,10 @@ class TestGenVap:
             x = rng.standard_normal((1, 4))
             hess = kl_hessian(net, x[0])
             _, u1 = dominant_eigenvector(hess)
-            base = nn.predict_proba(net, x)
+            cache, base = clean_pass(net, x)
             cosines = []
             for ip in (1, 2, 3, 4, 5):
-                r = vat.gen_vap(net, x, vat.VatConfig(epsilon=1.0, power_iterations=ip),
+                r = vat.gen_vap(net, cache, vat.VatConfig(epsilon=1.0, power_iterations=ip),
                                 make_rng(1000 + seed), base)
                 cosines.append(abs(r[0] @ u1))
             total += 1
@@ -89,8 +116,8 @@ class TestGenVap:
             layer.weights[:] = 0.0
             layer.biases[:] = 0.0
         x = rng.standard_normal((3, 4))
-        r = vat.gen_vap(net, x, vat.VatConfig(epsilon=0.5), rng,
-                        nn.predict_proba(net, x))
+        cache, base = clean_pass(net, x)
+        r = vat.gen_vap(net, cache, vat.VatConfig(epsilon=0.5), rng, base)
         assert np.allclose(np.linalg.norm(r, axis=1), 0.5)
 
 
@@ -100,8 +127,8 @@ class TestLdsAtSearchedPerturbation:
         for layer in net.layers:
             layer.weights[:] = 0.0
         x = rng.standard_normal((5, 4))
-        base = nn.predict_proba(net, x)
-        r = vat.gen_vap(net, x, vat.VatConfig(epsilon=1.0), rng, base)
+        cache, base = clean_pass(net, x)
+        r = vat.gen_vap(net, cache, vat.VatConfig(epsilon=1.0), rng, base)
         assert np.max(np.abs(divergence.delta_kl(net, x, r, base))) < 1e-15
 
     def test_logistic_model_exact(self):
@@ -111,8 +138,8 @@ class TestLdsAtSearchedPerturbation:
         net = logistic_net([1.0, 2.0, 2.0])
         eps = 0.7
         x = np.zeros((1, 3))
-        base = nn.predict_proba(net, x)
-        r = vat.gen_vap(net, x, vat.VatConfig(epsilon=eps), make_rng(5), base)
+        cache, base = clean_pass(net, x)
+        r = vat.gen_vap(net, cache, vat.VatConfig(epsilon=eps), make_rng(5), base)
         expected = -np.log(np.cosh(1.5 * eps))
         assert abs(-divergence.delta_kl(net, x, r, base)[0] - expected) < 1e-9
 
@@ -123,16 +150,16 @@ class TestLdsAtSearchedPerturbation:
         w = np.column_stack([theta, np.zeros(2)])
         net = nn.MlpNetwork([nn.Layer(w, np.zeros(2))])
         x = np.zeros((1, 2))
-        base = nn.predict_proba(net, x)
-        r = vat.gen_vap(net, x, vat.VatConfig(epsilon=0.5), make_rng(2), base)
+        cache, base = clean_pass(net, x)
+        r = vat.gen_vap(net, cache, vat.VatConfig(epsilon=0.5), make_rng(2), base)
         got = float(-divergence.delta_kl(net, x, r, base)[0])
         assert abs(got - (-0.03125)) < 1e-3
 
     def test_never_positive(self, rng):
         net = random_small_net(rng)
         x = rng.standard_normal((6, 4))
-        base = nn.predict_proba(net, x)
-        r = vat.gen_vap(net, x, vat.VatConfig(epsilon=0.5), rng, base)
+        cache, base = clean_pass(net, x)
+        r = vat.gen_vap(net, cache, vat.VatConfig(epsilon=0.5), rng, base)
         assert np.all(-divergence.delta_kl(net, x, r, base) <= 1e-12)
 
 
@@ -144,8 +171,7 @@ class TestVatBackward:
         g.vector.fill(1.0)
         penalty = vat.vat_backward(net, x, np.zeros_like(x), nn.predict_proba(net, x), out=g)
         assert penalty < 1e-15
-        for arr in g.parameter_grads():
-            assert np.max(np.abs(arr)) < 1e-12
+        assert np.max(np.abs(g.vector)) < 1e-12
 
     def test_matches_theta_finite_differences(self, rng):
         net = random_small_net(rng, [4, 5, 3])
@@ -161,8 +187,9 @@ class TestVatBackward:
             from vatlab.numerics import log_softmax
             return float(divergence.kl_categorical(base, log_softmax(logits)).mean())
 
-        for analytic, arr in zip(g.parameter_grads(), net.parameters()):
-            assert max_rel_err(analytic, numeric_grad(surrogate, arr), floor=1e-6) < 1e-4
+        # every parameter array is a view of net.parameter_vector
+        numeric = numeric_grad(surrogate, net.parameter_vector)
+        assert max_rel_err(g.vector, numeric, floor=1e-6) < 1e-4
 
     def test_full_step_scalar_reference(self):
         # total gradient on a fixed 2-2 linear net = NLL grad + weight * penalty grad
@@ -179,8 +206,7 @@ class TestVatBackward:
         nn.backward(net, cache, d_logits, out=nll_grads)
         base = nn.predict_proba(net, x)
         vat.vat_backward(net, x, r, base=base, out=reg_grads)
-        total = [g + weight * rg for g, rg in zip(nll_grads.parameter_grads(),
-                                                  reg_grads.parameter_grads())]
+        total = nll_grads.vector + weight * reg_grads.vector
 
         def objective():
             out, _ = nn.forward(net, x)
@@ -190,8 +216,8 @@ class TestVatBackward:
                 nn.forward(net, x + r)[0])).mean())
             return nll + weight * pen
 
-        for analytic, arr in zip(total, net.parameters()):
-            assert max_rel_err(analytic, numeric_grad(objective, arr), floor=1e-6) < 1e-5
+        numeric = numeric_grad(objective, net.parameter_vector)
+        assert max_rel_err(total, numeric, floor=1e-6) < 1e-5
 
 
 class TestCostAudit:
@@ -211,21 +237,6 @@ class TestCostAudit:
         assert counts["backward"] == 3
 
 
-def test_probe_scale_direction_stability(rng):
-    # the searched direction should not depend on the finite-difference scale
-    net = random_small_net(rng, [5, 7, 3])
-    x = rng.standard_normal((2, 5))
-    base = nn.predict_proba(net, x)
-    directions = []
-    for xi in (1e-6, 1e-4, 1e-2):
-        cfg = vat.VatConfig(epsilon=1.0, xi=xi, power_iterations=3)
-        r = vat.gen_vap(net, x, cfg, make_rng(42), base)
-        directions.append(r / np.linalg.norm(r, axis=1, keepdims=True))
-    for other in directions[1:]:
-        cos = np.abs((directions[0] * other).sum(axis=1))
-        assert np.all(cos > 0.999)
-
-
 def test_parametrization_invariance_of_lds(rng):
     # duplicating a hidden unit and halving its outgoing weights keeps the
     # function, hence the smoothness value, unchanged
@@ -239,8 +250,8 @@ def test_parametrization_invariance_of_lds(rng):
             0.5 * net.layers[1].weights[:1]]),
             net.layers[1].biases.copy()),
     ])
-    base = nn.predict_proba(net, x)
-    r = vat.gen_vap(net, x, vat.VatConfig(epsilon=0.5), make_rng(3), base)
+    cache, base = clean_pass(net, x)
+    r = vat.gen_vap(net, cache, vat.VatConfig(epsilon=0.5), make_rng(3), base)
     a = -divergence.delta_kl(net, x, r, base)
     b = -divergence.delta_kl(dup, x, r, nn.predict_proba(dup, x))
     assert np.max(np.abs(a - b)) < 1e-9
