@@ -17,13 +17,14 @@ log-likelihood's gradient starts from the softmax probabilities, which the
 training step also takes as the penalty's base distribution, with the pass's
 cache for the search, instead of computing them again.
 
-Module-level counters track forward/backward calls so the regularizer's
-propagation cost can be audited.
+Module-level counters, behind a lock, track forward/backward calls on every
+thread so the regularizer's propagation cost can be audited.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,8 @@ from .numerics import Tensor, as_tensor, log_softmax, softmax
 _CHECKPOINT_VERSION = 1
 
 _counts = {"forward": 0, "backward": 0}
+# train.supervised_step may run a backward pass beside the penalty's passes
+_counts_lock = threading.Lock()
 
 
 def propagation_counts() -> tuple[int, int]:
@@ -162,7 +165,8 @@ def forward(net: MlpNetwork, x: Tensor, *,
     x = as_tensor(x)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise DimensionError(f"input shape {x.shape} does not match input_dim {net.input_dim}")
-    _counts["forward"] += 1
+    with _counts_lock:
+        _counts["forward"] += 1
     h = x
     if tangent_at is not None:
         for layer, relu_out in zip(net.layers, tangent_at.activations[:-1]):
@@ -195,7 +199,8 @@ def backward(net: MlpNetwork, cache: ForwardCache, d_logits: Tensor, *,
     d_logits = as_tensor(d_logits)
     if d_logits.shape != cache.activations[-1].shape:
         raise DimensionError("d_logits shape does not match the forward logits")
-    _counts["backward"] += 1
+    with _counts_lock:
+        _counts["backward"] += 1
     delta = d_logits
     last = len(net.layers) - 1
     for i in range(last, -1, -1):

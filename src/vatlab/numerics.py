@@ -12,6 +12,8 @@ numpy arrays in row-major layout with the batch as the leading dimension.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
@@ -106,9 +108,13 @@ def normalize_rows(t: Tensor) -> Tensor:
     return out
 
 
+@functools.cache
 def openblas_function(name: str):
     """OpenBLAS's `name` function (get_config, set_num_threads, ...) in the
-    library numpy loaded, untyped, or None when numpy uses another BLAS."""
+    library numpy loaded, or None when numpy uses another BLAS. It is looked
+    up once per process, as train.supervised_step asks for the thread count
+    on every large update; every caller gets the same object and sets the
+    same argtypes and restype on it."""
     import ctypes  # imported here, as only these probes use it
     import glob
     import os

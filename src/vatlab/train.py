@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 
 import numpy as np
 
-from . import baselines, divergence, nn, vat
+from . import baselines, divergence, nn, numerics, vat
 from .baselines import Regularizer
 from .data import Dataset
 from .errors import ConfigError, NumericError
@@ -31,6 +33,11 @@ EVAL_VAT = VatConfig(epsilon=0.5, power_iterations=5)
 # points and the pinned MNIST digests fit in one block, so their results do
 # not depend on how OpenBLAS rounds a product of fewer rows.
 EVAL_BLOCK = 2048
+# Rows times parameters of the smallest likelihood pass whose backward runs on
+# a second thread beside the penalty. With OpenBLAS at 1 thread on a 2-vCPU
+# host an overlapped VAT update took 2.4x the serial time at 0.16M, 1.1-1.2x
+# at 4M, 1.0-1.07x at 8M and 0.81-1.03x from 16M up; CHANGES.md has the sweep.
+OVERLAP_MACS = 1 << 24
 
 
 @dataclass
@@ -107,6 +114,13 @@ def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
     is added into the likelihood's in one call, and the optimizer moves the
     parameter vector in one call.
 
+    When the penalty runs and reads no input gradient, the likelihood pass
+    has at least OVERLAP_MACS rows times parameters and _spare_core() holds,
+    the likelihood's backward runs on a thread of its own while the penalty
+    runs on the caller's. The step joins it before it returns or raises, and
+    raises what it raised. Each array is computed as in the serial order, so
+    the bits are the same.
+
     Raises NumericError, before the parameters or the optimizer state change,
     when the NLL or the penalty value is not finite: a non-finite value in any
     pass of the update reaches one of the two.
@@ -118,15 +132,31 @@ def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
     x_lik = nn.apply_dropout(x, reg.keep_prob, rng) if kind.drops_inputs else x
     logits, cache = nn.forward(net, x_lik)
     nll_value, d_logits, proba = nn.nll_loss(logits, y)
-    d_input = nn.backward(net, cache, d_logits, out=lik_out, input_grad=kind.reads_input_grad)
+    penalized = kind.penalty is not None and reg.weight > 0
+    worker, raised = None, []
+    if (penalized and not kind.reads_input_grad  # the penalty reads neither result
+            and d_logits.shape[0] * net.parameter_vector.size >= OVERLAP_MACS
+            and _spare_core()):
+        worker, raised = _backward_thread(net, cache, d_logits, lik_out)
+        d_input = None
+    else:
+        d_input = nn.backward(net, cache, d_logits, out=lik_out,
+                              input_grad=kind.reads_input_grad)
 
     reg_value = 0.0
-    if kind.penalty is not None and reg.weight > 0:
-        clean = (proba, d_input, cache) if x_reg is None else None
-        reg_value, scale = kind.penalty(net, reg, x if x_reg is None else x_reg,
-                                        y, rng, clean, penalty_out)
-        pen = penalty_out.vector
-        pen *= scale  # rounds like lik += scale * pen, without the temporary
+    try:
+        if penalized:
+            clean = (proba, d_input, cache) if x_reg is None else None
+            reg_value, scale = kind.penalty(net, reg, x if x_reg is None else x_reg,
+                                            y, rng, clean, penalty_out)
+            pen = penalty_out.vector
+            pen *= scale  # rounds like lik += scale * pen, without the temporary
+    finally:
+        if worker is not None:
+            worker.join()
+    if raised:
+        raise raised[0]
+    if penalized:
         lik_out.vector += pen
 
     if not (math.isfinite(nll_value) and math.isfinite(reg_value)):
@@ -134,6 +164,37 @@ def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
                            f"penalty {reg_value})")
     optimizer.step(net.parameter_vector, lik_out.vector)
     return {"nll": nll_value, "reg": reg_value}
+
+
+def _spare_core() -> bool:
+    """Whether the process may use at least twice as many cores as OpenBLAS
+    runs threads, so that two threads' products do not share a core. False
+    under another BLAS, whose thread count is unknown."""
+    threads = numerics.openblas_threads()
+    if threads is None:
+        return False
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count())
+    return cores is not None and cores >= 2 * threads
+
+
+def _backward_thread(net, cache: nn.ForwardCache, d_logits: Tensor,
+                     out: nn.GradientBundle) -> tuple[threading.Thread, list]:
+    """A started thread that writes the likelihood's parameter gradients into
+    out, and the list that receives what it raises. It runs under the
+    caller's numpy error settings, which a new thread does not inherit."""
+    settings, raised = np.geterr(), []
+
+    def run():
+        try:
+            with np.errstate(**settings):
+                nn.backward(net, cache, d_logits, out=out, input_grad=False)
+        except BaseException as exc:  # supervised_step raises it on its own thread
+            raised.append(exc)
+
+    thread = threading.Thread(target=run, name="vatlab-likelihood-backward")
+    thread.start()
+    return thread, raised
 
 
 def evaluate(net, x: Tensor, y: np.ndarray | None,

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from conftest import max_rel_err, numeric_grad, random_small_net
@@ -70,6 +74,35 @@ class TestForward:
         step = 1e-6
         hi, lo = nn.forward(net, x + step * d)[0], nn.forward(net, x - step * d)[0]
         assert max_rel_err(jd, (hi - lo) / (2 * step)) < 1e-6
+
+
+def test_passes_on_many_threads_are_all_counted(rng):
+    # more threads than cores, switching as often as the interpreter lets
+    # them: a lost read-modify-write of a counter would show as a short count
+    net = random_small_net(rng, [3, 4, 2])
+    x = rng.standard_normal((2, 3))
+    logits, cache = nn.forward(net, x)
+    n_threads, n_passes = (os.cpu_count() or 1) + 2, 300
+
+    def passes():
+        for _ in range(n_passes):
+            nn.forward(net, x)
+            nn.backward(net, cache, logits)
+
+    threads = [threading.Thread(target=passes) for _ in range(n_threads)]
+    interval = sys.getswitchinterval()
+    before = nn.propagation_counts()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    total = n_threads * n_passes
+    assert nn.propagation_counts() == (before[0] + total, before[1] + total)
 
 
 class TestBackward:

@@ -1,10 +1,13 @@
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import clean_pass, random_small_net
 
-from vatlab import baselines, data as dm, divergence, nn, train as tm, vat
+from vatlab import baselines, data as dm, divergence, nn, numerics, train as tm, vat
 from vatlab.baselines import Regularizer
 from vatlab.errors import ConfigError, NumericError, UsageError
 from vatlab.numerics import make_rng, softmax
@@ -292,6 +295,162 @@ class TestKindsTable:
         nets = [tm.train_supervised(small_config(baselines.make_regularizer(name, **given)),
                                     x, y)[0] for name in (kind, "copy")]
         assert np.array_equal(nets[0].parameter_vector, nets[1].parameter_vector)
+
+
+@pytest.fixture
+def overlapped(monkeypatch):
+    """Every supervised_step of the test runs its likelihood backward on a
+    thread of its own where the kind allows it, whatever the pass's size and
+    the host's cores; returns the list of the threads started."""
+    monkeypatch.setattr(tm, "OVERLAP_MACS", 0)
+    monkeypatch.setattr(tm, "_spare_core", lambda: True)
+    return _started_threads(monkeypatch)
+
+
+def _started_threads(monkeypatch) -> list:
+    """The list supervised_step appends each likelihood-backward thread to as it starts."""
+    started, start = [], tm._backward_thread
+
+    def recorded(*args):
+        thread, raised = start(*args)
+        started.append(thread)
+        return thread, raised
+
+    monkeypatch.setattr(tm, "_backward_thread", recorded)
+    return started
+
+
+@pytest.mark.usefixtures("overlapped")
+class TestSupervisedStepOverlapped(TestSupervisedStep):
+    """TestSupervisedStep with the likelihood backward beside the penalty."""
+
+
+@pytest.mark.usefixtures("overlapped")
+class TestNonFiniteUpdateOverlapped(TestNonFiniteUpdate):
+    """TestNonFiniteUpdate with the likelihood backward beside the penalty."""
+
+
+@pytest.mark.usefixtures("overlapped")
+class TestGradientBuffersOverlapped(TestGradientBuffers):
+    """TestGradientBuffers with the likelihood backward beside the penalty."""
+
+
+class TestOverlap:
+    """When supervised_step runs the likelihood backward beside the penalty,
+    and what a failure on either thread leaves."""
+
+    @pytest.mark.parametrize("kind, started", [
+        ("none", 0), ("l2_decay", 1), ("dropout", 0), ("random_perturbation", 1),
+        ("adversarial_linf", 0), ("adversarial_l2", 0), ("vat", 1), ("vat-semisup", 1),
+    ])
+    def test_a_penalty_that_reads_no_input_gradient(self, kind, started, overlapped, rng):
+        x, y = toy_batch(rng)
+        x_reg = rng.standard_normal((6, 4)) if kind == "vat-semisup" else None
+        reg = PENALIZED["vat" if kind == "vat-semisup" else kind]
+        supervised_step(random_small_net(rng, [4, 8, 3]), x, y, reg, Probe(), make_rng(0),
+                        x_reg=x_reg)
+        assert len(overlapped) == started
+
+    @pytest.mark.parametrize("blas, cores, started", [
+        (None, 8, 0), (1, 1, 0), (1, 2, 1), (2, 3, 0), (2, 4, 1),
+    ])
+    def test_a_spare_core(self, blas, cores, started, monkeypatch, rng):
+        # usable cores at least twice the OpenBLAS threads; no OpenBLAS, no thread
+        monkeypatch.setattr(tm, "OVERLAP_MACS", 0)
+        monkeypatch.setattr(numerics, "openblas_threads", lambda: blas)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        threads = _started_threads(monkeypatch)
+        x, y = toy_batch(rng)
+        supervised_step(random_small_net(rng, [4, 8, 3]), x, y, PENALIZED["vat"], Probe(),
+                        make_rng(0))
+        assert len(threads) == started
+
+    @pytest.mark.parametrize("sizes, rows, reg_rows, started", [
+        ([100, 100, 2], 16, None, 0),          # a synthetic task's training set
+        ([100, 100, 2], 16, 250, 0),           # with a semi-supervised pool batch
+        ([100, 100, 2], 250, None, 0),
+        ([784, 1200, 600, 10], 100, None, 1),  # an MNIST minibatch
+    ])
+    def test_a_large_pass(self, sizes, rows, reg_rows, started, monkeypatch, rng):
+        monkeypatch.setattr(tm, "_spare_core", lambda: True)
+        threads = _started_threads(monkeypatch)
+        x, y = toy_batch(rng, n=rows, dim=sizes[0], classes=sizes[-1])
+        x_reg = None if reg_rows is None else rng.standard_normal((reg_rows, sizes[0]))
+        supervised_step(nn.init_mlp(sizes, rng), x, y, PENALIZED["vat"], Probe(), make_rng(0),
+                        x_reg=x_reg)
+        assert len(threads) == started
+
+    def test_an_mnist_minibatch_trains_the_serial_bits(self, monkeypatch, rng):
+        # the gates as the host sets them: with OpenBLAS at 1 thread and 2
+        # cores or more the likelihood backward runs beside the penalty
+        x, y = toy_batch(rng, n=100, dim=784, classes=10)
+        start = nn.init_mlp([784, 1200, 600, 10], rng)
+        threads = _started_threads(monkeypatch)
+
+        def two_steps():
+            net, opt, step_rng = nn.MlpNetwork(start.layers), _optimizer("adam"), make_rng(5)
+            for _ in range(2):
+                supervised_step(net, x, y, PENALIZED["vat"], opt, step_rng)
+            return net.parameter_vector
+
+        gated = two_steps()
+        assert len(threads) == 2 * tm._spare_core()
+        monkeypatch.setattr(tm, "OVERLAP_MACS", np.inf)
+        assert np.array_equal(gated, two_steps())
+        assert len(threads) == 2 * tm._spare_core()
+
+    @pytest.mark.parametrize("failing", ["penalty", "likelihood backward"],
+                             ids=["penalty", "worker"])
+    def test_a_failure_on_either_thread_propagates(self, failing, overlapped, monkeypatch,
+                                                   rng):
+        # the worker is slowed, so a step that did not join it would return
+        # with it still running
+        caller, backward = threading.get_ident(), nn.backward
+
+        def slow_backward(*args, **kwargs):
+            if threading.get_ident() != caller:
+                time.sleep(0.05)
+                if failing == "likelihood backward":
+                    raise RuntimeError("likelihood backward failed")
+            return backward(*args, **kwargs)
+
+        def penalty(net, reg, x, y, rng, clean, out):
+            raise RuntimeError("penalty failed")
+
+        monkeypatch.setattr(nn, "backward", slow_backward)
+        monkeypatch.setitem(baselines.KINDS, "failing", baselines.Kind(penalty=penalty))
+        reg = Regularizer(kind="failing", weight=0.5) if failing == "penalty" else PENALIZED["vat"]
+        x, y = toy_batch(rng)
+        net, opt = random_small_net(rng, [4, 8, 3]), _optimizer("adam")
+        supervised_step(net, x, y, MLE, opt, make_rng(0))
+        before, running = _state(net, opt), threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{failing} failed"):
+            supervised_step(net, x, y, reg, opt, make_rng(1))
+        assert len(overlapped) == 1
+        assert threading.active_count() == running
+        assert _same_state(before, _state(net, opt))
+
+    @pytest.mark.parametrize("settings", [{"all": "ignore"}, {"over": "raise"}],
+                             ids=["all-ignore", "over-raise"])
+    def test_the_worker_runs_under_the_callers_error_settings(self, settings, overlapped,
+                                                              monkeypatch, rng):
+        # a new thread starts with numpy's defaults
+        seen, caller, backward = [], threading.get_ident(), nn.backward
+
+        def recorded(*args, **kwargs):
+            if threading.get_ident() != caller:
+                seen.append(np.geterr())
+            return backward(*args, **kwargs)
+
+        monkeypatch.setattr(nn, "backward", recorded)
+        x, y = toy_batch(rng)
+        with np.errstate(**settings):
+            expected = np.geterr()
+            supervised_step(random_small_net(rng, [4, 8, 3]), x, y, PENALIZED["vat"], Probe(),
+                            make_rng(0))
+        assert seen == [expected]
 
 
 class TestSemisupStep:
