@@ -117,7 +117,8 @@ def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
     When the penalty runs and reads no input gradient, the likelihood pass
     has at least OVERLAP_MACS rows times parameters and _spare_core() holds,
     the likelihood's backward runs on a thread of its own while the penalty
-    runs on the caller's. The step joins it before it returns or raises, and
+    runs on the caller's; where no thread can be started, on the caller's
+    before the penalty. The step joins it before it returns or raises, and
     raises what it raised. Each array is computed as in the serial order, so
     the bits are the same.
 
@@ -133,13 +134,12 @@ def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
     logits, cache = nn.forward(net, x_lik)
     nll_value, d_logits, proba = nn.nll_loss(logits, y)
     penalized = kind.penalty is not None and reg.weight > 0
-    worker, raised = None, []
+    worker, raised, d_input = None, [], None
     if (penalized and not kind.reads_input_grad  # the penalty reads neither result
             and d_logits.shape[0] * net.parameter_vector.size >= OVERLAP_MACS
             and _spare_core()):
         worker, raised = _backward_thread(net, cache, d_logits, lik_out)
-        d_input = None
-    else:
+    if worker is None:
         d_input = nn.backward(net, cache, d_logits, out=lik_out,
                               input_grad=kind.reads_input_grad)
 
@@ -167,22 +167,23 @@ def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
 
 
 def _spare_core() -> bool:
-    """Whether the process may use at least twice as many cores as OpenBLAS
-    runs threads, so that two threads' products do not share a core. False
-    under another BLAS, whose thread count is unknown."""
-    threads = numerics.openblas_threads()
-    if threads is None:
+    """Whether OpenBLAS runs 1 thread and the process may use 2 cores or more,
+    so that two threads' products do not share a core. False under another
+    BLAS, whose thread count is unknown, and at 2 OpenBLAS threads or more,
+    where two callers would share one thread pool and no overlap was timed."""
+    if numerics.openblas_threads() != 1:
         return False
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count())
-    return cores is not None and cores >= 2 * threads
+    return cores is not None and cores >= 2
 
 
 def _backward_thread(net, cache: nn.ForwardCache, d_logits: Tensor,
                      out: nn.GradientBundle) -> tuple[threading.Thread, list]:
     """A started thread that writes the likelihood's parameter gradients into
-    out, and the list that receives what it raises. It runs under the
-    caller's numpy error settings, which a new thread does not inherit."""
+    out, or None where the process can start no thread, and the list that
+    receives what it raises. It runs under the caller's numpy error
+    settings, which a new thread does not inherit."""
     settings, raised = np.geterr(), []
 
     def run():
@@ -193,7 +194,10 @@ def _backward_thread(net, cache: nn.ForwardCache, d_logits: Tensor,
             raised.append(exc)
 
     thread = threading.Thread(target=run, name="vatlab-likelihood-backward")
-    thread.start()
+    try:
+        thread.start()
+    except RuntimeError:  # "can't start new thread": at a thread or pid limit
+        return None, raised
     return thread, raised
 
 

@@ -313,7 +313,8 @@ def _started_threads(monkeypatch) -> list:
 
     def recorded(*args):
         thread, raised = start(*args)
-        started.append(thread)
+        if thread is not None:
+            started.append(thread)
         return thread, raised
 
     monkeypatch.setattr(tm, "_backward_thread", recorded)
@@ -352,10 +353,10 @@ class TestOverlap:
         assert len(overlapped) == started
 
     @pytest.mark.parametrize("blas, cores, started", [
-        (None, 8, 0), (1, 1, 0), (1, 2, 1), (2, 3, 0), (2, 4, 1),
+        (None, 8, 0), (1, 1, 0), (1, 2, 1), (1, 8, 1), (2, 3, 0), (2, 4, 0), (4, 16, 0),
     ])
     def test_a_spare_core(self, blas, cores, started, monkeypatch, rng):
-        # usable cores at least twice the OpenBLAS threads; no OpenBLAS, no thread
+        # OpenBLAS at 1 thread and 2 usable cores or more; no OpenBLAS, no thread
         monkeypatch.setattr(tm, "OVERLAP_MACS", 0)
         monkeypatch.setattr(numerics, "openblas_threads", lambda: blas)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
@@ -431,6 +432,30 @@ class TestOverlap:
         assert len(overlapped) == 1
         assert threading.active_count() == running
         assert _same_state(before, _state(net, opt))
+
+    def test_a_thread_that_cannot_start_leaves_the_serial_step(self, overlapped,
+                                                                monkeypatch, rng):
+        # at a thread or pid limit the caller runs the likelihood backward itself
+        def refused(self):
+            raise RuntimeError("can't start new thread")
+
+        x, y = toy_batch(rng)
+        start = random_small_net(rng, [4, 8, 3])
+
+        def step():
+            net, opt = nn.MlpNetwork(start.layers), _optimizer("adam")
+            before = nn.propagation_counts()
+            supervised_step(net, x, y, PENALIZED["vat"], opt, make_rng(0))
+            after = nn.propagation_counts()
+            return net.parameter_vector, (after[0] - before[0], after[1] - before[1])
+
+        threaded = step()
+        assert len(overlapped) == 1
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        serial = step()
+        assert len(overlapped) == 1
+        assert np.array_equal(threaded[0], serial[0])
+        assert threaded[1] == serial[1] == (3, 3)
 
     @pytest.mark.parametrize("settings", [{"all": "ignore"}, {"over": "raise"}],
                              ids=["all-ignore", "over-raise"])
