@@ -8,11 +8,15 @@ once instead. Reductions on the hot path call the ufunc reductions
 (np.add.reduce, np.maximum.reduce) that the array methods .sum() and .max()
 dispatch to, without the Python-level dispatch. Tensors are plain float64
 numpy arrays in row-major layout with the batch as the leading dimension.
+The probes of the OpenBLAS numpy loaded also decide when a second core is
+spare, and start_thread runs work there for the training step and ADAM.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import threading
 
 import numpy as np
 
@@ -112,12 +116,11 @@ def normalize_rows(t: Tensor) -> Tensor:
 def openblas_function(name: str):
     """OpenBLAS's `name` function (get_config, set_num_threads, ...) in the
     library numpy loaded, or None when numpy uses another BLAS. It is looked
-    up once per process, as train.supervised_step asks for the thread count
-    on every large update; every caller gets the same object and sets the
+    up once per process, as spare_core asks for the thread count on every
+    large update and ADAM step; every caller gets the same object and sets the
     same argtypes and restype on it."""
     import ctypes  # imported here, as only these probes use it
     import glob
-    import os
 
     libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in glob.glob(os.path.join(libdir, "*openblas*")):
@@ -150,6 +153,42 @@ def openblas_threads() -> int | None:
         return None
     threads.argtypes, threads.restype = [], ctypes.c_int
     return threads()
+
+
+def spare_core() -> bool:
+    """Whether OpenBLAS runs 1 thread and the process may use 2 cores or more,
+    so that two threads' products do not share a core. False under another
+    BLAS, whose thread count is unknown, and at 2 OpenBLAS threads or more,
+    where two callers would share one thread pool and no overlap was timed."""
+    if openblas_threads() != 1:
+        return False
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count())
+    return cores is not None and cores >= 2
+
+
+def start_thread(name: str, fn, *args, **kwargs) -> tuple[threading.Thread | None, list]:
+    """A started thread of the given name that runs fn(*args, **kwargs), and
+    the list that receives what fn raises; (None, that list) where the
+    process can start no thread, and then fn has not run. fn runs under the
+    caller's numpy error settings, which a new thread does not inherit. The
+    caller joins the thread in a finally block and then raises raised[0], so
+    no thread outlives the call that started it."""
+    settings, raised = np.geterr(), []
+
+    def run():
+        try:
+            with np.errstate(**settings):
+                fn(*args, **kwargs)
+        except BaseException as exc:  # the caller raises it on its own thread
+            raised.append(exc)
+
+    thread = threading.Thread(target=run, name=name)
+    try:
+        thread.start()
+    except RuntimeError:  # "can't start new thread": at a thread or pid limit
+        return None, raised
+    return thread, raised
 
 
 def environment() -> dict:

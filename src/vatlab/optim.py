@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .errors import ConfigError, DimensionError, UsageError
 from .numerics import Tensor
 
@@ -84,8 +85,14 @@ class MomentumSgd:
 # their flat view: 128 KiB of float64 per array, so the six arrays a block pass
 # touches (parameters, gradient, both moments, two scratch blocks) take 768 KiB
 # and stay in a 2 MB L2 cache across the update's 14 passes, where a whole
-# MNIST-size parameter vector (13 MB) goes out to memory on every pass.
+# MNIST-size parameter vector (13 MB) goes out to memory on every pass. That
+# vector is 102 blocks; split over two cores, each thread runs 51.
 _ADAM_BLOCK = 16_384
+# Elements of the smallest vector whose blocks run in two halves, one on a
+# worker thread, when numerics.spare_core() holds. With OpenBLAS at 1 thread
+# on a 2-vCPU host the split lost at 8 blocks (0.90 -> 0.96 ms) and won at
+# 16 (1.80 -> 1.56 ms) and at the MNIST size's 1.66M (12.8 -> 8.3 ms).
+_ADAM_SPLIT = 1 << 18
 
 
 class Adam:
@@ -96,10 +103,18 @@ class Adam:
         self.step_count = 0
         self.m: Tensor | None = None
         self.v: Tensor | None = None
-        self._scratch = (np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK))
+        # one scratch pair for the calling thread and one for the worker
+        self._scratch = [(np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)) for _ in range(2)]
 
     def step(self, params: Tensor, grads: Tensor) -> None:
-        """Apply one in-place update to C-contiguous parameters."""
+        """Apply one in-place update to C-contiguous parameters.
+
+        A vector of at least _ADAM_SPLIT elements, where numerics.spare_core()
+        holds, is updated in two halves of whole blocks: the second on a
+        worker thread, the first on the caller's. Every block runs the same
+        passes either way, so the bits are the serial ones. The step joins
+        the worker before it returns or raises, and raises what it raised;
+        where no thread can be started, the caller runs every block."""
         _check_grads(params, grads)
         if not params.flags.c_contiguous:
             raise UsageError("Adam updates C-contiguous parameters in place")
@@ -111,16 +126,36 @@ class Adam:
         t = self.step_count
         consts = (ADAM_BETA1, 1.0 - ADAM_BETA1, ADAM_BETA2, 1.0 - ADAM_BETA2,
                   1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t, rate)
-        p, g = params.reshape(-1), grads.reshape(-1)
-        m, v = self.m.reshape(-1), self.v.reshape(-1)
+        flat = [a.reshape(-1) for a in (params, grads, self.m, self.v)]
+        worker, raised, mine = None, [], flat
+        if params.size >= _ADAM_SPLIT and numerics.spare_core():
+            # the caller's half is the first ceil(blocks / 2) blocks
+            mid = _ADAM_BLOCK * -(-params.size // (2 * _ADAM_BLOCK))
+            worker, raised = numerics.start_thread("vatlab-adam-half", self._blocks,
+                                                   [a[mid:] for a in flat],
+                                                   self._scratch[1], consts)
+            if worker is not None:
+                mine = [a[:mid] for a in flat]
+        try:
+            self._blocks(mine, self._scratch[0], consts)
+        finally:
+            if worker is not None:
+                worker.join()
+        if raised:
+            raise raised[0]
+
+    def _blocks(self, flat, scratch, consts) -> None:
+        """Update the flat arrays [p, g, m, v] block by block through one scratch pair."""
+        p, g, m, v = flat
         for start in range(0, p.size, _ADAM_BLOCK):
             block = slice(start, start + _ADAM_BLOCK)
-            self._update(p[block], g[block], m[block], v[block], *consts)
+            self._update(p[block], g[block], m[block], v[block], scratch, *consts)
 
-    def _update(self, p, g, m, v, beta1, gain1, beta2, gain2, bias1, bias2, rate) -> None:
+    def _update(self, p, g, m, v, scratch, beta1, gain1, beta2, gain2, bias1, bias2,
+                rate) -> None:
         """The 14 passes of one update over one block; gain1 and gain2 are
         1 - beta1 and 1 - beta2."""
-        s, denom = self._scratch
+        s, denom = scratch
         if p.size < _ADAM_BLOCK:
             s, denom = s[:p.size], denom[:p.size]
         # m <- beta1 m + (1 - beta1) g;  v <- beta2 v + ((1 - beta2) g) g

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-import threading
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 
@@ -115,12 +113,12 @@ def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
     parameter vector in one call.
 
     When the penalty runs and reads no input gradient, the likelihood pass
-    has at least OVERLAP_MACS rows times parameters and _spare_core() holds,
-    the likelihood's backward runs on a thread of its own while the penalty
-    runs on the caller's; where no thread can be started, on the caller's
-    before the penalty. The step joins it before it returns or raises, and
-    raises what it raised. Each array is computed as in the serial order, so
-    the bits are the same.
+    has at least OVERLAP_MACS rows times parameters and numerics.spare_core()
+    holds, the likelihood's backward runs on a thread of its own
+    (numerics.start_thread) while the penalty runs on the caller's; where no
+    thread can be started, on the caller's before the penalty. The step
+    joins it before it returns or raises, and raises what it raised. Each
+    array is computed as in the serial order, so the bits are the same.
 
     Raises NumericError, before the parameters or the optimizer state change,
     when the NLL or the penalty value is not finite: a non-finite value in any
@@ -137,8 +135,10 @@ def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
     worker, raised, d_input = None, [], None
     if (penalized and not kind.reads_input_grad  # the penalty reads neither result
             and d_logits.shape[0] * net.parameter_vector.size >= OVERLAP_MACS
-            and _spare_core()):
-        worker, raised = _backward_thread(net, cache, d_logits, lik_out)
+            and numerics.spare_core()):
+        worker, raised = numerics.start_thread("vatlab-likelihood-backward", nn.backward,
+                                               net, cache, d_logits, out=lik_out,
+                                               input_grad=False)
     if worker is None:
         d_input = nn.backward(net, cache, d_logits, out=lik_out,
                               input_grad=kind.reads_input_grad)
@@ -164,41 +164,6 @@ def supervised_step(net, x: Tensor, y: np.ndarray, reg: Regularizer,
                            f"penalty {reg_value})")
     optimizer.step(net.parameter_vector, lik_out.vector)
     return {"nll": nll_value, "reg": reg_value}
-
-
-def _spare_core() -> bool:
-    """Whether OpenBLAS runs 1 thread and the process may use 2 cores or more,
-    so that two threads' products do not share a core. False under another
-    BLAS, whose thread count is unknown, and at 2 OpenBLAS threads or more,
-    where two callers would share one thread pool and no overlap was timed."""
-    if numerics.openblas_threads() != 1:
-        return False
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count())
-    return cores is not None and cores >= 2
-
-
-def _backward_thread(net, cache: nn.ForwardCache, d_logits: Tensor,
-                     out: nn.GradientBundle) -> tuple[threading.Thread, list]:
-    """A started thread that writes the likelihood's parameter gradients into
-    out, or None where the process can start no thread, and the list that
-    receives what it raises. It runs under the caller's numpy error
-    settings, which a new thread does not inherit."""
-    settings, raised = np.geterr(), []
-
-    def run():
-        try:
-            with np.errstate(**settings):
-                nn.backward(net, cache, d_logits, out=out, input_grad=False)
-        except BaseException as exc:  # supervised_step raises it on its own thread
-            raised.append(exc)
-
-    thread = threading.Thread(target=run, name="vatlab-likelihood-backward")
-    try:
-        thread.start()
-    except RuntimeError:  # "can't start new thread": at a thread or pid limit
-        return None, raised
-    return thread, raised
 
 
 def evaluate(net, x: Tensor, y: np.ndarray | None,
@@ -227,7 +192,7 @@ def evaluate(net, x: Tensor, y: np.ndarray | None,
     if y is not None:
         out["error"] = wrong / n if n else math.nan  # an empty split, as numpy's mean
     if with_lds:
-        out["mean_lds"] = float(np.add.reduce(lds_sums) / n)
+        out["mean_lds"] = float(np.add.reduce(lds_sums) / n) if n else math.nan
     return out
 
 

@@ -2,8 +2,9 @@
 perturbation search starts from, the KL sensitivity's gradient (the paper's
 finite-difference reference for Hessian-vector products), the exact KL
 Hessian and its dominant eigenpair, one-layer logistic nets, small random
-nets, and the OpenBLAS checks the golden tests gate on, built on
-vatlab.numerics's probes of the library numpy loaded."""
+nets, the OpenBLAS checks the golden tests gate on, built on
+vatlab.numerics's probes of the library numpy loaded, and a record of the
+worker threads the package starts."""
 
 import contextlib
 import ctypes
@@ -11,7 +12,7 @@ import ctypes
 import numpy as np
 import pytest
 
-from vatlab import nn
+from vatlab import nn, numerics
 from vatlab.errors import DataError
 from vatlab.numerics import (as_tensor, make_rng, openblas_config, openblas_function,
                              openblas_threads, softmax)
@@ -126,3 +127,18 @@ def blas_threads(n):
         yield
     finally:
         set_threads(before)
+
+
+def started_threads(monkeypatch, name) -> list:
+    """The list numerics.start_thread appends each thread of the given name
+    to as it starts, for the rest of the test."""
+    started, start = [], numerics.start_thread
+
+    def recorded(thread_name, *args, **kwargs):
+        thread, raised = start(thread_name, *args, **kwargs)
+        if thread is not None and thread_name == name:
+            started.append(thread)
+        return thread, raised
+
+    monkeypatch.setattr(numerics, "start_thread", recorded)
+    return started

@@ -1,6 +1,12 @@
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
+from conftest import started_threads
 
+from vatlab import numerics, optim
 from vatlab.errors import ConfigError, DimensionError, UsageError
 from vatlab.optim import MOMENTUM, Adam, DecaySchedule, MomentumSgd, schedule_rate
 
@@ -155,3 +161,121 @@ def test_in_place_updates_match_textbook_expressions(rng):
             assert np.array_equal(params[name], ref[name]), (name, t)
         assert np.array_equal(sgd.prev_update, delta)
         assert np.array_equal(adam.m, m) and np.array_equal(adam.v, v)
+
+
+def _started_halves(monkeypatch) -> list:
+    """The list Adam.step appends each worker half's thread to as it starts."""
+    return started_threads(monkeypatch, "vatlab-adam-half")
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Every ADAM step of the test of a vector of a block or more runs its
+    second half on a worker thread, whatever the host's BLAS and cores;
+    returns the list of the threads started."""
+    monkeypatch.setattr(optim, "_ADAM_SPLIT", optim._ADAM_BLOCK)
+    monkeypatch.setattr(numerics, "spare_core", lambda: True)
+    return _started_halves(monkeypatch)
+
+
+# five whole blocks and a ragged tail, and a 2-D array of about six blocks
+SPLIT_SHAPES = [(5 * optim._ADAM_BLOCK + 1234,), (6, optim._ADAM_BLOCK + 7)]
+
+
+def _adam_steps(shape, steps: int = 3):
+    """(parameters, optimizer) after `steps` ADAM steps of seeded gradients."""
+    rng = np.random.default_rng(0)
+    params = rng.standard_normal(shape)
+    opt = Adam(DecaySchedule(0.01, 0.9, 2))
+    for _ in range(steps):
+        opt.step(params, rng.standard_normal(shape))
+    return params, opt
+
+
+def _same_adam(a, b) -> bool:
+    (p_a, opt_a), (p_b, opt_b) = a, b
+    return (opt_a.step_count == opt_b.step_count and np.array_equal(p_a, p_b)
+            and np.array_equal(opt_a.m, opt_b.m) and np.array_equal(opt_a.v, opt_b.v))
+
+
+class TestAdamSplit:
+    """When Adam.step runs its second half of blocks on a worker thread, and
+    that its bits and failures are the serial loop's."""
+
+    @pytest.mark.parametrize("shape", SPLIT_SHAPES, ids=["ragged-1d", "2d"])
+    def test_the_halves_update_the_serial_bits(self, shape, split, monkeypatch):
+        halves = _adam_steps(shape)
+        assert len(split) == 3
+        monkeypatch.setattr(numerics, "spare_core", lambda: False)
+        assert _same_adam(halves, _adam_steps(shape))
+        assert len(split) == 3
+
+    def test_the_hosts_gates_keep_the_serial_bits(self, monkeypatch):
+        # the gates as the host sets them: with OpenBLAS at 1 thread and 2
+        # cores or more every step splits
+        shape = (optim._ADAM_SPLIT + 1234,)
+        threads = _started_halves(monkeypatch)
+        gated = _adam_steps(shape)
+        assert len(threads) == 3 * numerics.spare_core()
+        monkeypatch.setattr(optim, "_ADAM_SPLIT", np.inf)
+        assert _same_adam(gated, _adam_steps(shape))
+        assert len(threads) == 3 * numerics.spare_core()
+
+    @pytest.mark.parametrize("size, blas, cores, started", [
+        (optim._ADAM_SPLIT, 1, 2, 1), (optim._ADAM_SPLIT - 1, 1, 2, 0),
+        (optim._ADAM_SPLIT, 1, 1, 0), (optim._ADAM_SPLIT, 2, 4, 0),
+        (optim._ADAM_SPLIT, None, 8, 0),
+    ], ids=["at-the-size", "below-the-size", "one-core", "two-blas-threads", "no-openblas"])
+    def test_the_gates(self, size, blas, cores, started, monkeypatch):
+        # a vector of _ADAM_SPLIT elements or more, OpenBLAS at 1 thread and
+        # 2 usable cores or more; no OpenBLAS, no thread
+        monkeypatch.setattr(numerics, "openblas_threads", lambda: blas)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        threads = _started_halves(monkeypatch)
+        Adam(DecaySchedule(0.01)).step(np.zeros(size), np.ones(size))
+        assert len(threads) == started
+
+    def test_a_failing_worker_half_propagates_after_the_join(self, split, monkeypatch):
+        # the worker is slowed, so a step that did not join it would return
+        # with it still running
+        caller, update = threading.get_ident(), Adam._update
+
+        def failing(*args):
+            if threading.get_ident() != caller:
+                time.sleep(0.05)
+                raise RuntimeError("worker half failed")
+            return update(*args)
+
+        params, opt = _adam_steps(SPLIT_SHAPES[0], steps=1)
+        monkeypatch.setattr(Adam, "_update", failing)
+        running = threading.active_count()
+        with pytest.raises(RuntimeError, match="worker half failed"):
+            opt.step(params, np.ones_like(params))
+        assert len(split) == 2
+        assert threading.active_count() == running
+
+    def test_a_thread_that_cannot_start_leaves_the_serial_loop(self, split, monkeypatch):
+        # at a thread or pid limit the caller runs every block itself
+        def refused(self):
+            raise RuntimeError("can't start new thread")
+
+        halves = _adam_steps(SPLIT_SHAPES[0])
+        assert len(split) == 3
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        assert _same_adam(halves, _adam_steps(SPLIT_SHAPES[0]))
+        assert len(split) == 3
+
+    @pytest.mark.parametrize("where", [0, -1], ids=["caller-half", "worker-half"])
+    def test_both_halves_run_under_the_callers_error_settings(self, where, split):
+        # a new thread starts with numpy's defaults; the square of 1e200
+        # overflows in the update of v
+        size = SPLIT_SHAPES[0][0]
+        grads = np.ones(size)
+        grads[where] = 1e200
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            Adam(DecaySchedule(0.01)).step(np.zeros(size), grads)
+        with np.errstate(all="ignore"):
+            Adam(DecaySchedule(0.01)).step(np.zeros(size), grads)
+        assert len(split) == 2

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import clean_pass, random_small_net
+from conftest import clean_pass, random_small_net, started_threads
 
 from vatlab import baselines, data as dm, divergence, nn, numerics, train as tm, vat
 from vatlab.baselines import Regularizer
@@ -303,22 +303,14 @@ def overlapped(monkeypatch):
     thread of its own where the kind allows it, whatever the pass's size and
     the host's cores; returns the list of the threads started."""
     monkeypatch.setattr(tm, "OVERLAP_MACS", 0)
-    monkeypatch.setattr(tm, "_spare_core", lambda: True)
+    monkeypatch.setattr(numerics, "spare_core", lambda: True)
     return _started_threads(monkeypatch)
 
 
 def _started_threads(monkeypatch) -> list:
-    """The list supervised_step appends each likelihood-backward thread to as it starts."""
-    started, start = [], tm._backward_thread
-
-    def recorded(*args):
-        thread, raised = start(*args)
-        if thread is not None:
-            started.append(thread)
-        return thread, raised
-
-    monkeypatch.setattr(tm, "_backward_thread", recorded)
-    return started
+    """The list supervised_step appends each likelihood-backward thread to as
+    it starts; ADAM's worker halves are not in it."""
+    return started_threads(monkeypatch, "vatlab-likelihood-backward")
 
 
 @pytest.mark.usefixtures("overlapped")
@@ -375,7 +367,7 @@ class TestOverlap:
         ([784, 1200, 600, 10], 100, None, 1),  # an MNIST minibatch
     ])
     def test_a_large_pass(self, sizes, rows, reg_rows, started, monkeypatch, rng):
-        monkeypatch.setattr(tm, "_spare_core", lambda: True)
+        monkeypatch.setattr(numerics, "spare_core", lambda: True)
         threads = _started_threads(monkeypatch)
         x, y = toy_batch(rng, n=rows, dim=sizes[0], classes=sizes[-1])
         x_reg = None if reg_rows is None else rng.standard_normal((reg_rows, sizes[0]))
@@ -397,10 +389,10 @@ class TestOverlap:
             return net.parameter_vector
 
         gated = two_steps()
-        assert len(threads) == 2 * tm._spare_core()
+        assert len(threads) == 2 * numerics.spare_core()
         monkeypatch.setattr(tm, "OVERLAP_MACS", np.inf)
         assert np.array_equal(gated, two_steps())
-        assert len(threads) == 2 * tm._spare_core()
+        assert len(threads) == 2 * numerics.spare_core()
 
     @pytest.mark.parametrize("failing", ["penalty", "likelihood backward"],
                              ids=["penalty", "worker"])
@@ -590,6 +582,14 @@ class TestEvaluate:
             layer.weights[:] = 0.0
         out = evaluate(net, rng.standard_normal((5, 4)), None, rng=rng)
         assert out["mean_lds"] == 0.0
+
+    def test_an_empty_split_is_nan_without_a_warning(self, rng):
+        # both means of no rows are a quiet NaN, as numpy's mean of no rows
+        net = random_small_net(rng, [4, 8, 3])
+        with np.errstate(all="raise"):
+            out = evaluate(net, np.zeros((0, 4)), np.zeros(0, dtype=int))
+        assert sorted(out) == ["error", "mean_lds"]
+        assert np.isnan(out["error"]) and np.isnan(out["mean_lds"])
 
     def test_default_generator_is_seed_zero(self, rng):
         net = random_small_net(rng, [4, 8, 3])
